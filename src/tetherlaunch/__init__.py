@@ -42,8 +42,9 @@ from .model import (
     design_derivatives,
     effective_tether_length,
     initial_state,
+    line_model,
+    sizing_derivatives,
     spring_friction,
-    tether_force,
     tether_stiffness,
 )
 from .config import AppConfig, ConfigError, default_app_config, load_config

@@ -52,6 +52,16 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats: {text!r}") from exc
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1 (got {text!r})")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tetherlaunch",
@@ -71,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated spring travels [m]")
     p.add_argument("--stiffness", type=_float_list, default=None,
                    help="comma-separated spring stiffness values [N/m]")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_worker_count, default=1,
                    help="worker processes for the grid (results identical)")
 
     p = sub.add_parser("takeoff", help="run one closed-loop take-off maneuver")

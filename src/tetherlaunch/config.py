@@ -10,6 +10,7 @@ is valid and yields the full default setup.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -119,7 +120,14 @@ def _merge_section(name: str, provided: dict) -> dict:
             raise ConfigError(
                 f"{name}.{key}: expected a number (got {value!r})"
             )
-        values[key] = float(value)
+        # JSON lets NaN, Infinity and integers beyond float range through.
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{name}.{key}: must be finite (got {value!r})")
+        values[key] = number
     return values
 
 
@@ -157,7 +165,12 @@ def load_config(path: str | Path | None = None) -> AppConfig:
     if path is None:
         return default_app_config()
 
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if not text.strip():
         raw = {}
     else:

@@ -18,10 +18,11 @@ from .model import (
     DesignState,
     SystemParams,
     clamp_spring_travel,
-    design_derivatives,
-    effective_tether_length,
-    tether_force,
+    line_model,
+    sizing_derivatives,
 )
+# No longer called here; perfbench/worker.py still looks it up in this module.
+from .model import design_derivatives  # noqa: F401
 
 DEFAULT_STEP = 1e-4       # [s]
 DEFAULT_FORCE_TOL = 1e-6  # tension below this counts as released [N]
@@ -90,16 +91,20 @@ class Trace:
     def winch_speed(self) -> np.ndarray:
         return self.states[:, 5]
 
-    def state_at(self, i: int) -> DesignState:
-        return DesignState(*self.states[i])
+
+def check_finite(state) -> None:
+    """Raise IntegrationError if a component of the NamedTuple `state` is
+    not finite (the integration blew up)."""
+    for v in state:
+        if not math.isfinite(v):
+            raise IntegrationError(f"non-finite state component in {state}")
 
 
-def rk4_step(derivs, state, dt: float, spring_limit: float | None = None):
-    """One classical 4th-order Runge-Kutta step.
+def rk4_step(derivs, state, dt: float):
+    """One classical 4th-order Runge-Kutta step: the generic reference.
 
     `derivs` maps a state tuple to its derivative tuple; `state` is any
-    NamedTuple of floats. When `spring_limit` is given the result is
-    passed through the hard spring-travel clamp (DesignState layout).
+    NamedTuple of floats.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0 (got {dt})")
@@ -112,14 +117,30 @@ def rk4_step(derivs, state, dt: float, spring_limit: float | None = None):
         y + dt / 6.0 * (a + 2.0 * (b + c) + d)
         for y, a, b, c, d in zip(state, k1, k2, k3, k4)
     )
-    for v in out:
-        if not math.isfinite(v):
-            raise IntegrationError(f"non-finite state component in {out}")
-    if spring_limit is not None:
-        spring_pos, spring_vel = clamp_spring_travel(out[2], out[3], spring_limit)
-        if spring_pos != out[2] or spring_vel != out[3]:
-            out = make((out[0], out[1], spring_pos, spring_vel, out[4], out[5]))
+    check_finite(out)
     return out
+
+
+def rk4_step6(f, dt: float, y0: float, y1: float, y2: float, y3: float,
+              y4: float, y5: float) -> tuple:
+    """rk4_step unrolled for six plain floats, with f(y0, ..., y5) giving
+    the six derivatives; the same operations in the same order, so the
+    result is bit-identical. The caller checks for non-finite values."""
+    h = 0.5 * dt
+    a0, a1, a2, a3, a4, a5 = f(y0, y1, y2, y3, y4, y5)
+    b0, b1, b2, b3, b4, b5 = f(y0 + h * a0, y1 + h * a1, y2 + h * a2,
+                               y3 + h * a3, y4 + h * a4, y5 + h * a5)
+    c0, c1, c2, c3, c4, c5 = f(y0 + h * b0, y1 + h * b1, y2 + h * b2,
+                               y3 + h * b3, y4 + h * b4, y5 + h * b5)
+    d0, d1, d2, d3, d4, d5 = f(y0 + dt * c0, y1 + dt * c1, y2 + dt * c2,
+                               y3 + dt * c3, y4 + dt * c4, y5 + dt * c5)
+    w = dt / 6.0
+    return (y0 + w * (a0 + 2.0 * (b0 + c0) + d0),
+            y1 + w * (a1 + 2.0 * (b1 + c1) + d1),
+            y2 + w * (a2 + 2.0 * (b2 + c2) + d2),
+            y3 + w * (a3 + 2.0 * (b3 + c3) + d3),
+            y4 + w * (a4 + 2.0 * (b4 + c4) + d4),
+            y5 + w * (a5 + 2.0 * (b5 + c5) + d5))
 
 
 def simulate(params: SystemParams, init: DesignState, dt: float,
@@ -133,39 +154,46 @@ def simulate(params: SystemParams, init: DesignState, dt: float,
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0 (got {dt})")
 
-    winch_radius = params.winch.radius
+    derivs = sizing_derivatives(params)
+    tension = line_model(params.tether, params.spring, params.winch).tension
+    radius = params.winch.radius
     limit = params.spring.max_travel
+    force_tol = stop.force_tol
 
-    def derivs(s):
-        return design_derivatives(s, params)
-
-    length0 = effective_tether_length(params.winch, init.winch_angle,
-                                      init.spring_pos)
-    force0 = tether_force(params.tether, init.pos, length0)
+    pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = init
+    length = radius * winch_angle + 2.0 * spring_pos
+    force = tension(pos, length)
 
     rows = [init]
-    forces = [force0]
-    lengths = [length0]
+    forces = [force]
+    lengths = [length]
 
     check_release = stop.kind == "force_released"
-    force_seen = force0 > stop.force_tol
+    force_seen = force > force_tol
     fired = False
-    state = init
     n_steps = int(math.ceil(stop.max_time / dt - 1e-9))
 
     for _ in range(n_steps):
-        state = rk4_step(derivs, state, dt, spring_limit=limit)
-        length = effective_tether_length(params.winch, state.winch_angle,
-                                         state.spring_pos)
-        force = tether_force(params.tether, state.pos, length)
-        rows.append(state)
+        pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = rk4_step6(
+            derivs, dt, pos, vel, spring_pos, spring_vel, winch_angle,
+            winch_speed)
+        if not math.isfinite(pos + vel + spring_pos + spring_vel
+                             + winch_angle + winch_speed):
+            check_finite(DesignState(pos, vel, spring_pos, spring_vel,
+                                     winch_angle, winch_speed))
+        if spring_pos < 0.0 or spring_pos > limit:
+            spring_pos, spring_vel = clamp_spring_travel(spring_pos,
+                                                         spring_vel, limit)
+        length = radius * winch_angle + 2.0 * spring_pos
+        force = tension(pos, length)
+        rows.append((pos, vel, spring_pos, spring_vel, winch_angle,
+                     winch_speed))
         forces.append(force)
         lengths.append(length)
         if check_release:
-            if force > stop.force_tol:
+            if force > force_tol:
                 force_seen = True
-            elif (force_seen
-                  and winch_radius * state.winch_speed >= state.vel):
+            elif force_seen and radius * winch_speed >= vel:
                 fired = True
                 break
 

@@ -17,7 +17,7 @@ concurrent workers without coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -191,11 +191,6 @@ def tether_stiffness(tether: TetherParams, length: float) -> float:
     return tether.breaking_load / (tether.breaking_elongation * length)
 
 
-def tether_force(tether: TetherParams, pos: float, length: float) -> float:
-    """Pulling force of the tether [N]; zero when slack (a line cannot push)."""
-    return max(0.0, tether_stiffness(tether, length) * (pos - length))
-
-
 def effective_tether_length(winch: WinchParams, winch_angle: float,
                             spring_pos: float) -> float:
     """Deployed tether length [m]: drum payout plus twice the carriage travel.
@@ -221,35 +216,96 @@ def spring_friction(spring: SpringParams, spring_pos: float,
     return spring.free_friction
 
 
-def design_derivatives(state: DesignState, params: SystemParams) -> tuple:
-    """Time derivatives of the six model states.
+class LineModel(NamedTuple):
+    """The tether, pulley carriage and winch drum as closures over floats.
+
+    tension(distance, length) [N] for the aircraft `distance` from the
+    ground station on `length` of deployed line, slack included;
+    carriage_accel(force, spring_pos, spring_vel) [m/s^2];
+    winch_accel(torque, force, winch_speed) [rad/s^2].
+    """
+
+    tension: Callable[[float, float], float]
+    carriage_accel: Callable[[float, float, float], float]
+    winch_accel: Callable[[float, float, float], float]
+
+
+def line_model(tether: TetherParams, spring: SpringParams,
+               winch: WinchParams) -> LineModel:
+    """Equations of the line, carriage and winch, shared by every plant.
+
+    The parameters are read once here, so a run's derivative evaluations
+    touch plain floats only. The tether pulls with the stiffness of
+    tether_stiffness and never pushes. The moving pulley doubles the
+    tension on the carriage, which feels the friction of spring_friction,
+    and the same tension helps the motor torque spin the drum out.
+    """
+    breaking_load = tether.breaking_load
+    breaking_elongation = tether.breaking_elongation
+    stiffness = spring.stiffness
+    carriage_mass = spring.carriage_mass
+    free_friction = spring.free_friction
+    stop_friction = spring.endstop_gain * spring.free_friction
+    lower_band = spring.endstop_margin
+    upper_band = spring.max_travel - spring.endstop_margin
+    radius = winch.radius
+    rot_friction = winch.rot_friction
+    inertia = winch.inertia
+
+    def tension(distance: float, length: float) -> float:
+        if length <= 0.0:
+            raise ValueError(f"tether length must be > 0 (got {length})")
+        force = (breaking_load / (breaking_elongation * length)
+                 * (distance - length))
+        return force if force > 0.0 else 0.0  # max(0.0, force), minus a call
+
+    def carriage_accel(force: float, spring_pos: float,
+                       spring_vel: float) -> float:
+        if ((spring_pos <= lower_band and spring_vel < 0.0)
+                or (spring_pos > upper_band and spring_vel > 0.0)):
+            friction = stop_friction
+        else:
+            friction = free_friction
+        return (2.0 * force - friction * spring_vel
+                - stiffness * spring_pos) / carriage_mass
+
+    def winch_accel(torque: float, force: float, winch_speed: float) -> float:
+        return (torque + radius * force - rot_friction * winch_speed) / inertia
+
+    return LineModel(tension, carriage_accel, winch_accel)
+
+
+def sizing_derivatives(params: SystemParams) -> Callable[..., tuple]:
+    """The sizing model as a function of the six DesignState floats.
 
     Worst-case assumptions of the sizing study: the propeller holds peak
     thrust, the winch motor holds peak reel-out torque, and the tether
     pulls exactly against the flight direction. The same tension value
-    decelerates the aircraft, drives the carriage (doubled by the moving
-    pulley) and helps spin the winch out.
+    decelerates the aircraft, drives the carriage and helps spin the
+    winch out.
     """
-    pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = state
+    tension, carriage_accel, winch_accel = line_model(
+        params.tether, params.spring, params.winch)
     aircraft = params.aircraft
-    spring = params.spring
-    winch = params.winch
+    thrust = aircraft.max_thrust
+    drag_factor = (0.5 * params.ambient.air_density * aircraft.drag_coeff
+                   * aircraft.effective_area)
+    mass = aircraft.mass
+    radius = params.winch.radius
+    torque = params.winch.max_torque
 
-    length = effective_tether_length(winch, winch_angle, spring_pos)
-    force = tether_force(params.tether, pos, length)
+    def derivs(pos, vel, spring_pos, spring_vel, winch_angle, winch_speed):
+        force = tension(pos, radius * winch_angle + 2.0 * spring_pos)
+        return (vel, (thrust - drag_factor * vel * vel - force) / mass,
+                spring_vel, carriage_accel(force, spring_pos, spring_vel),
+                winch_speed, winch_accel(torque, force, winch_speed))
 
-    drag = (0.5 * params.ambient.air_density * aircraft.drag_coeff
-            * aircraft.effective_area * vel * vel)
-    accel = (aircraft.max_thrust - drag - force) / aircraft.mass
+    return derivs
 
-    friction = spring_friction(spring, spring_pos, spring_vel)
-    spring_accel = (2.0 * force - friction * spring_vel
-                    - spring.stiffness * spring_pos) / spring.carriage_mass
 
-    winch_accel = (winch.max_torque + winch.radius * force
-                   - winch.rot_friction * winch_speed) / winch.inertia
-
-    return (vel, accel, spring_vel, spring_accel, winch_speed, winch_accel)
+def design_derivatives(state: DesignState, params: SystemParams) -> tuple:
+    """Time derivatives of the six model states (see sizing_derivatives)."""
+    return sizing_derivatives(params)(*state)
 
 
 def initial_state(ic: InitConditions, winch: WinchParams) -> DesignState:

@@ -14,7 +14,7 @@ torque times speed, braking counted negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -30,13 +30,12 @@ from .controller import (
     winch_fbck,
     winch_torque,
 )
-from .integrator import rk4_step
-from .model import (
-    SystemParams,
-    clamp_spring_travel,
-    spring_friction,
-    tether_stiffness,
-)
+from .integrator import check_finite, rk4_step6
+from .model import SystemParams, clamp_spring_travel, line_model
+# No longer called here; perfbench/worker.py still looks them up in this
+# module.
+from .integrator import rk4_step  # noqa: F401
+from .model import spring_friction, tether_stiffness  # noqa: F401
 
 GRAVITY = 9.81  # [m/s^2]
 
@@ -102,6 +101,7 @@ def default_takeoff_config() -> TakeoffConfig:
     )
 
 
+# The plant states, built only to report a non-finite one.
 class _SlidePhaseState(NamedTuple):
     """Plant state while the aircraft rides the slide."""
 
@@ -172,8 +172,10 @@ class TakeoffResult:
         return self.trace.slack
 
 
-def _build_trace(log: dict) -> TakeoffTrace:
-    return TakeoffTrace(**{name: np.array(values) for name, values in log.items()})
+def _build_trace(rows: list[tuple]) -> TakeoffTrace:
+    """The trace from its rows, in TakeoffTrace field order."""
+    columns = zip(*rows) if rows else [()] * len(fields(TakeoffTrace))
+    return TakeoffTrace(*(np.array(column) for column in columns))
 
 
 def motor_power(torque: float, speed: float) -> float:
@@ -223,153 +225,151 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
             f"({sample_period}) evenly"
         )
 
+    dt = cfg.dt
     drum_radius = slide.drum_radius
     drag_coeff = (0.5 * system.ambient.air_density * aircraft.drag_coeff
                   * aircraft.effective_area)
     gravity_along_path = (aircraft.mass * GRAVITY
                           * math.sin(math.radians(cfg.climb_angle_deg)))
     slack0 = cfg.initial_slack
+    thrust = aircraft.max_thrust
+    mass = aircraft.mass
+    slide_friction = slide.rot_friction
+    winch_radius = winch.radius
+    max_travel = spring.max_travel
     slide_inertia_full = slide.equivalent_mass * drum_radius ** 2
     slide_inertia_empty = ((slide.equivalent_mass - aircraft.mass)
                            * drum_radius ** 2)
     angle_ref = cfg.slide_travel / drum_radius  # position step issued at k=0
+    tension, carriage_accel, winch_accel = line_model(system.tether, spring,
+                                                      winch)
+    # Zero-order-hold torques of the current control step, read by the
+    # plant closures below.
+    u_slide = u_winch = 0.0
 
-    def line_state(winch_angle: float, spring_pos: float,
-                   distance: float) -> tuple[float, float]:
-        """Deployed length and tether force for the current geometry."""
-        length = slack0 + winch.radius * winch_angle + 2.0 * spring_pos
-        stiffness = tether_stiffness(system.tether, length)
-        return length, max(0.0, stiffness * (distance - length))
+    def on_slide(slide_angle, slide_speed, winch_angle, winch_speed,
+                 spring_pos, spring_vel):
+        speed = drum_radius * slide_speed
+        force = tension(drum_radius * slide_angle,
+                        slack0 + winch_radius * winch_angle + 2.0 * spring_pos)
+        # Thrust, drag and tether pull all act on the combined
+        # slide+aircraft train through the equivalent mass.
+        train_force = (u_slide / drum_radius + thrust
+                       - drag_coeff * speed * speed - force
+                       - slide_friction * slide_speed / drum_radius)
+        return (slide_speed, train_force * drum_radius / slide_inertia_full,
+                winch_speed, winch_accel(u_winch, force, winch_speed),
+                spring_vel, carriage_accel(force, spring_pos, spring_vel))
 
-    def slide_phase_derivs(u_slide: float, u_winch: float):
-        def derivs(s: _SlidePhaseState):
-            speed = drum_radius * s.slide_speed
-            distance = drum_radius * s.slide_angle
-            _, force = line_state(s.winch_angle, s.spring_pos, distance)
-            # Thrust, drag and tether pull all act on the combined
-            # slide+aircraft train through the equivalent mass.
-            train_force = (u_slide / drum_radius + aircraft.max_thrust
-                           - drag_coeff * speed * speed - force
-                           - slide.rot_friction * s.slide_speed / drum_radius)
-            slide_accel = train_force * drum_radius / slide_inertia_full
-            winch_accel = (u_winch + winch.radius * force
-                           - winch.rot_friction * s.winch_speed) / winch.inertia
-            friction = spring_friction(spring, s.spring_pos, s.spring_vel)
-            spring_accel = (2.0 * force - friction * s.spring_vel
-                            - spring.stiffness * s.spring_pos) / spring.carriage_mass
-            return (s.slide_speed, slide_accel, s.winch_speed, winch_accel,
-                    s.spring_vel, spring_accel)
-        return derivs
+    def climb(path_pos, path_vel, winch_angle, winch_speed, spring_pos,
+              spring_vel):
+        force = tension(path_pos,
+                        slack0 + winch_radius * winch_angle + 2.0 * spring_pos)
+        return (path_vel, (thrust - drag_coeff * path_vel * path_vel - force
+                           - gravity_along_path) / mass,
+                winch_speed, winch_accel(u_winch, force, winch_speed),
+                spring_vel, carriage_accel(force, spring_pos, spring_vel))
 
-    def climb_phase_derivs(u_slide: float, u_winch: float):
-        def derivs(s: _ClimbPhaseState):
-            slide_accel = (u_slide - slide.rot_friction * s.slide_speed
-                           ) / slide_inertia_empty
-            _, force = line_state(s.winch_angle, s.spring_pos, s.path_pos)
-            path_accel = (aircraft.max_thrust
-                          - drag_coeff * s.path_vel * s.path_vel
-                          - force - gravity_along_path) / aircraft.mass
-            winch_accel = (u_winch + winch.radius * force
-                           - winch.rot_friction * s.winch_speed) / winch.inertia
-            friction = spring_friction(spring, s.spring_pos, s.spring_vel)
-            spring_accel = (2.0 * force - friction * s.spring_vel
-                            - spring.stiffness * s.spring_pos) / spring.carriage_mass
-            return (s.slide_speed, slide_accel, s.winch_speed, winch_accel,
-                    s.spring_vel, spring_accel, s.path_vel, path_accel)
-        return derivs
+    def empty_slide(slide_angle, slide_speed):
+        """RK4 step of the slide after lift-off, when no longer coupled to
+        the line: rk4_step's operations on the two slide states alone."""
+        h = 0.5 * dt
+        a1 = (u_slide - slide_friction * slide_speed) / slide_inertia_empty
+        v2 = slide_speed + h * a1
+        a2 = (u_slide - slide_friction * v2) / slide_inertia_empty
+        v3 = slide_speed + h * a2
+        a3 = (u_slide - slide_friction * v3) / slide_inertia_empty
+        v4 = slide_speed + dt * a3
+        a4 = (u_slide - slide_friction * v4) / slide_inertia_empty
+        w = dt / 6.0
+        return (slide_angle + w * (slide_speed + 2.0 * (v2 + v3) + v4),
+                slide_speed + w * (a1 + 2.0 * (a2 + a3) + a4))
 
-    state: _SlidePhaseState | _ClimbPhaseState = _SlidePhaseState(
-        0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    slide_angle = slide_speed = winch_angle = winch_speed = 0.0
+    spring_pos = spring_vel = path_pos = path_vel = 0.0
     phase = Phase.ON_SLIDE
     ctrl_state: WinchControllerState = initial_controller_state(0.0, outer)
     liftoff_time: float | None = None
     liftoff_distance = 0.0
 
     n_ctrl = round(cfg.duration / sample_period)
-    log: dict[str, list] = {name: [] for name in (
-        "t", "slide_angle", "slide_speed", "winch_angle", "winch_speed",
-        "spring_pos", "distance", "speed", "tether_length", "tether_force",
-        "slide_torque", "winch_torque", "slide_power", "winch_power",
-        "zone", "phase", "ffwd_ref", "fbck_ref", "winch_ref")}
+    rows: list[tuple] = []
 
     for k in range(n_ctrl):
         if phase is Phase.ON_SLIDE:
-            distance = drum_radius * state.slide_angle
-            speed = drum_radius * state.slide_speed
+            distance = drum_radius * slide_angle
+            speed = drum_radius * slide_speed
         else:
-            distance = state.path_pos
-            speed = state.path_vel
+            distance = path_pos
+            speed = path_vel
 
         # Control update from the sampled measurements.
-        u_slide = slide_torque(angle_ref, state.slide_angle,
-                               state.slide_speed, control.slide)
-        fbck, ctrl_state = winch_fbck(ctrl_state, state.spring_pos, outer)
-        ffwd = winch_ffwd(state.slide_speed, outer.ffwd_gain)
-        speed_ref = combine_refs(ffwd, fbck, state.slide_speed)
-        u_winch = winch_torque(speed_ref, state.winch_speed, control.winch)
+        u_slide = slide_torque(angle_ref, slide_angle, slide_speed,
+                               control.slide)
+        fbck, ctrl_state = winch_fbck(ctrl_state, spring_pos, outer)
+        ffwd = winch_ffwd(slide_speed, outer.ffwd_gain)
+        speed_ref = combine_refs(ffwd, fbck, slide_speed)
+        u_winch = winch_torque(speed_ref, winch_speed, control.winch)
 
-        length, force = line_state(state.winch_angle, state.spring_pos,
-                                   distance)
-        log["t"].append(k * sample_period)
-        log["slide_angle"].append(state.slide_angle)
-        log["slide_speed"].append(state.slide_speed)
-        log["winch_angle"].append(state.winch_angle)
-        log["winch_speed"].append(state.winch_speed)
-        log["spring_pos"].append(state.spring_pos)
-        log["distance"].append(distance)
-        log["speed"].append(speed)
-        log["tether_length"].append(length)
-        log["tether_force"].append(force)
-        log["slide_torque"].append(u_slide)
-        log["winch_torque"].append(u_winch)
-        log["slide_power"].append(motor_power(u_slide, state.slide_speed))
-        log["winch_power"].append(motor_power(u_winch, state.winch_speed))
-        log["zone"].append(ctrl_state.zone.value)
-        log["phase"].append(phase.value)
-        log["ffwd_ref"].append(ffwd)
-        log["fbck_ref"].append(fbck)
-        log["winch_ref"].append(speed_ref)
+        length = slack0 + winch_radius * winch_angle + 2.0 * spring_pos
+        force = tension(distance, length)
+        rows.append((
+            k * sample_period, slide_angle, slide_speed, winch_angle,
+            winch_speed, spring_pos, distance, speed, length, force, u_slide,
+            u_winch, motor_power(u_slide, slide_speed),
+            motor_power(u_winch, winch_speed), ctrl_state.zone.value,
+            phase.value, ffwd, fbck, speed_ref))
 
         # Plant substeps under zero-order-hold torques.
-        slide_derivs = slide_phase_derivs(u_slide, u_winch)
-        climb_derivs = climb_phase_derivs(u_slide, u_winch)
         for j in range(substeps):
             if phase is Phase.ON_SLIDE:
-                state = rk4_step(slide_derivs, state, cfg.dt)
+                (slide_angle, slide_speed, winch_angle, winch_speed,
+                 spring_pos, spring_vel) = rk4_step6(
+                    on_slide, dt, slide_angle, slide_speed, winch_angle,
+                    winch_speed, spring_pos, spring_vel)
             else:
-                state = rk4_step(climb_derivs, state, cfg.dt)
-            spring_pos, spring_vel = clamp_spring_travel(
-                state.spring_pos, state.spring_vel, spring.max_travel)
-            if spring_pos != state.spring_pos or spring_vel != state.spring_vel:
-                state = state._replace(spring_pos=spring_pos,
-                                       spring_vel=spring_vel)
-            if (phase is Phase.ON_SLIDE
-                    and drum_radius * state.slide_speed >= cfg.takeoff_speed):
-                phase = Phase.AIRBORNE
-                liftoff_time = (k * substeps + j + 1) * cfg.dt
-                liftoff_distance = drum_radius * state.slide_angle
+                (path_pos, path_vel, winch_angle, winch_speed,
+                 spring_pos, spring_vel) = rk4_step6(
+                    climb, dt, path_pos, path_vel, winch_angle, winch_speed,
+                    spring_pos, spring_vel)
+                slide_angle, slide_speed = empty_slide(slide_angle,
+                                                       slide_speed)
+            # The path states stay 0.0 until lift-off.
+            if not math.isfinite(slide_angle + slide_speed + winch_angle
+                                 + winch_speed + spring_pos + spring_vel
+                                 + path_pos + path_vel):
                 state = _ClimbPhaseState(
-                    *state,
-                    path_pos=drum_radius * state.slide_angle,
-                    path_vel=drum_radius * state.slide_speed,
-                )
+                    slide_angle, slide_speed, winch_angle, winch_speed,
+                    spring_pos, spring_vel, path_pos, path_vel)
+                check_finite(state if phase is Phase.AIRBORNE
+                             else _SlidePhaseState(*state[:6]))
+            if spring_pos < 0.0 or spring_pos > max_travel:
+                spring_pos, spring_vel = clamp_spring_travel(
+                    spring_pos, spring_vel, max_travel)
+            if (phase is Phase.ON_SLIDE
+                    and drum_radius * slide_speed >= cfg.takeoff_speed):
+                phase = Phase.AIRBORNE
+                liftoff_time = (k * substeps + j + 1) * dt
+                liftoff_distance = drum_radius * slide_angle
+                path_pos = drum_radius * slide_angle
+                path_vel = drum_radius * slide_speed
 
-        if drum_radius * state.slide_angle > cfg.rail_length:
+        if drum_radius * slide_angle > cfg.rail_length:
             raise TakeoffError(
                 "slide overran the rails "
-                f"({drum_radius * state.slide_angle:.3f} m > "
+                f"({drum_radius * slide_angle:.3f} m > "
                 f"{cfg.rail_length} m) at t={k * sample_period:.3f} s",
-                trace=_build_trace(log),
+                trace=_build_trace(rows),
             )
 
     if liftoff_time is None:
         raise TakeoffError(
             f"take-off speed {cfg.takeoff_speed} m/s not reached within "
             f"{cfg.duration} s",
-            trace=_build_trace(log),
+            trace=_build_trace(rows),
         )
 
-    trace = _build_trace(log)
+    trace = _build_trace(rows)
 
     force = trace.tether_force
     at_full_travel = trace.spring_pos >= spring.max_travel - 1e-12

@@ -99,6 +99,14 @@ class TestSweepCommand:
         assert ((serial / "sweep.csv").read_bytes()
                 == (parallel / "sweep.csv").read_bytes())
 
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_rejects_bad_worker_count(self, tmp_path, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--out", str(tmp_path), "--workers", workers])
+        assert exc.value.code == 2
+        assert "argument --workers" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_failed_points_recorded(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path), "--quiet",
                      "--travels", "0.0015,0.35"]) == 0
@@ -131,3 +139,11 @@ class TestErrorHandling:
         code = main(["takeoff", "--out", str(tmp_path), "--dt", "-1"])
         assert code == 2
         assert "error: config:" in capsys.readouterr().err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code = main(["takeoff", "--out", str(tmp_path), "--config",
+                     str(missing)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config: {missing}: No such file or directory\n"

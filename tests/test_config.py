@@ -123,3 +123,25 @@ class TestRejection:
     def test_nonpositive_step(self, tmp_path):
         with pytest.raises(ConfigError, match="simulation.dt"):
             load_config(write(tmp_path, {"simulation": {"dt": 0.0}}))
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"spring": {"free_friction": NaN}}', "spring.free_friction"),
+        ('{"controller": {"ffwd_gain": Infinity}}', "controller.ffwd_gain"),
+        ('{"simulation": {"speed_deficit": -Infinity}}',
+         "simulation.speed_deficit"),
+        ('{"spring": {"endstop_gain": 1' + "0" * 400 + '}}',
+         "spring.endstop_gain"),
+    ])
+    def test_non_finite_value(self, tmp_path, text, key):
+        with pytest.raises(ConfigError, match=rf"{key}: must be finite"):
+            load_config(write(tmp_path, text))
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="missing.json: No such file"):
+            load_config(tmp_path / "missing.json")
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match="config.json: not UTF-8 text"):
+            load_config(path)

@@ -3,6 +3,7 @@ trace bookkeeping, and determinism."""
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +17,13 @@ from tetherlaunch.integrator import (
 from tetherlaunch.model import (
     DesignState,
     InitConditions,
+    clamp_spring_travel,
     default_init_conditions,
     default_system_params,
+    design_derivatives,
+    effective_tether_length,
     initial_state,
+    tether_stiffness,
 )
 
 
@@ -61,14 +66,6 @@ class TestRk4Step:
             for _ in range(10):
                 state = rk4_step(grow, state, 1.0)
 
-    def test_spring_clamp_applied(self):
-        state = DesignState(0.0, 0.0, 0.3, 0.0, 0.0, 0.0)
-        push = lambda s: (0.0, 0.0, 10.0, 0.0, 0.0, 0.0)
-        out = rk4_step(push, state, 0.1, spring_limit=0.35)
-        assert out.spring_pos == 0.35
-        out = rk4_step(push, state, 0.1, spring_limit=None)
-        assert out.spring_pos == pytest.approx(1.3)
-
 
 class TestStopCondition:
     def test_validation(self):
@@ -87,6 +84,21 @@ def release_trace():
 
 
 class TestSimulate:
+
+    def test_spring_clamp_applied(self):
+        # A carriage too heavy to feel its spring coasts at 10 m/s on a
+        # slack line: one 0.1 s step carries it from 0.3 m to 1.3 m, which
+        # a 0.35 m travel stops at its end.
+        params = default_system_params()
+        heavy = replace(params.spring, carriage_mass=1e9)
+        state = DesignState(1.0, 0.0, 0.3, 10.0, 100.0, 0.0)
+        stop = StopCondition(max_time=0.1, kind="max_time")
+        out = simulate(replace(params, spring=replace(heavy, max_travel=0.35)),
+                       state, 0.1, stop)
+        assert out.spring_pos[-1] == 0.35
+        out = simulate(replace(params, spring=replace(heavy, max_travel=2.0)),
+                       state, 0.1, stop)
+        assert out.spring_pos[-1] == pytest.approx(1.3)
 
     def test_transient_shape(self, release_trace):
         # Tension rises from zero, slows the aircraft, then releases.
@@ -169,3 +181,95 @@ class TestSimulate:
         assert np.array_equal(first.states, second.states)
         assert np.array_equal(first.force, second.force)
         assert np.array_equal(first.length, second.length)
+
+
+def reference_simulate(params, init, dt, stop):
+    """simulate written as the generic loop: rk4_step on DesignState,
+    design_derivatives, then clamp_spring_travel; tension recomputed from
+    tether_stiffness."""
+
+    def force_and_length(state):
+        length = effective_tether_length(params.winch, state.winch_angle,
+                                         state.spring_pos)
+        stiffness = tether_stiffness(params.tether, length)
+        return max(0.0, stiffness * (state.pos - length)), length
+
+    state = init
+    force, length = force_and_length(state)
+    rows, forces, lengths = [state], [force], [length]
+    force_seen = force > stop.force_tol
+    fired = False
+    for _ in range(int(math.ceil(stop.max_time / dt - 1e-9))):
+        state = rk4_step(lambda s: design_derivatives(s, params), state, dt)
+        spring_pos, spring_vel = clamp_spring_travel(
+            state.spring_pos, state.spring_vel, params.spring.max_travel)
+        state = state._replace(spring_pos=spring_pos, spring_vel=spring_vel)
+        force, length = force_and_length(state)
+        rows.append(state)
+        forces.append(force)
+        lengths.append(length)
+        if stop.kind == "force_released":
+            if force > stop.force_tol:
+                force_seen = True
+            elif (force_seen and params.winch.radius * state.winch_speed
+                  >= state.vel):
+                fired = True
+                break
+    return (np.array(rows), np.array(forces), np.array(lengths),
+            stop.kind == "force_released" and not fired)
+
+
+class TestSimulateMatchesReference:
+    """The flat stepper gives the generic RK4 loop's results bit for bit."""
+
+    @staticmethod
+    def assert_same(params, init, dt, stop):
+        trace = simulate(params, init, dt, stop)
+        states, force, length, timed_out = reference_simulate(
+            params, init, dt, stop)
+        assert np.array_equal(trace.states, states)
+        assert np.array_equal(trace.force, force)
+        assert np.array_equal(trace.length, length)
+        assert trace.timed_out == timed_out
+        return trace
+
+    @pytest.mark.parametrize("travel", [0.05, 0.2, 0.35])
+    def test_reference_travels(self, travel):
+        params = default_system_params()
+        params = replace(params, spring=replace(params.spring,
+                                                max_travel=travel))
+        init = initial_state(default_init_conditions(), params.winch)
+        self.assert_same(params, init, 1e-4,
+                         StopCondition(max_time=10.0, kind="force_released"))
+
+    def test_max_time_stop(self):
+        params = default_system_params()
+        init = initial_state(default_init_conditions(), params.winch)
+        trace = self.assert_same(params, init, 1e-4,
+                                 StopCondition(max_time=0.05, kind="max_time"))
+        assert len(trace.times) == 501
+
+    def test_endstop_clamp(self):
+        # The short travel runs into its end stop and is clamped there.
+        params = default_system_params()
+        params = replace(params, spring=replace(params.spring,
+                                                max_travel=0.02))
+        init = initial_state(default_init_conditions(), params.winch)
+        trace = self.assert_same(
+            params, init, 1e-4,
+            StopCondition(max_time=10.0, kind="force_released"))
+        assert (trace.spring_pos == 0.02).any()
+
+    def test_same_error_when_non_finite(self):
+        params = default_system_params()
+        params = replace(params, spring=replace(
+            params.spring, endstop_gain=1e300, free_friction=1e10))
+        init = initial_state(default_init_conditions(), params.winch)
+        stop = StopCondition(max_time=10.0, kind="force_released")
+        with pytest.raises(IntegrationError) as flat:
+            simulate(params, init, 1e-4, stop)
+        with pytest.raises(IntegrationError) as generic:
+            reference_simulate(params, init, 1e-4, stop)
+        assert str(flat.value) == str(generic.value)
+        assert str(flat.value).startswith(
+            "non-finite state component in DesignState(")

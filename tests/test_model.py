@@ -22,8 +22,8 @@ from tetherlaunch.model import (
     design_derivatives,
     effective_tether_length,
     initial_state,
+    line_model,
     spring_friction,
-    tether_force,
     tether_stiffness,
 )
 
@@ -31,6 +31,11 @@ from tetherlaunch.model import (
 @pytest.fixture
 def params():
     return default_system_params()
+
+
+@pytest.fixture
+def line(params):
+    return line_model(params.tether, params.spring, params.winch)
 
 
 class TestValidation:
@@ -85,20 +90,50 @@ class TestTetherStiffness:
 
 
 class TestTetherForce:
-    def test_slack_line_cannot_push(self, params):
-        assert tether_force(params.tether, 19.0, 20.0) == 0.0
+    def test_slack_line_cannot_push(self, line):
+        assert line.tension(19.0, 20.0) == 0.0
 
-    def test_zero_elongation(self, params):
-        assert tether_force(params.tether, 20.0, 20.0) == 0.0
+    def test_zero_elongation(self, line):
+        assert line.tension(20.0, 20.0) == 0.0
 
-    def test_taut_line(self, params):
+    def test_taut_line(self, line):
         # 4500 / (0.02 * 20) * 0.1 = 1125 N
-        force = tether_force(params.tether, 20.1, 20.0)
+        force = line.tension(20.1, 20.0)
         assert force == pytest.approx(1125.0, rel=1e-12)
 
-    def test_never_negative(self, params):
+    def test_never_negative(self, line):
         for pos in np.linspace(0.1, 40.0, 50):
-            assert tether_force(params.tether, pos, 20.0) >= 0.0
+            assert line.tension(pos, 20.0) >= 0.0
+
+
+class TestLineModel:
+    """The line model agrees bit for bit with the element laws."""
+
+    def test_tension_is_stiffness_times_elongation(self, params, line):
+        for length in (0.5, 20.0, 20.7, 150.0):
+            for distance in np.linspace(0.1, 1.01 * length, 25):
+                stiffness = tether_stiffness(params.tether, length)
+                assert line.tension(distance, length) == max(
+                    0.0, stiffness * (distance - length))
+
+    @pytest.mark.parametrize("length", [0.0, -1.0])
+    def test_degenerate_length(self, line, length):
+        with pytest.raises(ValueError, match="tether length"):
+            line.tension(20.0, length)
+
+    def test_carriage_uses_spring_friction(self, params, line):
+        spring = params.spring
+        for spring_pos in (0.0, 0.0005, 0.001, 0.1, 0.349, 0.3495, 0.35):
+            for spring_vel in (-0.5, -0.0, 0.0, 0.5):
+                friction = spring_friction(spring, spring_pos, spring_vel)
+                assert line.carriage_accel(3.0, spring_pos, spring_vel) == (
+                    (2.0 * 3.0 - friction * spring_vel
+                     - spring.stiffness * spring_pos) / spring.carriage_mass)
+
+    def test_winch_torque_and_pull_add(self, line):
+        assert line.winch_accel(13.0, 5.0, 60.0) == (
+            (13.0 + 0.1 * 5.0 - 0.01 * 60.0) / 0.1)
+        assert line.winch_accel(-13.0, 0.0, 0.0) == -130.0
 
 
 class TestEffectiveLength:
@@ -183,12 +218,12 @@ class TestInitialState:
         InitConditions(5.0, 8.0, 0.0),
         InitConditions(33.3, 12.5, -2.0),
     ])
-    def test_initial_force_is_zero(self, params, ic):
+    def test_initial_force_is_zero(self, params, line, ic):
         state = initial_state(ic, params.winch)
         length = effective_tether_length(params.winch, state.winch_angle,
                                          state.spring_pos)
         # exact in real arithmetic; float roundoff leaves < 1e-9 N
-        assert tether_force(params.tether, state.pos, length) < 1e-9
+        assert line.tension(state.pos, length) < 1e-9
 
     def test_no_deficit_no_force(self, params):
         ic = InitConditions(20.0, 10.0, 0.0)
