@@ -16,7 +16,6 @@ from .controller import (
     slide_torque,
     winch_fbck,
     winch_ffwd,
-    winch_speed_reference,
     winch_torque,
 )
 from .integrator import (
@@ -68,7 +67,6 @@ from .takeoff import (
     default_takeoff_config,
     motor_power,
     run_takeoff,
-    slack_estimate,
 )
 
 __version__ = "0.1.0"

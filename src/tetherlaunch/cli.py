@@ -6,8 +6,7 @@ takeoff          one closed-loop take-off, trace CSV plus JSON summary
 validate         deterministic property suite, one line per check
 
 Everything is deterministic: no randomness is involved anywhere beyond
-fixed-seed property inputs, so repeated runs produce byte-identical files
-(the --seedless flag documents and asserts exactly that).
+fixed-seed property inputs, so repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from .csvio import write_design_trace, write_sweep_csv, write_takeoff_trace
 from .integrator import IntegrationError
 from .properties import run_property_suite
 from .spring_design import (
+    REFERENCE_TRAVELS,
     SweepGrid,
     SweepPoint,
     assess_trace,
@@ -41,15 +41,23 @@ def _common_arguments(parser: argparse.ArgumentParser) -> None:
                         help="override the integration step [s]")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
-    parser.add_argument("--seedless", action="store_true",
-                        help="assert that no RNG seed is involved (always true)")
 
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats: {text!r}") from exc
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated floats: {text!r}")
+    return values
+
+
+def _travels_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--travels", type=_float_list,
+                        default=REFERENCE_TRAVELS,
+                        help="comma-separated spring travels [m]")
 
 
 def _worker_count(text: str) -> int:
@@ -72,13 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spring-compare",
                        help="run the sizing test for a list of spring travels")
     _common_arguments(p)
-    p.add_argument("--travels", type=_float_list, default=[0.05, 0.2, 0.35],
-                   help="comma-separated spring travels [m]")
+    _travels_argument(p)
 
     p = sub.add_parser("sweep", help="feasibility grid over travel x stiffness")
     _common_arguments(p)
-    p.add_argument("--travels", type=_float_list, default=[0.05, 0.2, 0.35],
-                   help="comma-separated spring travels [m]")
+    _travels_argument(p)
     p.add_argument("--stiffness", type=_float_list, default=None,
                    help="comma-separated spring stiffness values [N/m]")
     p.add_argument("--workers", type=_worker_count, default=1,
@@ -148,7 +154,9 @@ def cmd_spring_compare(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load(args)
     out = _outdir(args)
-    stiffness = args.stiffness or [config.system.spring.stiffness]
+    stiffness = args.stiffness
+    if stiffness is None:
+        stiffness = [config.system.spring.stiffness]
     grid = SweepGrid(travel_values=tuple(args.travels),
                      stiffness_values=tuple(stiffness),
                      params=config.system, ic=config.ic)

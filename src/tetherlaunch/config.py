@@ -11,35 +11,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
-from .controller import (
-    ControlParams,
-    SlideGains,
-    WinchGains,
-    WinchOuterParams,
-    default_outer_params,
-    default_slide_gains,
-    default_winch_gains,
-)
+from .controller import ControlParams, default_control_params
 from .integrator import DEFAULT_FORCE_TOL, DEFAULT_STEP
 from .model import (
-    AircraftParams,
-    AmbientParams,
     InitConditions,
-    SlidePlantParams,
-    SpringParams,
     SystemParams,
-    TetherParams,
-    WinchParams,
-    default_aircraft_params,
-    default_ambient_params,
     default_init_conditions,
-    default_slide_params,
-    default_spring_params,
-    default_tether_params,
-    default_winch_params,
+    default_system_params,
 )
 from .spring_design import DEFAULT_MAX_TIME
 from .takeoff import TakeoffConfig, default_takeoff_config
@@ -62,57 +44,71 @@ class AppConfig:
     force_tolerance: float  # released-force threshold [N]
 
 
-_CONTROLLER_DEFAULTS = {
-    "sample_period": 0.001,
-    "slide_position_gain": 14.0,
-    "slide_speed_gain": 2.5,
-    "slide_torque_limit": 26.0,
-    "winch_speed_gain": 1.0,
-    "winch_torque_limit": 13.0,
-    "ffwd_gain": 1.2,
-    "zone_low": 0.05,
-    "zone_high": 0.1,
-    "reelin_anchor": 0.025,
-    "reelout_anchor": 0.2,
-    "ref_min": -10.0,
-    "ref_max": 120.0,
-    "reelin_accel": -100.0,
-    "reelout_accel": 30.0,
+def default_app_config() -> AppConfig:
+    """The full prototype setup, equivalent to loading an empty file."""
+    return AppConfig(
+        system=default_system_params(),
+        control=default_control_params(),
+        ic=default_init_conditions(),
+        takeoff=default_takeoff_config(),
+        dt=DEFAULT_STEP,
+        max_time=DEFAULT_MAX_TIME,
+        force_tolerance=DEFAULT_FORCE_TOL,
+    )
+
+
+# The sections whose keys are the fields of the SystemParams part of the
+# same name, in the order their raw values are checked.
+_SYSTEM_SECTIONS = ("aircraft", "tether", "spring", "winch", "slide", "ambient")
+
+# The controller and simulation keys, by the AppConfig field each one sets
+# (a dotted path). simulation.dt sets both dt and takeoff.dt. A key's
+# default is the value of its field in default_app_config().
+_FLAT_KEYS = {
+    "control.slide.position_gain": ("controller", "slide_position_gain"),
+    "control.slide.speed_gain": ("controller", "slide_speed_gain"),
+    "control.slide.torque_limit": ("controller", "slide_torque_limit"),
+    "control.winch.speed_gain": ("controller", "winch_speed_gain"),
+    "control.winch.torque_limit": ("controller", "winch_torque_limit"),
+    "control.outer.ffwd_gain": ("controller", "ffwd_gain"),
+    "control.outer.zone_low": ("controller", "zone_low"),
+    "control.outer.zone_high": ("controller", "zone_high"),
+    "control.outer.reelin_anchor": ("controller", "reelin_anchor"),
+    "control.outer.reelout_anchor": ("controller", "reelout_anchor"),
+    "control.outer.ref_min": ("controller", "ref_min"),
+    "control.outer.ref_max": ("controller", "ref_max"),
+    "control.outer.reelin_accel": ("controller", "reelin_accel"),
+    "control.outer.reelout_accel": ("controller", "reelout_accel"),
+    "control.outer.sample_period": ("controller", "sample_period"),
+    "dt": ("simulation", "dt"),
+    "max_time": ("simulation", "max_time"),
+    "force_tolerance": ("simulation", "force_tolerance"),
+    "ic.position": ("simulation", "initial_position"),
+    "ic.speed": ("simulation", "initial_speed"),
+    "ic.speed_deficit": ("simulation", "speed_deficit"),
+    "takeoff.slide_travel": ("simulation", "slide_travel"),
+    "takeoff.takeoff_speed": ("simulation", "takeoff_speed"),
+    "takeoff.climb_angle_deg": ("simulation", "climb_angle_deg"),
+    "takeoff.initial_slack": ("simulation", "initial_slack"),
+    "takeoff.rail_length": ("simulation", "rail_length"),
+    "takeoff.dt": ("simulation", "dt"),
+    "takeoff.duration": ("simulation", "duration"),
 }
 
-_SIMULATION_DEFAULTS = {
-    "dt": DEFAULT_STEP,
-    "max_time": DEFAULT_MAX_TIME,
-    "force_tolerance": DEFAULT_FORCE_TOL,
-    "duration": 3.0,
-    "initial_position": 20.0,
-    "initial_speed": 10.0,
-    "speed_deficit": 4.0,
-    "slide_travel": 3.7,
-    "takeoff_speed": 9.0,
-    "climb_angle_deg": 30.0,
-    "initial_slack": 1.0,
-    "rail_length": 4.8,
-}
 
-_SECTION_DEFAULTS = {
-    "aircraft": lambda: _field_values(default_aircraft_params()),
-    "tether": lambda: _field_values(default_tether_params()),
-    "spring": lambda: _field_values(default_spring_params()),
-    "winch": lambda: _field_values(default_winch_params()),
-    "slide": lambda: _field_values(default_slide_params()),
-    "ambient": lambda: _field_values(default_ambient_params()),
-    "controller": lambda: dict(_CONTROLLER_DEFAULTS),
-    "simulation": lambda: dict(_SIMULATION_DEFAULTS),
-}
+def _section_defaults(defaults: AppConfig) -> dict[str, dict]:
+    """Every section's keys with their values in `defaults`."""
+    sections = {}
+    for name in _SYSTEM_SECTIONS:
+        part = getattr(defaults.system, name)
+        sections[name] = {f.name: getattr(part, f.name) for f in fields(part)}
+    for path, (section, key) in _FLAT_KEYS.items():
+        sections.setdefault(section, {}).setdefault(
+            key, attrgetter(path)(defaults))
+    return sections
 
 
-def _field_values(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
-def _merge_section(name: str, provided: dict) -> dict:
-    values = _SECTION_DEFAULTS[name]()
+def _merge_section(name: str, values: dict, provided: dict) -> None:
     for key, value in provided.items():
         if key not in values:
             raise ConfigError(f"{name}.{key}: unknown key")
@@ -128,31 +124,6 @@ def _merge_section(name: str, provided: dict) -> dict:
         if not math.isfinite(number):
             raise ConfigError(f"{name}.{key}: must be finite (got {value!r})")
         values[key] = number
-    return values
-
-
-def default_app_config() -> AppConfig:
-    """The full prototype setup, equivalent to loading an empty file."""
-    return AppConfig(
-        system=SystemParams(
-            aircraft=default_aircraft_params(),
-            tether=default_tether_params(),
-            spring=default_spring_params(),
-            winch=default_winch_params(),
-            ambient=default_ambient_params(),
-            slide=default_slide_params(),
-        ),
-        control=ControlParams(
-            slide=default_slide_gains(),
-            winch=default_winch_gains(),
-            outer=default_outer_params(),
-        ),
-        ic=default_init_conditions(),
-        takeoff=default_takeoff_config(),
-        dt=DEFAULT_STEP,
-        max_time=DEFAULT_MAX_TIME,
-        force_tolerance=DEFAULT_FORCE_TOL,
-    )
 
 
 def load_config(path: str | Path | None = None) -> AppConfig:
@@ -181,78 +152,59 @@ def load_config(path: str | Path | None = None) -> AppConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
 
+    defaults = default_app_config()
+    merged = _section_defaults(defaults)
     for section in raw:
-        if section not in _SECTION_DEFAULTS:
+        if section not in merged:
             raise ConfigError(f"{section}: unknown section")
         if not isinstance(raw[section], dict):
             raise ConfigError(f"{section}: must be a JSON object")
 
-    merged = {
-        name: _merge_section(name, raw.get(name, {}))
-        for name in _SECTION_DEFAULTS
-    }
-    return _assemble(merged)
+    for name, values in merged.items():
+        _merge_section(name, values, raw.get(name, {}))
+    return _assemble(merged, defaults)
 
 
-def _build(name: str, cls, values: dict):
+def _build(section: str, default, values: dict):
+    """`default` with its fields replaced by `values`, validated."""
     try:
-        return cls(**values)
+        return replace(default, **values)
     except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _assemble(merged: dict) -> AppConfig:
-    system = SystemParams(
-        aircraft=_build("aircraft", AircraftParams, merged["aircraft"]),
-        tether=_build("tether", TetherParams, merged["tether"]),
-        spring=_build("spring", SpringParams, merged["spring"]),
-        winch=_build("winch", WinchParams, merged["winch"]),
-        ambient=_build("ambient", AmbientParams, merged["ambient"]),
-        slide=_build("slide", SlidePlantParams, merged["slide"]),
-    )
+def _assemble(merged: dict[str, dict], defaults: AppConfig) -> AppConfig:
+    system = SystemParams(**{
+        f.name: _build(f.name, getattr(defaults.system, f.name),
+                       merged[f.name])
+        for f in fields(SystemParams)
+    })
 
-    ctl = merged["controller"]
-    control = ControlParams(
-        slide=_build("controller", SlideGains, {
-            "position_gain": ctl["slide_position_gain"],
-            "speed_gain": ctl["slide_speed_gain"],
-            "torque_limit": ctl["slide_torque_limit"],
-        }),
-        winch=_build("controller", WinchGains, {
-            "speed_gain": ctl["winch_speed_gain"],
-            "torque_limit": ctl["winch_torque_limit"],
-        }),
-        outer=_build("controller", WinchOuterParams, {
-            key: ctl[key] for key in (
-                "ffwd_gain", "zone_low", "zone_high", "reelin_anchor",
-                "reelout_anchor", "ref_min", "ref_max", "reelin_accel",
-                "reelout_accel", "sample_period")
-        }),
-    )
+    # The fields of each AppConfig part the flat keys set, by the part's
+    # path; "" is AppConfig itself.
+    parts: dict[str, dict] = {}
+    for path, (section, key) in _FLAT_KEYS.items():
+        part, _, field = path.rpartition(".")
+        parts.setdefault(part, {})[field] = merged[section][key]
+
+    control = ControlParams(**{
+        f.name: _build("controller", getattr(defaults.control, f.name),
+                       parts[f"control.{f.name}"])
+        for f in fields(ControlParams)
+    })
     if not control.outer.zone_high < system.spring.max_travel:
         raise ConfigError(
             "controller.zone_high: must be < spring.max_travel "
             f"(got {control.outer.zone_high} >= {system.spring.max_travel})"
         )
 
-    sim = merged["simulation"]
-    for key in ("dt", "max_time", "force_tolerance"):
-        if not sim[key] > 0.0:
-            raise ConfigError(f"simulation.{key}: must be > 0 (got {sim[key]})")
-    ic = _build("simulation", InitConditions, {
-        "position": sim["initial_position"],
-        "speed": sim["initial_speed"],
-        "speed_deficit": sim["speed_deficit"],
-    })
-    takeoff = _build("simulation", TakeoffConfig, {
-        "slide_travel": sim["slide_travel"],
-        "takeoff_speed": sim["takeoff_speed"],
-        "climb_angle_deg": sim["climb_angle_deg"],
-        "initial_slack": sim["initial_slack"],
-        "rail_length": sim["rail_length"],
-        "dt": sim["dt"],
-        "duration": sim["duration"],
-    })
+    top = parts[""]
+    for field, value in top.items():
+        if not value > 0.0:
+            section, key = _FLAT_KEYS[field]
+            raise ConfigError(f"{section}.{key}: must be > 0 (got {value})")
+    ic = _build("simulation", defaults.ic, parts["ic"])
+    takeoff = _build("simulation", defaults.takeoff, parts["takeoff"])
     if takeoff.takeoff_speed <= system.aircraft.min_cruise_speed:
         raise ConfigError(
             "simulation.takeoff_speed: must be > aircraft.min_cruise_speed "
@@ -260,12 +212,5 @@ def _assemble(merged: dict) -> AppConfig:
             f"{system.aircraft.min_cruise_speed})"
         )
 
-    return AppConfig(
-        system=system,
-        control=control,
-        ic=ic,
-        takeoff=takeoff,
-        dt=sim["dt"],
-        max_time=sim["max_time"],
-        force_tolerance=sim["force_tolerance"],
-    )
+    return AppConfig(system=system, control=control, ic=ic, takeoff=takeoff,
+                     **top)

@@ -201,15 +201,6 @@ def initial_controller_state(compression: float,
     return WinchControllerState(0.0, classify_zone(compression, p))
 
 
-def winch_speed_reference(state: WinchControllerState, compression: float,
-                          slide_speed: float, p: WinchOuterParams,
-                          ) -> tuple[float, WinchControllerState]:
-    """Full outer-loop update: feedback step, then arbitration."""
-    fbck, new_state = winch_fbck(state, compression, p)
-    ffwd = winch_ffwd(slide_speed, p.ffwd_gain)
-    return combine_refs(ffwd, fbck, slide_speed), new_state
-
-
 def default_slide_gains() -> SlideGains:
     """Slide loop as tuned on the prototype; 26 N*m is twice rated torque,
     available from the drive for the short launch burst."""

@@ -24,7 +24,7 @@ from .controller import (
 )
 from .integrator import rk4_step
 from .model import DesignState
-from .spring_design import evaluate_spring, simulate_design
+from .spring_design import REFERENCE_TRAVELS, evaluate_spring, simulate_design
 
 _SEED = 20260810
 
@@ -192,7 +192,7 @@ def check_trace_bounds(config: AppConfig) -> PropertyCheck:
     """Tether force stays nonnegative and the spring inside its travel."""
     ok = True
     details = []
-    for travel in (0.05, 0.2, 0.35):
+    for travel in REFERENCE_TRAVELS:
         spring = replace(config.system.spring, max_travel=travel)
         params = replace(config.system, spring=spring)
         trace = simulate_design(params, config.ic, dt=config.dt,

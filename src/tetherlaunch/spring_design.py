@@ -24,6 +24,8 @@ from .integrator import (
 from .model import InitConditions, SystemParams, initial_state
 
 DEFAULT_MAX_TIME = 10.0  # [s]
+# The spring travels the sizing comparison runs by default [m].
+REFERENCE_TRAVELS = (0.05, 0.2, 0.35)
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ def assess_trace(trace: Trace, params: SystemParams,
     speeds = trace.vel
     i_min = int(speeds.argmin())
     min_speed = float(speeds[i_min])
-    cycles = count_compression_cycles(trace.spring_pos,
+    cycles = count_compression_cycles(trace.spring_pos.tolist(),
                                       params.spring.endstop_margin)
     threshold = params.aircraft.min_cruise_speed
     if not trace.timed_out:

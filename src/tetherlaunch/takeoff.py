@@ -30,7 +30,7 @@ from .controller import (
     winch_fbck,
     winch_torque,
 )
-from .integrator import check_finite, rk4_step6
+from .integrator import DEFAULT_STEP, check_finite, rk4_step6
 from .model import SystemParams, clamp_spring_travel, line_model
 # No longer called here; perfbench/worker.py still looks them up in this
 # module.
@@ -66,7 +66,7 @@ class TakeoffConfig:
     climb_angle_deg: float   # climb ray angle above horizontal [deg]
     initial_slack: float     # slack line length left before the start [m]
     rail_length: float       # usable rail length [m]
-    dt: float = 1e-4         # plant integration substep [s]
+    dt: float = DEFAULT_STEP  # plant integration substep [s]
     duration: float = 3.0    # simulated time span [s]
 
     def __post_init__(self) -> None:
@@ -167,10 +167,6 @@ class TakeoffResult:
     stall_risk: bool           # spring hit full travel with force still rising
     trace: TakeoffTrace
 
-    @property
-    def slack_estimate(self) -> np.ndarray:
-        return self.trace.slack
-
 
 def _build_trace(rows: list[tuple]) -> TakeoffTrace:
     """The trace from its rows, in TakeoffTrace field order."""
@@ -181,16 +177,6 @@ def _build_trace(rows: list[tuple]) -> TakeoffTrace:
 def motor_power(torque: float, speed: float) -> float:
     """Mechanical motor power [W]; negative means braking (dissipated)."""
     return torque * speed
-
-
-def slack_estimate(aircraft_distance: float, tether_length: float) -> float:
-    """Slack line length [m]: deployed tether beyond the aircraft distance.
-
-    Negative values indicate a taut line (elongation proxy).
-    """
-    if aircraft_distance < 0.0 or tether_length < 0.0:
-        raise ValueError("distances must be >= 0")
-    return tether_length - aircraft_distance
 
 
 def run_takeoff(cfg: TakeoffConfig, system: SystemParams,

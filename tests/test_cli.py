@@ -40,10 +40,6 @@ class TestTakeoffCommand:
         assert main(["takeoff", "--out", str(tmp_path), "--quiet"]) == 0
         assert capsys.readouterr().out == ""
 
-    def test_seedless_flag_accepted(self, tmp_path):
-        assert main(["takeoff", "--out", str(tmp_path), "--quiet",
-                     "--seedless"]) == 0
-
     def test_simulation_error_exits_nonzero(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"controller": {"ffwd_gain": 0.0}}))
@@ -77,6 +73,13 @@ class TestSpringCompareCommand:
         n_coarse = len(read_csv(coarse / "spring_compare_travel_0p35.csv"))
         assert n_fine > 5 * n_coarse
 
+    def test_rejects_empty_travels(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spring-compare", "--out", str(tmp_path), "--travels", ""])
+        assert exc.value.code == 2
+        assert "argument --travels" in capsys.readouterr().err
+        assert not (tmp_path / "spring_compare_summary.csv").exists()
+
 
 class TestSweepCommand:
     def test_singleton_matches_spring_compare(self, tmp_path):
@@ -105,6 +108,14 @@ class TestSweepCommand:
             main(["sweep", "--out", str(tmp_path), "--workers", workers])
         assert exc.value.code == 2
         assert "argument --workers" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--travels", "--stiffness"])
+    def test_rejects_empty_list(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--out", str(tmp_path), flag, ""])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_failed_points_recorded(self, tmp_path):

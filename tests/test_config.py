@@ -1,10 +1,15 @@
 """Config loading tests: defaults, overrides, and rejection paths."""
 
 import json
+import math
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 
 from tetherlaunch.config import ConfigError, default_app_config, load_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write(tmp_path, payload) -> str:
@@ -14,6 +19,37 @@ def write(tmp_path, payload) -> str:
     else:
         path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def readme_config() -> dict:
+    """The JSON block of the README's Configuration section."""
+    section = README.read_text(encoding="utf-8").split("## Configuration")[1]
+    return json.loads(section.split("```json\n")[1].split("```")[0])
+
+
+README_KEYS = [(section, key)
+               for section, values in readme_config().items()
+               for key in values]
+
+
+def leaves(obj, prefix="") -> dict:
+    """Every leaf field of a nested dataclass, by dotted path."""
+    if not is_dataclass(obj):
+        return {prefix: obj}
+    out = {}
+    for f in fields(obj):
+        out.update(leaves(getattr(obj, f.name),
+                          f"{prefix}.{f.name}" if prefix else f.name))
+    return out
+
+
+def nudged_fields(tmp_path, section, key) -> dict:
+    """The AppConfig leaves that change when `section.key` is set one ulp
+    above its README default, with their new values."""
+    value = math.nextafter(readme_config()[section][key], math.inf)
+    before = leaves(load_config(None))
+    after = leaves(load_config(write(tmp_path, {section: {key: value}})))
+    return {path: after[path] for path in before if after[path] != before[path]}
 
 
 class TestDefaults:
@@ -59,6 +95,30 @@ class TestDefaults:
         assert config.takeoff.takeoff_speed == 9.0
         assert config.takeoff.climb_angle_deg == 30.0
         assert config.dt == 1e-4
+
+
+class TestKeyTable:
+    def test_readme_block_gives_defaults(self, tmp_path):
+        assert load_config(write(tmp_path, readme_config())) == load_config(None)
+
+    def test_readme_lists_every_key(self):
+        assert len(README_KEYS) == 48
+
+    @pytest.mark.parametrize("section, key", README_KEYS,
+                             ids=[f"{s}.{k}" for s, k in README_KEYS])
+    def test_key_sets_its_fields(self, tmp_path, section, key):
+        changed = nudged_fields(tmp_path, section, key)
+        value = math.nextafter(readme_config()[section][key], math.inf)
+        assert set(changed.values()) == {value}
+        if (section, key) == ("simulation", "dt"):
+            assert sorted(changed) == ["dt", "takeoff.dt"]
+        else:
+            assert len(changed) == 1
+
+    def test_keys_cover_every_field_once(self, tmp_path):
+        set_by = [path for section, key in README_KEYS
+                  for path in nudged_fields(tmp_path, section, key)]
+        assert sorted(set_by) == sorted(leaves(load_config(None)))
 
 
 class TestOverrides:

@@ -17,7 +17,6 @@ from tetherlaunch.controller import (
     slide_torque,
     winch_fbck,
     winch_ffwd,
-    winch_speed_reference,
     winch_torque,
 )
 
@@ -150,6 +149,14 @@ class TestCombine:
         assert combine_refs(42.0, -3.0, 0.0) == -3.0
 
 
+def speed_reference(state, compression, slide_speed, outer):
+    """One outer-loop update composed as run_takeoff does it: feedback
+    step, feedforward, then arbitration."""
+    fbck, new_state = winch_fbck(state, compression, outer)
+    ffwd = winch_ffwd(slide_speed, outer.ffwd_gain)
+    return combine_refs(ffwd, fbck, slide_speed), new_state
+
+
 class TestComposition:
     def test_initial_state(self, outer):
         state = initial_controller_state(0.0, outer)
@@ -158,7 +165,7 @@ class TestComposition:
 
     def test_full_update_matches_parts(self, outer):
         state = initial_controller_state(0.12, outer)
-        ref, new = winch_speed_reference(state, 0.12, 90.0, outer)
+        ref, new = speed_reference(state, 0.12, 90.0, outer)
         fbck, _ = winch_fbck(state, 0.12, outer)
         assert ref == combine_refs(winch_ffwd(90.0, outer.ffwd_gain), fbck, 90.0)
         assert new.zone is Zone.C
@@ -170,7 +177,7 @@ class TestComposition:
             state = initial_controller_state(0.0, outer)
             out = []
             for c in compressions * 50:
-                ref, state = winch_speed_reference(state, c, 30.0, outer)
+                ref, state = speed_reference(state, c, 30.0, outer)
                 out.append(ref)
             return out
 

@@ -13,7 +13,6 @@ from tetherlaunch.takeoff import (
     default_takeoff_config,
     motor_power,
     run_takeoff,
-    slack_estimate,
 )
 
 
@@ -22,13 +21,6 @@ class TestSmallOps:
         assert motor_power(26.0, 90.0) == 2340.0
         assert motor_power(0.0, 90.0) == 0.0
         assert motor_power(-13.0, 50.0) == -650.0
-
-    def test_slack_estimate(self):
-        assert slack_estimate(20.0, 20.5) == 0.5
-        assert slack_estimate(20.0, 20.0) == 0.0
-        assert slack_estimate(20.5, 20.0) == -0.5
-        with pytest.raises(ValueError):
-            slack_estimate(-1.0, 20.0)
 
 
 class TestConfigValidation:
@@ -116,7 +108,7 @@ class TestDefaultRun:
     def test_slack_identity(self, takeoff_default):
         result, _ = takeoff_default
         trace = result.trace
-        assert np.array_equal(result.slack_estimate,
+        assert np.array_equal(trace.slack,
                               trace.tether_length - trace.distance)
 
     def test_powers_match_logged_torques_and_speeds(self, takeoff_default):
