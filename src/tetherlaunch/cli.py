@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -38,7 +39,7 @@ def _common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="DIR", default=".",
                         help="output directory (created if missing)")
     parser.add_argument("--dt", type=float, default=None,
-                        help="override the integration step [s]")
+                        help="set simulation.dt, the integration step [s]")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
 
@@ -48,9 +49,9 @@ def _float_list(text: str) -> list[float]:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         values = []
-    if not values:
+    if not values or not all(0.0 < v < math.inf for v in values):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated floats: {text!r}")
+            f"expected comma-separated finite floats > 0: {text!r}")
     return values
 
 
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("takeoff", help="run one closed-loop take-off maneuver")
     _common_arguments(p)
     p.add_argument("--duration", type=float, default=None,
-                   help="override the simulated time span [s]")
+                   help="set simulation.duration, the simulated time span [s]")
 
     p = sub.add_parser("validate", help="run the property suite")
     _common_arguments(p)
@@ -101,13 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> AppConfig:
-    config = load_config(args.config)
-    if args.dt is not None:
-        if not args.dt > 0.0:
-            raise ConfigError(f"--dt: must be > 0 (got {args.dt})")
-        config = replace(config, dt=args.dt,
-                         takeoff=replace(config.takeoff, dt=args.dt))
-    return config
+    """The run's config: --dt and --duration set their simulation keys."""
+    flags = {"dt": args.dt, "duration": getattr(args, "duration", None)}
+    given = {key: value for key, value in flags.items() if value is not None}
+    return load_config(args.config, {"simulation": given} if given else None)
 
 
 def _outdir(args) -> Path:
@@ -177,8 +175,6 @@ def cmd_takeoff(args) -> int:
     config = _load(args)
     out = _outdir(args)
     cfg = config.takeoff
-    if args.duration is not None:
-        cfg = replace(cfg, duration=args.duration)
     result = run_takeoff(cfg, config.system, config.control)
 
     trace_path = out / "takeoff_trace.csv"

@@ -126,31 +126,23 @@ def _merge_section(name: str, values: dict, provided: dict) -> None:
         values[key] = number
 
 
-def load_config(path: str | Path | None = None) -> AppConfig:
+def load_config(path: str | Path | None = None,
+                overrides: dict[str, dict] | None = None) -> AppConfig:
     """Parse a JSON config file, fill defaults, and validate everything.
 
-    With no path the defaults are returned directly. Raises ConfigError
-    with the offending section.key on parse errors, unknown keys, or
-    invariant violations.
+    `overrides` ({section: {key: value}}) is merged over the file's
+    sections and checked like file values. With neither the defaults are
+    returned directly. Raises ConfigError with the offending section.key
+    on parse errors, unknown keys, or invariant violations.
     """
-    if path is None:
+    if path is None and not overrides:
         return default_app_config()
 
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    if not text.strip():
-        raw = {}
-    else:
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
+    raw = {} if path is None else _read_json(path)
+    for section, values in (overrides or {}).items():
+        provided = raw.setdefault(section, {})
+        if isinstance(provided, dict):
+            raw[section] = {**provided, **values}
 
     defaults = default_app_config()
     merged = _section_defaults(defaults)
@@ -163,6 +155,25 @@ def load_config(path: str | Path | None = None) -> AppConfig:
     for name, values in merged.items():
         _merge_section(name, values, raw.get(name, {}))
     return _assemble(merged, defaults)
+
+
+def _read_json(path: str | Path) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not text.strip():
+        return {}
+    try:
+        raw = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's stack allows.
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object")
+    return raw
 
 
 def _build(section: str, default, values: dict):

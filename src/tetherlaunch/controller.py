@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+from .model import _require_positive
+
 
 class Zone(Enum):
     """Spring-compression band: A reels in, B holds, C reels out."""
@@ -35,9 +37,7 @@ class SlideGains:
     torque_limit: float   # peak drive torque [N*m]
 
     def __post_init__(self) -> None:
-        for name in ("position_gain", "speed_gain", "torque_limit"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0 (got {getattr(self, name)})")
+        _require_positive(self, "position_gain", "speed_gain", "torque_limit")
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,7 @@ class WinchGains:
     torque_limit: float  # rated drive torque [N*m]
 
     def __post_init__(self) -> None:
-        for name in ("speed_gain", "torque_limit"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0 (got {getattr(self, name)})")
+        _require_positive(self, "speed_gain", "torque_limit")
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ class WinchOuterParams:
     sample_period: float   # controller update period [s]
 
     def __post_init__(self) -> None:
-        if self.ffwd_gain < 0.0:
+        if not self.ffwd_gain >= 0.0:
             raise ValueError(f"ffwd_gain must be >= 0 (got {self.ffwd_gain})")
         if not 0.0 < self.zone_low < self.zone_high:
             raise ValueError(
@@ -102,10 +100,7 @@ class WinchOuterParams:
                 "ramp rates must satisfy reelin_accel < 0 < reelout_accel "
                 f"(got {self.reelin_accel}, {self.reelout_accel})"
             )
-        if not self.sample_period > 0.0:
-            raise ValueError(
-                f"sample_period must be > 0 (got {self.sample_period})"
-            )
+        _require_positive(self, "sample_period")
 
 
 @dataclass(frozen=True)

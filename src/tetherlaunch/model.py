@@ -20,9 +20,12 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not value > 0.0:
-        raise ValueError(f"{name} must be > 0 (got {value})")
+def _require_positive(record, *names: str) -> None:
+    """Reject the first named field of `record` that is not > 0 (NaN too)."""
+    for name in names:
+        value = getattr(record, name)
+        if not value > 0.0:
+            raise ValueError(f"{name} must be > 0 (got {value})")
 
 
 @dataclass(frozen=True)
@@ -36,11 +39,8 @@ class AircraftParams:
     min_cruise_speed: float    # slowest speed that keeps the aircraft airborne [m/s]
 
     def __post_init__(self) -> None:
-        _require_positive("effective_area", self.effective_area)
-        _require_positive("drag_coeff", self.drag_coeff)
-        _require_positive("mass", self.mass)
-        _require_positive("max_thrust", self.max_thrust)
-        _require_positive("min_cruise_speed", self.min_cruise_speed)
+        _require_positive(self, "effective_area", "drag_coeff", "mass",
+                          "max_thrust", "min_cruise_speed")
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class TetherParams:
     breaking_elongation: float  # relative elongation at the breaking load [-]
 
     def __post_init__(self) -> None:
-        _require_positive("breaking_load", self.breaking_load)
+        _require_positive(self, "breaking_load")
         if not 0.0 < self.breaking_elongation < 1.0:
             raise ValueError(
                 "breaking_elongation must be in (0, 1) "
@@ -77,12 +77,10 @@ class SpringParams:
     max_travel: float       # usable compression travel [m]
 
     def __post_init__(self) -> None:
-        _require_positive("stiffness", self.stiffness)
-        _require_positive("carriage_mass", self.carriage_mass)
-        _require_positive("max_travel", self.max_travel)
-        if self.free_friction < 0.0:
+        _require_positive(self, "stiffness", "carriage_mass", "max_travel")
+        if not self.free_friction >= 0.0:
             raise ValueError(f"free_friction must be >= 0 (got {self.free_friction})")
-        if self.endstop_gain < 10.0:
+        if not self.endstop_gain >= 10.0:
             raise ValueError(
                 f"endstop_gain must be >= 10 (got {self.endstop_gain})"
             )
@@ -103,10 +101,8 @@ class WinchParams:
     rot_friction: float  # rotational viscous friction [kg*m^2/s]
 
     def __post_init__(self) -> None:
-        _require_positive("radius", self.radius)
-        _require_positive("max_torque", self.max_torque)
-        _require_positive("inertia", self.inertia)
-        _require_positive("rot_friction", self.rot_friction)
+        _require_positive(self, "radius", "max_torque", "inertia",
+                          "rot_friction")
 
 
 @dataclass(frozen=True)
@@ -116,7 +112,7 @@ class AmbientParams:
     air_density: float  # [kg/m^3]
 
     def __post_init__(self) -> None:
-        _require_positive("air_density", self.air_density)
+        _require_positive(self, "air_density")
 
 
 @dataclass(frozen=True)
@@ -132,9 +128,8 @@ class SlidePlantParams:
     rot_friction: float     # drum rotational viscous friction [kg*m^2/s]
 
     def __post_init__(self) -> None:
-        _require_positive("drum_radius", self.drum_radius)
-        _require_positive("equivalent_mass", self.equivalent_mass)
-        _require_positive("rot_friction", self.rot_friction)
+        _require_positive(self, "drum_radius", "equivalent_mass",
+                          "rot_friction")
 
 
 @dataclass(frozen=True)
@@ -164,8 +159,7 @@ class InitConditions:
     speed_deficit: float  # aircraft speed minus winch line speed at t=0 [m/s]
 
     def __post_init__(self) -> None:
-        _require_positive("position", self.position)
-        _require_positive("speed", self.speed)
+        _require_positive(self, "position", "speed")
 
 
 class DesignState(NamedTuple):

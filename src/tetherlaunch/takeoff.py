@@ -31,7 +31,7 @@ from .controller import (
     winch_torque,
 )
 from .integrator import DEFAULT_STEP, check_finite, rk4_step6
-from .model import SystemParams, clamp_spring_travel, line_model
+from .model import SystemParams, _require_positive, clamp_spring_travel, line_model
 # No longer called here; perfbench/worker.py still looks them up in this
 # module.
 from .integrator import rk4_step  # noqa: F401
@@ -70,10 +70,8 @@ class TakeoffConfig:
     duration: float = 3.0    # simulated time span [s]
 
     def __post_init__(self) -> None:
-        for name in ("slide_travel", "takeoff_speed", "initial_slack",
-                     "rail_length", "dt", "duration"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0 (got {getattr(self, name)})")
+        _require_positive(self, "slide_travel", "takeoff_speed",
+                          "initial_slack", "rail_length", "dt", "duration")
         if self.slide_travel > self.rail_length:
             raise ValueError(
                 "slide_travel must not exceed rail_length "

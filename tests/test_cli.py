@@ -49,6 +49,26 @@ class TestTakeoffCommand:
         assert capsys.readouterr().err.startswith("error: simulation:")
 
 
+@pytest.mark.parametrize("command, values, files", [
+    (["takeoff"], {"dt": "1e-4", "duration": "0.8"},
+     ["takeoff_trace.csv", "takeoff_summary.json"]),
+    (["spring-compare", "--travels", "0.35"], {"dt": "1e-3"},
+     ["spring_compare_travel_0p35.csv", "spring_compare_summary.csv"]),
+])
+def test_flags_match_config_keys(tmp_path, command, values, files):
+    """--dt and --duration give the files their simulation keys give."""
+    flags, keys = tmp_path / "flags", tmp_path / "keys"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(
+        {"simulation": {key: float(v) for key, v in values.items()}}))
+    argv = [f"--{key}={value}" for key, value in values.items()]
+    assert main(command + ["--out", str(flags), "--quiet"] + argv) == 0
+    assert main(command + ["--out", str(keys), "--quiet",
+                           "--config", str(config)]) == 0
+    for name in files:
+        assert (flags / name).read_bytes() == (keys / name).read_bytes()
+
+
 class TestSpringCompareCommand:
     def test_writes_traces_and_summary(self, tmp_path, capsys):
         assert main(["spring-compare", "--out", str(tmp_path)]) == 0
@@ -73,9 +93,12 @@ class TestSpringCompareCommand:
         n_coarse = len(read_csv(coarse / "spring_compare_travel_0p35.csv"))
         assert n_fine > 5 * n_coarse
 
-    def test_rejects_empty_travels(self, tmp_path, capsys):
+    @pytest.mark.parametrize("travels", ["", "inf", "nan", "-1", "0.2,0"],
+                             ids=["empty", "inf", "nan", "negative", "zero"])
+    def test_rejects_empty_travels(self, tmp_path, capsys, travels):
         with pytest.raises(SystemExit) as exc:
-            main(["spring-compare", "--out", str(tmp_path), "--travels", ""])
+            main(["spring-compare", "--out", str(tmp_path),
+                  f"--travels={travels}"])
         assert exc.value.code == 2
         assert "argument --travels" in capsys.readouterr().err
         assert not (tmp_path / "spring_compare_summary.csv").exists()
@@ -110,10 +133,18 @@ class TestSweepCommand:
         assert "argument --workers" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("flag", ["--travels", "--stiffness"])
-    def test_rejects_empty_list(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flag, values", [
+        pytest.param("--travels", "", id="--travels"),
+        pytest.param("--stiffness", "", id="--stiffness"),
+        pytest.param("--travels", "inf", id="--travels-inf"),
+        pytest.param("--travels", "nan", id="--travels-nan"),
+        pytest.param("--travels", "-1", id="--travels-negative"),
+        pytest.param("--stiffness", "70,inf", id="--stiffness-inf"),
+        pytest.param("--stiffness", "0", id="--stiffness-zero"),
+    ])
+    def test_rejects_empty_list(self, tmp_path, capsys, flag, values):
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--out", str(tmp_path), flag, ""])
+            main(["sweep", "--out", str(tmp_path), f"{flag}={values}"])
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
@@ -150,6 +181,17 @@ class TestErrorHandling:
         code = main(["takeoff", "--out", str(tmp_path), "--dt", "-1"])
         assert code == 2
         assert "error: config:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
+    @pytest.mark.parametrize("flag", ["--dt", "--duration"])
+    def test_bad_simulation_flag(self, tmp_path, capsys, flag, value):
+        code = main(["takeoff", "--out", str(tmp_path), "--quiet",
+                     f"{flag}={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: simulation")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "takeoff_trace.csv").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

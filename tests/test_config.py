@@ -2,12 +2,19 @@
 
 import json
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from tetherlaunch.config import ConfigError, default_app_config, load_config
+from tetherlaunch.config import (
+    AppConfig,
+    ConfigError,
+    default_app_config,
+    load_config,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -139,6 +146,39 @@ class TestOverrides:
         assert config.dt == 5e-5
         assert config.takeoff.dt == 5e-5
 
+    def test_overrides_without_file(self):
+        config = load_config(None, {"simulation": {"dt": 5e-5,
+                                                   "duration": 0.8}})
+        assert config == replace(
+            default_app_config(), dt=5e-5,
+            takeoff=replace(default_app_config().takeoff, dt=5e-5,
+                            duration=0.8))
+
+    def test_overrides_win_over_file(self, tmp_path):
+        path = write(tmp_path, {"simulation": {"dt": "bad", "duration": 2.0},
+                                "spring": {"max_travel": 0.2}})
+        config = load_config(path, {"simulation": {"dt": 5e-5}})
+        assert config.dt == config.takeoff.dt == 5e-5
+        assert config.takeoff.duration == 2.0
+        assert config.system.spring.max_travel == 0.2
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("dt", math.inf, "simulation.dt: must be finite (got inf)"),
+        ("dt", -1, "simulation.dt: must be > 0 (got -1.0)"),
+        ("dt", "1e-4", "simulation.dt: expected a number (got '1e-4')"),
+        ("duration", 0.0, "simulation: duration must be > 0 (got 0.0)"),
+        ("step", 1e-4, "simulation.step: unknown key"),
+    ])
+    def test_overrides_checked_like_file_values(self, tmp_path, key, value,
+                                                message):
+        values = {"simulation": {key: value}}
+        with pytest.raises(ConfigError) as exc:
+            load_config(None, values)
+        assert str(exc.value) == message
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, values))
+        assert str(exc.value) == message
+
     def test_integers_accepted_as_floats(self, tmp_path):
         path = write(tmp_path, {"winch": {"max_torque": 13}})
         assert load_config(path).system.winch.max_torque == 13.0
@@ -148,6 +188,10 @@ class TestRejection:
     def test_invalid_json(self, tmp_path):
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(write(tmp_path, "{none}"))
+
+    def test_deep_nesting(self, tmp_path):
+        with pytest.raises(ConfigError, match="config.json: invalid JSON"):
+            load_config(write(tmp_path, "[" * 100_000))
 
     def test_top_level_must_be_object(self, tmp_path):
         with pytest.raises(ConfigError, match="top level"):
@@ -205,3 +249,61 @@ class TestRejection:
         path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(ConfigError, match="config.json: not UTF-8 text"):
             load_config(path)
+
+
+# Any JSON leaf: plain and huge numbers, NaN and +-Infinity, strings,
+# bools, null and short lists.
+JSON_LEAF = st.one_of(
+    st.floats(min_value=-1.0, max_value=200.0),
+    st.floats(),
+    st.integers(min_value=-10**400, max_value=10**400),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.lists(st.floats() | st.integers(), max_size=3),
+)
+
+
+def key_value(section, key):
+    """The key's README default or, as often, any JSON leaf."""
+    default = readme_config()[section][key]
+    return st.booleans().flatmap(
+        lambda keep: st.just(default) if keep else JSON_LEAF)
+
+
+def nest(entries) -> dict:
+    raw = {}
+    for (section, key), value in entries:
+        raw.setdefault(section, {})[key] = value
+    return raw
+
+
+# A few known keys per file, so that some files pass every check; or
+# sections that are not JSON objects.
+CONFIG_JSON = (
+    st.lists(st.sampled_from(README_KEYS).flatmap(
+        lambda sk: st.tuples(st.just(sk), key_value(*sk))), max_size=4)
+    .map(nest)
+    | st.dictionaries(st.sampled_from(sorted(readme_config())), JSON_LEAF,
+                      max_size=2)
+)
+FLAG_OVERRIDES = st.fixed_dictionaries({}, optional={
+    "dt": key_value("simulation", "dt"),
+    "duration": key_value("simulation", "duration"),
+})
+
+
+class TestFuzz:
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=CONFIG_JSON, flags=FLAG_OVERRIDES)
+    def test_config_or_config_error(self, tmp_path, raw, flags):
+        path = write(tmp_path, raw)
+        overrides = {"simulation": flags} if flags else None
+        try:
+            config = load_config(path, overrides)
+        except ConfigError:
+            return
+        assert isinstance(config, AppConfig)
+        assert all(math.isfinite(v) for v in leaves(config).values())

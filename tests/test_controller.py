@@ -1,6 +1,8 @@
 """Controller law tests: inner torque loops, zone logic, feedback ramps,
 and reference arbitration."""
 
+import math
+
 import pytest
 
 from tetherlaunch.controller import (
@@ -190,6 +192,8 @@ class TestValidation:
             SlideGains(0.0, 2.5, 26.0)
         with pytest.raises(ValueError, match="torque_limit"):
             WinchGains(1.0, 0.0)
+        with pytest.raises(ValueError, match="speed_gain must be > 0"):
+            SlideGains(14.0, math.nan, 26.0)
 
     def test_outer_invariants(self):
         good = default_outer_params()
@@ -205,4 +209,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="ramp rates"):
             WinchOuterParams(1.2, 0.05, 0.1, 0.025, 0.2, -10.0, 120.0,
                              100.0, 30.0, 0.001)
+        for ffwd_gain in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="ffwd_gain must be >= 0"):
+                WinchOuterParams(ffwd_gain, 0.05, 0.1, 0.025, 0.2, -10.0,
+                                 120.0, -100.0, 30.0, 0.001)
+        with pytest.raises(ValueError, match="sample_period must be > 0"):
+            WinchOuterParams(1.2, 0.05, 0.1, 0.025, 0.2, -10.0, 120.0,
+                             -100.0, 30.0, math.nan)
         assert good.ffwd_gain == 1.2

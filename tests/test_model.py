@@ -56,6 +56,13 @@ class TestValidation:
     def test_spring_endstop_gain_floor(self):
         with pytest.raises(ValueError, match="endstop_gain"):
             SpringParams(70.0, 2.0, 1e-4, 2.0, 0.001, 0.35)
+        with pytest.raises(ValueError, match="endstop_gain must be >= 10"):
+            SpringParams(70.0, 2.0, 1e-4, math.nan, 0.001, 0.35)
+
+    @pytest.mark.parametrize("friction", [-1e-4, math.nan])
+    def test_spring_free_friction_floor(self, friction):
+        with pytest.raises(ValueError, match="free_friction must be >= 0"):
+            SpringParams(70.0, 2.0, friction, 1e6, 0.001, 0.35)
 
     def test_winch_slide_ambient_positive(self):
         with pytest.raises(ValueError, match="radius"):
