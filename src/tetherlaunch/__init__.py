@@ -18,13 +18,7 @@ from .controller import (
     winch_ffwd,
     winch_torque,
 )
-from .integrator import (
-    IntegrationError,
-    StopCondition,
-    Trace,
-    rk4_step,
-    simulate,
-)
+from .integrator import IntegrationError, rk4_step
 from .model import (
     AircraftParams,
     AmbientParams,
@@ -35,14 +29,13 @@ from .model import (
     SystemParams,
     TetherParams,
     WinchParams,
+    airborne_plant,
     clamp_spring_travel,
     default_init_conditions,
     default_system_params,
     design_derivatives,
-    effective_tether_length,
     initial_state,
     line_model,
-    sizing_derivatives,
     spring_friction,
     tether_stiffness,
 )
@@ -52,9 +45,11 @@ from .spring_design import (
     FeasibilityResult,
     SweepGrid,
     SweepPoint,
+    Trace,
     assess_trace,
     count_compression_cycles,
     evaluate_spring,
+    simulate,
     simulate_design,
     sweep,
 )

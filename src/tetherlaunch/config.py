@@ -16,14 +16,14 @@ from operator import attrgetter
 from pathlib import Path
 
 from .controller import ControlParams, default_control_params
-from .integrator import DEFAULT_FORCE_TOL, DEFAULT_STEP
+from .integrator import DEFAULT_STEP
 from .model import (
     InitConditions,
     SystemParams,
     default_init_conditions,
     default_system_params,
 )
-from .spring_design import DEFAULT_MAX_TIME
+from .spring_design import DEFAULT_FORCE_TOL, DEFAULT_MAX_TIME
 from .takeoff import TakeoffConfig, default_takeoff_config
 
 

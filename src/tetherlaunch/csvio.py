@@ -9,8 +9,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .integrator import Trace
-from .spring_design import SweepPoint
+from .spring_design import SweepPoint, Trace
 from .takeoff import TakeoffTrace
 
 DESIGN_TRACE_HEADER = [

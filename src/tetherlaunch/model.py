@@ -7,7 +7,9 @@ with deployed length), a sprung pulley carriage that buffers tension
 spikes, and the winch drum that pays the line out. It is the model used to
 size the buffer spring: start the aircraft with the winch lagging by a
 known speed deficit, let the resulting tension transient play out, and
-check whether the aircraft stays above its minimum cruise speed.
+check whether the aircraft stays above its minimum cruise speed. The same
+airborne plant flies the take-off after lift-off, on a slack line and a
+climb ray under the controlled winch torque.
 
 All parameter containers are immutable and validated on construction; all
 functions here are pure, so they can be evaluated from any number of
@@ -16,16 +18,27 @@ concurrent workers without coordination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 
+GRAVITY = 9.81  # [m/s^2]
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Reject `value` unless it is finite and > 0 (NaN fails too)."""
+    if not value > 0.0:
+        raise ValueError(f"{name} must be > 0 (got {value})")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite (got {value})")
+
+
 def _require_positive(record, *names: str) -> None:
-    """Reject the first named field of `record` that is not > 0 (NaN too)."""
+    """Reject the first named field of `record` that _check_positive
+    rejects."""
     for name in names:
-        value = getattr(record, name)
-        if not value > 0.0:
-            raise ValueError(f"{name} must be > 0 (got {value})")
+        _check_positive(name, getattr(record, name))
 
 
 @dataclass(frozen=True)
@@ -185,16 +198,6 @@ def tether_stiffness(tether: TetherParams, length: float) -> float:
     return tether.breaking_load / (tether.breaking_elongation * length)
 
 
-def effective_tether_length(winch: WinchParams, winch_angle: float,
-                            spring_pos: float) -> float:
-    """Deployed tether length [m]: drum payout plus twice the carriage travel.
-
-    The tether runs around the moving pulley on the spring carriage, so
-    each metre of compression releases two metres of line.
-    """
-    return winch.radius * winch_angle + 2.0 * spring_pos
-
-
 def spring_friction(spring: SpringParams, spring_pos: float,
                     spring_vel: float) -> float:
     """Viscous friction coefficient of the carriage [kg/s].
@@ -213,26 +216,33 @@ def spring_friction(spring: SpringParams, spring_pos: float,
 class LineModel(NamedTuple):
     """The tether, pulley carriage and winch drum as closures over floats.
 
-    tension(distance, length) [N] for the aircraft `distance` from the
-    ground station on `length` of deployed line, slack included;
+    tension(distance, winch_angle, spring_pos) [N] for the aircraft
+    `distance` from the ground station;
     carriage_accel(force, spring_pos, spring_vel) [m/s^2];
-    winch_accel(torque, force, winch_speed) [rad/s^2].
+    winch_accel(torque, force, winch_speed) [rad/s^2];
+    length(winch_angle, spring_pos) [m], the deployed line, on floats or
+    numpy columns alike.
     """
 
-    tension: Callable[[float, float], float]
+    tension: Callable[[float, float, float], float]
     carriage_accel: Callable[[float, float, float], float]
     winch_accel: Callable[[float, float, float], float]
+    length: Callable[[float, float], float]
 
 
 def line_model(tether: TetherParams, spring: SpringParams,
-               winch: WinchParams) -> LineModel:
+               winch: WinchParams, slack: float = 0.0) -> LineModel:
     """Equations of the line, carriage and winch, shared by every plant.
 
     The parameters are read once here, so a run's derivative evaluations
-    touch plain floats only. The tether pulls with the stiffness of
-    tether_stiffness and never pushes. The moving pulley doubles the
-    tension on the carriage, which feels the friction of spring_friction,
-    and the same tension helps the motor torque spin the drum out.
+    touch plain floats only. The deployed line is the `slack` left before
+    the start, plus the drum payout, plus twice the carriage travel: the
+    tether runs around the moving pulley on the spring carriage, so each
+    metre of compression releases two metres of line. The tether pulls
+    with the stiffness of tether_stiffness and never pushes. The moving
+    pulley doubles the tension on the carriage, which feels the friction
+    of spring_friction, and the same tension helps the motor torque spin
+    the drum out.
     """
     breaking_load = tether.breaking_load
     breaking_elongation = tether.breaking_elongation
@@ -246,11 +256,18 @@ def line_model(tether: TetherParams, spring: SpringParams,
     rot_friction = winch.rot_friction
     inertia = winch.inertia
 
-    def tension(distance: float, length: float) -> float:
-        if length <= 0.0:
-            raise ValueError(f"tether length must be > 0 (got {length})")
-        force = (breaking_load / (breaking_elongation * length)
-                 * (distance - length))
+    def length(winch_angle, spring_pos):
+        return slack + radius * winch_angle + 2.0 * spring_pos
+
+    def tension(distance: float, winch_angle: float,
+                spring_pos: float) -> float:
+        # length(winch_angle, spring_pos), inlined: the extra call per
+        # plant evaluation made a sizing sweep about 8% slower.
+        deployed = slack + radius * winch_angle + 2.0 * spring_pos
+        if deployed <= 0.0:
+            raise ValueError(f"tether length must be > 0 (got {deployed})")
+        force = (breaking_load / (breaking_elongation * deployed)
+                 * (distance - deployed))
         return force if force > 0.0 else 0.0  # max(0.0, force), minus a call
 
     def carriage_accel(force: float, spring_pos: float,
@@ -266,40 +283,51 @@ def line_model(tether: TetherParams, spring: SpringParams,
     def winch_accel(torque: float, force: float, winch_speed: float) -> float:
         return (torque + radius * force - rot_friction * winch_speed) / inertia
 
-    return LineModel(tension, carriage_accel, winch_accel)
+    return LineModel(tension, carriage_accel, winch_accel, length)
 
 
-def sizing_derivatives(params: SystemParams) -> Callable[..., tuple]:
-    """The sizing model as a function of the six DesignState floats.
+def airborne_plant(params: SystemParams, slack: float = 0.0,
+                   climb_angle_deg: float = 0.0) -> Callable[[float], Callable]:
+    """The tethered aircraft in flight, under a winch torque to be given.
 
-    Worst-case assumptions of the sizing study: the propeller holds peak
-    thrust, the winch motor holds peak reel-out torque, and the tether
-    pulls exactly against the flight direction. The same tension value
-    decelerates the aircraft, drives the carriage and helps spin the
-    winch out.
+    Returns `under(torque)`, which gives the derivatives of the six
+    DesignState floats with the drum motor holding `torque`; building it
+    is cheap, so a controlled run builds one per held torque. The
+    propeller holds peak thrust, and the tether and gravity pull exactly
+    against the flight path, which climbs at `climb_angle_deg`. The same
+    tension value decelerates the aircraft, drives the carriage and helps
+    spin the winch out.
+
+    The sizing study flies level on a line without slack, under the peak
+    reel-out torque: airborne_plant(params)(params.winch.max_torque).
     """
-    tension, carriage_accel, winch_accel = line_model(
-        params.tether, params.spring, params.winch)
+    tension, carriage_accel, winch_accel, _ = line_model(
+        params.tether, params.spring, params.winch, slack)
     aircraft = params.aircraft
     thrust = aircraft.max_thrust
     drag_factor = (0.5 * params.ambient.air_density * aircraft.drag_coeff
                    * aircraft.effective_area)
     mass = aircraft.mass
-    radius = params.winch.radius
-    torque = params.winch.max_torque
+    gravity = mass * GRAVITY * math.sin(math.radians(climb_angle_deg))
 
-    def derivs(pos, vel, spring_pos, spring_vel, winch_angle, winch_speed):
-        force = tension(pos, radius * winch_angle + 2.0 * spring_pos)
-        return (vel, (thrust - drag_factor * vel * vel - force) / mass,
-                spring_vel, carriage_accel(force, spring_pos, spring_vel),
-                winch_speed, winch_accel(torque, force, winch_speed))
+    def under(torque: float) -> Callable[..., tuple]:
+        def derivs(pos, vel, spring_pos, spring_vel, winch_angle,
+                   winch_speed):
+            force = tension(pos, winch_angle, spring_pos)
+            return (vel,
+                    (thrust - drag_factor * vel * vel - force - gravity) / mass,
+                    spring_vel, carriage_accel(force, spring_pos, spring_vel),
+                    winch_speed, winch_accel(torque, force, winch_speed))
 
-    return derivs
+        return derivs
+
+    return under
 
 
 def design_derivatives(state: DesignState, params: SystemParams) -> tuple:
-    """Time derivatives of the six model states (see sizing_derivatives)."""
-    return sizing_derivatives(params)(*state)
+    """Time derivatives of the six model states in the sizing study (see
+    airborne_plant)."""
+    return airborne_plant(params)(params.winch.max_torque)(*state)
 
 
 def initial_state(ic: InitConditions, winch: WinchParams) -> DesignState:

@@ -22,7 +22,7 @@ from .controller import (
     winch_fbck,
     winch_torque,
 )
-from .integrator import rk4_step
+from .integrator import rk4_step, rk4_step6
 from .model import DesignState
 from .spring_design import REFERENCE_TRAVELS, evaluate_spring, simulate_design
 
@@ -36,18 +36,26 @@ class PropertyCheck:
     detail: str
 
 
-def _harmonic_period_error(steps: int) -> float:
-    """Position error after one period of the unit harmonic oscillator."""
+def _harmonic_period_error(steps: int) -> tuple[float, bool]:
+    """Position error after one period of the unit harmonic oscillator,
+    and whether rk4_step6, the stepper the plants run, ends on the state
+    of the generic rk4_step bit for bit."""
     period = 2.0 * math.pi
     dt = period / steps
 
     def derivs(s):
         return (s.vel, -s.pos, 0.0, 0.0, 0.0, 0.0)
 
+    def flat(pos, vel, *_):
+        return (vel, -pos, 0.0, 0.0, 0.0, 0.0)
+
     state = DesignState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    flat_state = tuple(state)
     for _ in range(steps):
         state = rk4_step(derivs, state, dt)
-    return abs(state.pos - 1.0)
+        flat_state = rk4_step6(flat, dt, *flat_state)
+    same = list(map(float.hex, flat_state)) == list(map(float.hex, state))
+    return abs(state.pos - 1.0), same
 
 
 def check_fbck_reference_bounded(outer, n: int = 1_000_000) -> PropertyCheck:
@@ -162,12 +170,13 @@ def check_torque_saturation(slide_gains, winch_gains,
 
 
 def check_rk4_order() -> PropertyCheck:
-    """Observed convergence order of the integrator on the oscillator."""
-    coarse = _harmonic_period_error(314)
-    fine = _harmonic_period_error(628)
+    """Observed convergence order of the integrator on the oscillator; the
+    flat stepper must give the generic one's result at both step counts."""
+    coarse, coarse_same = _harmonic_period_error(314)
+    fine, fine_same = _harmonic_period_error(628)
     order = math.log2(coarse / fine)
     return PropertyCheck(
-        "rk4-observed-order", order >= 3.9,
+        "rk4-observed-order", order >= 3.9 and coarse_same and fine_same,
         f"order {order:.2f} from period errors {coarse:.3e} / {fine:.3e}",
     )
 

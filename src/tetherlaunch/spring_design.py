@@ -6,26 +6,130 @@ i.e. on the window from the start until the tether force first returns to
 zero with the winch at least matching the aircraft speed. Sweeps evaluate
 a grid of designs independently; every point is a pure computation, so the
 grid can be farmed out to worker processes with results identical to a
-serial run.
+serial run. The sizing run steps the airborne plant of `model` with the
+flat RK4 of `integrator` and keeps every step in a Trace.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .integrator import (
-    DEFAULT_FORCE_TOL,
-    DEFAULT_STEP,
-    StopCondition,
-    Trace,
-    simulate,
-)
-from .model import InitConditions, SystemParams, initial_state
+import numpy as np
 
-DEFAULT_MAX_TIME = 10.0  # [s]
+from .integrator import DEFAULT_STEP, check_finite, rk4_step6
+from .model import (
+    DesignState,
+    InitConditions,
+    SystemParams,
+    _check_positive,
+    airborne_plant,
+    clamp_spring_travel,
+    initial_state,
+    line_model,
+)
+
+DEFAULT_MAX_TIME = 10.0   # [s]
+DEFAULT_FORCE_TOL = 1e-6  # tension below this counts as released [N]
 # The spring travels the sizing comparison runs by default [m].
 REFERENCE_TRAVELS = (0.05, 0.2, 0.35)
+
+
+@dataclass
+class Trace:
+    """Uniform-grid log of a sizing run."""
+
+    times: np.ndarray    # [s], strictly increasing, uniform step
+    states: np.ndarray   # (n, 6) rows in DesignState field order
+    force: np.ndarray    # tether force per step [N]
+    length: np.ndarray   # deployed tether length per step [m]
+    timed_out: bool      # the force was never released
+
+    @property
+    def pos(self) -> np.ndarray:
+        return self.states[:, 0]
+
+    @property
+    def vel(self) -> np.ndarray:
+        return self.states[:, 1]
+
+    @property
+    def spring_pos(self) -> np.ndarray:
+        return self.states[:, 2]
+
+    @property
+    def spring_vel(self) -> np.ndarray:
+        return self.states[:, 3]
+
+    @property
+    def winch_angle(self) -> np.ndarray:
+        return self.states[:, 4]
+
+    @property
+    def winch_speed(self) -> np.ndarray:
+        return self.states[:, 5]
+
+
+def simulate(params: SystemParams, init: DesignState, dt: float,
+             max_time: float, force_tol: float = DEFAULT_FORCE_TOL) -> Trace:
+    """Integrate the sizing model until the tether force is released.
+
+    The run ends at the first step where the tether force has dropped
+    back below force_tol after having been above it, with the winch
+    paying out line at least as fast as the aircraft moves; that instant
+    bounds the time window of the spring-sizing test. If the release
+    never happens within max_time the trace is tagged as timed out.
+    Records the state and tether force at every step, including the step
+    on which the release fires, and the deployed length from the states.
+    A pure function of its arguments: identical inputs give bit-identical
+    traces.
+    """
+    _check_positive("max_time", max_time)
+    _check_positive("dt", dt)
+
+    derivs = airborne_plant(params)(params.winch.max_torque)
+    line = line_model(params.tether, params.spring, params.winch)
+    tension = line.tension
+    radius = params.winch.radius
+    limit = params.spring.max_travel
+
+    pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = init
+    force = tension(pos, winch_angle, spring_pos)
+    rows = [init]
+    forces = [force]
+    force_seen = force > force_tol
+    fired = False
+
+    for _ in range(int(math.ceil(max_time / dt - 1e-9))):
+        pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = rk4_step6(
+            derivs, dt, pos, vel, spring_pos, spring_vel, winch_angle,
+            winch_speed)
+        if not math.isfinite(pos + vel + spring_pos + spring_vel
+                             + winch_angle + winch_speed):
+            check_finite(DesignState(pos, vel, spring_pos, spring_vel,
+                                     winch_angle, winch_speed))
+        if spring_pos < 0.0 or spring_pos > limit:
+            spring_pos, spring_vel = clamp_spring_travel(spring_pos,
+                                                         spring_vel, limit)
+        force = tension(pos, winch_angle, spring_pos)
+        rows.append((pos, vel, spring_pos, spring_vel, winch_angle,
+                     winch_speed))
+        forces.append(force)
+        if force > force_tol:
+            force_seen = True
+        elif force_seen and radius * winch_speed >= vel:
+            fired = True
+            break
+
+    states = np.array(rows, dtype=float)
+    return Trace(
+        times=np.arange(len(rows), dtype=float) * dt,
+        states=states,
+        force=np.array(forces, dtype=float),
+        length=line.length(states[:, 4], states[:, 2]),
+        timed_out=not fired,
+    )
 
 
 @dataclass(frozen=True)
@@ -142,9 +246,8 @@ def simulate_design(params: SystemParams, ic: InitConditions,
                     max_time: float = DEFAULT_MAX_TIME,
                     force_tol: float = DEFAULT_FORCE_TOL) -> Trace:
     """Integrate the sizing transient up to the force-release instant."""
-    stop = StopCondition(max_time=max_time, kind="force_released",
-                         force_tol=force_tol)
-    return simulate(params, initial_state(ic, params.winch), dt, stop)
+    return simulate(params, initial_state(ic, params.winch), dt, max_time,
+                    force_tol)
 
 
 def _with_design(params: SystemParams, travel: float,

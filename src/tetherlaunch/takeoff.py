@@ -5,7 +5,9 @@ accelerates the aircraft down the rails; the winch coordinates through the
 feedforward/feedback reference generator to pay the line out without
 pulling or entangling. When the aircraft reaches take-off speed it leaves
 the slide and continues as a point mass on a straight climb ray, with the
-tether force taken fully along the path (the worst case for the aircraft).
+tether force taken fully along the path (the worst case for the aircraft):
+the airborne plant of the sizing study, with slack, climb and the held
+winch torque.
 Controllers update at the sample period with zero-order-hold torques; the
 plant integrates with a smaller fixed substep. Motor powers are logged as
 torque times speed, braking counted negative.
@@ -31,13 +33,17 @@ from .controller import (
     winch_torque,
 )
 from .integrator import DEFAULT_STEP, check_finite, rk4_step6
-from .model import SystemParams, _require_positive, clamp_spring_travel, line_model
+from .model import (
+    SystemParams,
+    _require_positive,
+    airborne_plant,
+    clamp_spring_travel,
+    line_model,
+)
 # No longer called here; perfbench/worker.py still looks them up in this
 # module.
 from .integrator import rk4_step  # noqa: F401
 from .model import spring_friction, tether_stiffness  # noqa: F401
-
-GRAVITY = 9.81  # [m/s^2]
 
 
 class TakeoffError(RuntimeError):
@@ -213,44 +219,32 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     drum_radius = slide.drum_radius
     drag_coeff = (0.5 * system.ambient.air_density * aircraft.drag_coeff
                   * aircraft.effective_area)
-    gravity_along_path = (aircraft.mass * GRAVITY
-                          * math.sin(math.radians(cfg.climb_angle_deg)))
-    slack0 = cfg.initial_slack
     thrust = aircraft.max_thrust
-    mass = aircraft.mass
     slide_friction = slide.rot_friction
-    winch_radius = winch.radius
     max_travel = spring.max_travel
     slide_inertia_full = slide.equivalent_mass * drum_radius ** 2
     slide_inertia_empty = ((slide.equivalent_mass - aircraft.mass)
                            * drum_radius ** 2)
     angle_ref = cfg.slide_travel / drum_radius  # position step issued at k=0
-    tension, carriage_accel, winch_accel = line_model(system.tether, spring,
-                                                      winch)
+    tension, carriage_accel, winch_accel, line_length = line_model(
+        system.tether, spring, winch, cfg.initial_slack)
+    # After lift-off: the aircraft on its climb ray, one plant per held
+    # winch torque.
+    airborne = airborne_plant(system, cfg.initial_slack, cfg.climb_angle_deg)
     # Zero-order-hold torques of the current control step, read by the
-    # plant closures below.
+    # slide plant below.
     u_slide = u_winch = 0.0
 
     def on_slide(slide_angle, slide_speed, winch_angle, winch_speed,
                  spring_pos, spring_vel):
         speed = drum_radius * slide_speed
-        force = tension(drum_radius * slide_angle,
-                        slack0 + winch_radius * winch_angle + 2.0 * spring_pos)
+        force = tension(drum_radius * slide_angle, winch_angle, spring_pos)
         # Thrust, drag and tether pull all act on the combined
         # slide+aircraft train through the equivalent mass.
         train_force = (u_slide / drum_radius + thrust
                        - drag_coeff * speed * speed - force
                        - slide_friction * slide_speed / drum_radius)
         return (slide_speed, train_force * drum_radius / slide_inertia_full,
-                winch_speed, winch_accel(u_winch, force, winch_speed),
-                spring_vel, carriage_accel(force, spring_pos, spring_vel))
-
-    def climb(path_pos, path_vel, winch_angle, winch_speed, spring_pos,
-              spring_vel):
-        force = tension(path_pos,
-                        slack0 + winch_radius * winch_angle + 2.0 * spring_pos)
-        return (path_vel, (thrust - drag_coeff * path_vel * path_vel - force
-                           - gravity_along_path) / mass,
                 winch_speed, winch_accel(u_winch, force, winch_speed),
                 spring_vel, carriage_accel(force, spring_pos, spring_vel))
 
@@ -294,9 +288,11 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
         ffwd = winch_ffwd(slide_speed, outer.ffwd_gain)
         speed_ref = combine_refs(ffwd, fbck, slide_speed)
         u_winch = winch_torque(speed_ref, winch_speed, control.winch)
+        # Built at every latch, so it also serves a lift-off mid-step.
+        in_flight = airborne(u_winch)
 
-        length = slack0 + winch_radius * winch_angle + 2.0 * spring_pos
-        force = tension(distance, length)
+        length = line_length(winch_angle, spring_pos)
+        force = tension(distance, winch_angle, spring_pos)
         rows.append((
             k * sample_period, slide_angle, slide_speed, winch_angle,
             winch_speed, spring_pos, distance, speed, length, force, u_slide,
@@ -312,10 +308,10 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
                     on_slide, dt, slide_angle, slide_speed, winch_angle,
                     winch_speed, spring_pos, spring_vel)
             else:
-                (path_pos, path_vel, winch_angle, winch_speed,
-                 spring_pos, spring_vel) = rk4_step6(
-                    climb, dt, path_pos, path_vel, winch_angle, winch_speed,
-                    spring_pos, spring_vel)
+                (path_pos, path_vel, spring_pos, spring_vel,
+                 winch_angle, winch_speed) = rk4_step6(
+                    in_flight, dt, path_pos, path_vel, spring_pos,
+                    spring_vel, winch_angle, winch_speed)
                 slide_angle, slide_speed = empty_slide(slide_angle,
                                                        slide_speed)
             # The path states stay 0.0 until lift-off.

@@ -1,5 +1,5 @@
-"""Integrator tests: accuracy on a known system, stop predicates,
-trace bookkeeping, and determinism."""
+"""Integrator tests: accuracy on a known system; and the sizing run built
+on it: its release stop, trace bookkeeping, and determinism."""
 
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -8,12 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tetherlaunch.integrator import (
-    IntegrationError,
-    StopCondition,
-    rk4_step,
-    simulate,
-)
+from tetherlaunch.integrator import IntegrationError, rk4_step
 from tetherlaunch.model import (
     DesignState,
     InitConditions,
@@ -21,10 +16,10 @@ from tetherlaunch.model import (
     default_init_conditions,
     default_system_params,
     design_derivatives,
-    effective_tether_length,
     initial_state,
     tether_stiffness,
 )
+from tetherlaunch.spring_design import DEFAULT_FORCE_TOL, simulate
 
 
 def harmonic(state):
@@ -67,37 +62,38 @@ class TestRk4Step:
                 state = rk4_step(grow, state, 1.0)
 
 
-class TestStopCondition:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_time"):
-            StopCondition(max_time=0.0)
-        with pytest.raises(ValueError, match="stop kind"):
-            StopCondition(max_time=1.0, kind="whenever")
-
-
 @pytest.fixture(scope="module")
 def release_trace():
     params = default_system_params()
     init = initial_state(default_init_conditions(), params.winch)
-    return simulate(params, init, 1e-4,
-                    StopCondition(max_time=10.0, kind="force_released")), params
+    return simulate(params, init, 1e-4, max_time=10.0), params
 
 
 class TestSimulate:
 
+    def test_rejects_bad_limits(self):
+        params = default_system_params()
+        init = initial_state(default_init_conditions(), params.winch)
+        with pytest.raises(ValueError, match="max_time"):
+            simulate(params, init, 1e-4, max_time=0.0)
+        with pytest.raises(ValueError, match="max_time must be finite"):
+            simulate(params, init, 1e-4, max_time=math.inf)
+        with pytest.raises(ValueError, match="dt must be finite"):
+            simulate(params, init, math.inf, max_time=1.0)
+
     def test_spring_clamp_applied(self):
         # A carriage too heavy to feel its spring coasts at 10 m/s on a
         # slack line: one 0.1 s step carries it from 0.3 m to 1.3 m, which
-        # a 0.35 m travel stops at its end.
+        # a 0.35 m travel stops at its end. The line stays slack, so the
+        # release never fires and the run is that one step.
         params = default_system_params()
         heavy = replace(params.spring, carriage_mass=1e9)
         state = DesignState(1.0, 0.0, 0.3, 10.0, 100.0, 0.0)
-        stop = StopCondition(max_time=0.1, kind="max_time")
         out = simulate(replace(params, spring=replace(heavy, max_travel=0.35)),
-                       state, 0.1, stop)
+                       state, 0.1, max_time=0.1)
         assert out.spring_pos[-1] == 0.35
         out = simulate(replace(params, spring=replace(heavy, max_travel=2.0)),
-                       state, 0.1, stop)
+                       state, 0.1, max_time=0.1)
         assert out.spring_pos[-1] == pytest.approx(1.3)
 
     def test_transient_shape(self, release_trace):
@@ -117,15 +113,13 @@ class TestSimulate:
     def test_release_instant_step_insensitive(self, release_trace):
         trace, params = release_trace
         init = initial_state(default_init_conditions(), params.winch)
-        finer = simulate(params, init, 1e-5,
-                         StopCondition(max_time=10.0, kind="force_released"))
+        finer = simulate(params, init, 1e-5, max_time=10.0)
         assert abs(trace.times[-1] - finer.times[-1]) <= 1e-3
 
     def test_min_speed_step_convergence(self, release_trace):
         trace, params = release_trace
         init = initial_state(default_init_conditions(), params.winch)
-        coarse = simulate(params, init, 1e-3,
-                          StopCondition(max_time=10.0, kind="force_released"))
+        coarse = simulate(params, init, 1e-3, max_time=10.0)
         rel = abs(coarse.vel.min() - trace.vel.min()) / trace.vel.min()
         assert rel < 0.005
 
@@ -140,41 +134,30 @@ class TestSimulate:
         from dataclasses import replace
         tight = replace(params, spring=replace(params.spring, max_travel=0.05))
         init = initial_state(default_init_conditions(), tight.winch)
-        trace = simulate(tight, init, 1e-4,
-                         StopCondition(max_time=10.0, kind="force_released"))
+        trace = simulate(tight, init, 1e-4, max_time=10.0)
         assert trace.spring_pos.min() >= 0.0
         assert trace.spring_pos.max() <= 0.05
 
     def test_no_deficit_times_out_without_force(self):
         params = default_system_params()
         init = initial_state(InitConditions(20.0, 10.0, 0.0), params.winch)
-        trace = simulate(params, init, 1e-4,
-                         StopCondition(max_time=0.5, kind="force_released"))
+        trace = simulate(params, init, 1e-4, max_time=0.5)
         assert trace.timed_out
         assert trace.force.max() < 1e-9
 
     def test_short_window_tags_timeout(self):
         params = default_system_params()
         init = initial_state(default_init_conditions(), params.winch)
-        trace = simulate(params, init, 1e-4,
-                         StopCondition(max_time=0.05, kind="force_released"))
+        trace = simulate(params, init, 1e-4, max_time=0.05)
         assert trace.timed_out
         assert trace.times[-1] == pytest.approx(0.05, abs=1e-4)
-
-    def test_max_time_kind_is_not_a_timeout(self):
-        params = default_system_params()
-        init = initial_state(default_init_conditions(), params.winch)
-        trace = simulate(params, init, 1e-3,
-                         StopCondition(max_time=0.1, kind="max_time"))
-        assert not trace.timed_out
 
     def test_bit_identical_across_runs_and_threads(self):
         params = default_system_params()
         init = initial_state(default_init_conditions(), params.winch)
-        stop = StopCondition(max_time=10.0, kind="force_released")
 
         def run(_):
-            return simulate(params, init, 1e-4, stop)
+            return simulate(params, init, 1e-4, max_time=10.0)
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             first, second = pool.map(run, range(2))
@@ -183,23 +166,24 @@ class TestSimulate:
         assert np.array_equal(first.length, second.length)
 
 
-def reference_simulate(params, init, dt, stop):
+def reference_simulate(params, init, dt, max_time,
+                       force_tol=DEFAULT_FORCE_TOL):
     """simulate written as the generic loop: rk4_step on DesignState,
     design_derivatives, then clamp_spring_travel; tension recomputed from
-    tether_stiffness."""
+    tether_stiffness and the deployed length written out."""
 
     def force_and_length(state):
-        length = effective_tether_length(params.winch, state.winch_angle,
-                                         state.spring_pos)
+        length = (params.winch.radius * state.winch_angle
+                  + 2.0 * state.spring_pos)
         stiffness = tether_stiffness(params.tether, length)
         return max(0.0, stiffness * (state.pos - length)), length
 
     state = init
     force, length = force_and_length(state)
     rows, forces, lengths = [state], [force], [length]
-    force_seen = force > stop.force_tol
+    force_seen = force > force_tol
     fired = False
-    for _ in range(int(math.ceil(stop.max_time / dt - 1e-9))):
+    for _ in range(int(math.ceil(max_time / dt - 1e-9))):
         state = rk4_step(lambda s: design_derivatives(s, params), state, dt)
         spring_pos, spring_vel = clamp_spring_travel(
             state.spring_pos, state.spring_vel, params.spring.max_travel)
@@ -208,25 +192,23 @@ def reference_simulate(params, init, dt, stop):
         rows.append(state)
         forces.append(force)
         lengths.append(length)
-        if stop.kind == "force_released":
-            if force > stop.force_tol:
-                force_seen = True
-            elif (force_seen and params.winch.radius * state.winch_speed
-                  >= state.vel):
-                fired = True
-                break
-    return (np.array(rows), np.array(forces), np.array(lengths),
-            stop.kind == "force_released" and not fired)
+        if force > force_tol:
+            force_seen = True
+        elif (force_seen and params.winch.radius * state.winch_speed
+              >= state.vel):
+            fired = True
+            break
+    return (np.array(rows), np.array(forces), np.array(lengths), not fired)
 
 
 class TestSimulateMatchesReference:
     """The flat stepper gives the generic RK4 loop's results bit for bit."""
 
     @staticmethod
-    def assert_same(params, init, dt, stop):
-        trace = simulate(params, init, dt, stop)
+    def assert_same(params, init, dt, max_time):
+        trace = simulate(params, init, dt, max_time)
         states, force, length, timed_out = reference_simulate(
-            params, init, dt, stop)
+            params, init, dt, max_time)
         assert np.array_equal(trace.states, states)
         assert np.array_equal(trace.force, force)
         assert np.array_equal(trace.length, length)
@@ -239,14 +221,13 @@ class TestSimulateMatchesReference:
         params = replace(params, spring=replace(params.spring,
                                                 max_travel=travel))
         init = initial_state(default_init_conditions(), params.winch)
-        self.assert_same(params, init, 1e-4,
-                         StopCondition(max_time=10.0, kind="force_released"))
+        self.assert_same(params, init, 1e-4, max_time=10.0)
 
     def test_max_time_stop(self):
+        # The release comes later than 0.05 s, so the time limit ends it.
         params = default_system_params()
         init = initial_state(default_init_conditions(), params.winch)
-        trace = self.assert_same(params, init, 1e-4,
-                                 StopCondition(max_time=0.05, kind="max_time"))
+        trace = self.assert_same(params, init, 1e-4, max_time=0.05)
         assert len(trace.times) == 501
 
     def test_endstop_clamp(self):
@@ -255,9 +236,7 @@ class TestSimulateMatchesReference:
         params = replace(params, spring=replace(params.spring,
                                                 max_travel=0.02))
         init = initial_state(default_init_conditions(), params.winch)
-        trace = self.assert_same(
-            params, init, 1e-4,
-            StopCondition(max_time=10.0, kind="force_released"))
+        trace = self.assert_same(params, init, 1e-4, max_time=10.0)
         assert (trace.spring_pos == 0.02).any()
 
     def test_same_error_when_non_finite(self):
@@ -265,11 +244,10 @@ class TestSimulateMatchesReference:
         params = replace(params, spring=replace(
             params.spring, endstop_gain=1e300, free_friction=1e10))
         init = initial_state(default_init_conditions(), params.winch)
-        stop = StopCondition(max_time=10.0, kind="force_released")
         with pytest.raises(IntegrationError) as flat:
-            simulate(params, init, 1e-4, stop)
+            simulate(params, init, 1e-4, 10.0)
         with pytest.raises(IntegrationError) as generic:
-            reference_simulate(params, init, 1e-4, stop)
+            reference_simulate(params, init, 1e-4, 10.0)
         assert str(flat.value) == str(generic.value)
         assert str(flat.value).startswith(
             "non-finite state component in DesignState(")

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from tetherlaunch.integrator import StopCondition, simulate
 from tetherlaunch.model import (
     AircraftParams,
     AmbientParams,
@@ -16,16 +15,17 @@ from tetherlaunch.model import (
     SpringParams,
     TetherParams,
     WinchParams,
+    airborne_plant,
     clamp_spring_travel,
     default_system_params,
     default_init_conditions,
     design_derivatives,
-    effective_tether_length,
     initial_state,
     line_model,
     spring_friction,
     tether_stiffness,
 )
+from tetherlaunch.spring_design import simulate
 
 
 @pytest.fixture
@@ -36,6 +36,12 @@ def params():
 @pytest.fixture
 def line(params):
     return line_model(params.tether, params.spring, params.winch)
+
+
+def tension_on(line, distance, length):
+    """The line's tension with `length` deployed, all of it by the
+    carriage (halving is exact, so the length is too)."""
+    return line.tension(distance, 0.0, length / 2.0)
 
 
 class TestValidation:
@@ -58,6 +64,12 @@ class TestValidation:
             SpringParams(70.0, 2.0, 1e-4, 2.0, 0.001, 0.35)
         with pytest.raises(ValueError, match="endstop_gain must be >= 10"):
             SpringParams(70.0, 2.0, 1e-4, math.nan, 0.001, 0.35)
+
+    def test_positive_fields_must_be_finite(self):
+        with pytest.raises(ValueError, match="mass must be finite"):
+            AircraftParams(0.3, 0.05, math.inf, 10.0, 7.0)
+        with pytest.raises(ValueError, match=r"mass must be > 0 \(got -inf\)"):
+            AircraftParams(0.3, 0.05, -math.inf, 10.0, 7.0)
 
     @pytest.mark.parametrize("friction", [-1e-4, math.nan])
     def test_spring_free_friction_floor(self, friction):
@@ -98,19 +110,19 @@ class TestTetherStiffness:
 
 class TestTetherForce:
     def test_slack_line_cannot_push(self, line):
-        assert line.tension(19.0, 20.0) == 0.0
+        assert tension_on(line, 19.0, 20.0) == 0.0
 
     def test_zero_elongation(self, line):
-        assert line.tension(20.0, 20.0) == 0.0
+        assert tension_on(line, 20.0, 20.0) == 0.0
 
     def test_taut_line(self, line):
         # 4500 / (0.02 * 20) * 0.1 = 1125 N
-        force = line.tension(20.1, 20.0)
+        force = tension_on(line, 20.1, 20.0)
         assert force == pytest.approx(1125.0, rel=1e-12)
 
     def test_never_negative(self, line):
         for pos in np.linspace(0.1, 40.0, 50):
-            assert line.tension(pos, 20.0) >= 0.0
+            assert tension_on(line, pos, 20.0) >= 0.0
 
 
 class TestLineModel:
@@ -120,13 +132,13 @@ class TestLineModel:
         for length in (0.5, 20.0, 20.7, 150.0):
             for distance in np.linspace(0.1, 1.01 * length, 25):
                 stiffness = tether_stiffness(params.tether, length)
-                assert line.tension(distance, length) == max(
+                assert tension_on(line, distance, length) == max(
                     0.0, stiffness * (distance - length))
 
     @pytest.mark.parametrize("length", [0.0, -1.0])
     def test_degenerate_length(self, line, length):
         with pytest.raises(ValueError, match="tether length"):
-            line.tension(20.0, length)
+            tension_on(line, 20.0, length)
 
     def test_carriage_uses_spring_friction(self, params, line):
         spring = params.spring
@@ -144,14 +156,33 @@ class TestLineModel:
 
 
 class TestEffectiveLength:
-    def test_spring_at_rest(self, params):
-        assert effective_tether_length(params.winch, 200.0, 0.0) == pytest.approx(20.0)
+    """The deployed length: slack, drum payout and twice the compression."""
 
-    def test_compression_doubles(self, params):
-        assert effective_tether_length(params.winch, 200.0, 0.35) == pytest.approx(20.7)
+    def test_spring_at_rest(self, line):
+        assert line.length(200.0, 0.0) == pytest.approx(20.0)
 
-    def test_zero(self, params):
-        assert effective_tether_length(params.winch, 0.0, 0.0) == 0.0
+    def test_compression_doubles(self, line):
+        assert line.length(200.0, 0.35) == pytest.approx(20.7)
+
+    def test_zero(self, line):
+        assert line.length(0.0, 0.0) == 0.0
+
+    def test_slack_adds(self, params):
+        slack = line_model(params.tether, params.spring, params.winch, 1.0)
+        assert slack.length(200.0, 0.35) == pytest.approx(21.7)
+        assert slack.tension(21.7, 200.0, 0.35) == pytest.approx(0.0,
+                                                                 abs=1e-9)
+
+    def test_numpy_columns_match_floats(self, params):
+        slack = 0.7
+        line = line_model(params.tether, params.spring, params.winch, slack)
+        rng = np.random.default_rng(7)
+        winch_angle = rng.uniform(-10.0, 400.0, 1000)
+        spring_pos = rng.uniform(0.0, 0.35, 1000)
+        column = line.length(winch_angle, spring_pos)
+        floats = [slack + params.winch.radius * a + 2.0 * x
+                  for a, x in zip(winch_angle.tolist(), spring_pos.tolist())]
+        assert column.tobytes() == np.array(floats).tobytes()
 
 
 class TestSpringFriction:
@@ -211,6 +242,38 @@ class TestDerivatives:
             design_derivatives(state, params)
 
 
+class TestAirbornePlant:
+    """One plant flies the sizing run and the climb after lift-off."""
+
+    STATE = (20.5, 8.0, 0.1, -0.3, 200.0, 60.0)
+
+    def test_sizing_case_is_design_derivatives(self, params):
+        sizing = airborne_plant(params)(params.winch.max_torque)
+        assert sizing(*self.STATE) == design_derivatives(
+            DesignState(*self.STATE), params)
+
+    def test_torque_only_moves_the_drum(self, params):
+        plant = airborne_plant(params)
+        held, zero = plant(13.0)(*self.STATE), plant(0.0)(*self.STATE)
+        assert held[:5] == zero[:5]
+        assert held[5] - zero[5] == pytest.approx(13.0 / 0.1, rel=1e-12)
+
+    def test_climb_pulls_gravity_along_the_path(self, params):
+        level = airborne_plant(params, 1.0)(0.0)(*self.STATE)
+        climb = airborne_plant(params, 1.0, 30.0)(0.0)(*self.STATE)
+        assert level[1] - climb[1] == pytest.approx(9.81 * 0.5, rel=1e-12)
+        assert level[2:] == climb[2:]
+
+    def test_slack_lengthens_the_line(self, params):
+        # 20.5 m of flight on 20.2 m of line is taut; 1 m of slack makes
+        # it slack, leaving thrust and drag alone.
+        slack = airborne_plant(params, 1.0)(0.0)(*self.STATE)
+        assert slack[1] == pytest.approx((10.0 - 0.5 * 1.2 * 0.05 * 0.3
+                                          * 64.0) / 1.2, rel=1e-12)
+        assert slack[3] == pytest.approx((0.3 * 1e-4 - 70.0 * 0.1) / 2.0,
+                                         rel=1e-12)
+
+
 class TestInitialState:
     def test_reference_values(self, params):
         state = initial_state(default_init_conditions(), params.winch)
@@ -227,15 +290,14 @@ class TestInitialState:
     ])
     def test_initial_force_is_zero(self, params, line, ic):
         state = initial_state(ic, params.winch)
-        length = effective_tether_length(params.winch, state.winch_angle,
-                                         state.spring_pos)
         # exact in real arithmetic; float roundoff leaves < 1e-9 N
-        assert line.tension(state.pos, length) < 1e-9
+        assert line.tension(state.pos, state.winch_angle,
+                            state.spring_pos) < 1e-9
 
     def test_no_deficit_no_force(self, params):
         ic = InitConditions(20.0, 10.0, 0.0)
         trace = simulate(params, initial_state(ic, params.winch), 1e-4,
-                         StopCondition(max_time=1.0, kind="max_time"))
+                         max_time=1.0)
         assert trace.force.max() < 1e-9
 
 

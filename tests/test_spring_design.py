@@ -1,6 +1,7 @@
 """Spring sizing tests: feasibility verdicts, cycle counting, and the
 sweep machinery including parallel execution."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,7 @@ from tetherlaunch.spring_design import (
     SweepPoint,
     count_compression_cycles,
     evaluate_spring,
+    simulate_design,
     sweep,
 )
 
@@ -75,6 +77,16 @@ class TestEvaluate:
         assert result.timed_out and result.t_star is None
         assert result.min_speed > config.system.aircraft.min_cruise_speed
         assert not result.feasible
+
+    def test_infinite_step(self, config):
+        # Once judged feasible, with t_at_min = nan.
+        with pytest.raises(ValueError, match="dt must be finite"):
+            evaluate_spring(config.system, config.ic, dt=math.inf)
+
+    def test_infinite_time_limit(self, config):
+        # Once an OverflowError.
+        with pytest.raises(ValueError, match="max_time must be finite"):
+            simulate_design(config.system, config.ic, max_time=math.inf)
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 """Closed-loop take-off tests: launch timing, phase logic, power
 accounting, and the failure paths."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,11 @@ class TestConfigValidation:
     def test_climb_angle_range(self):
         with pytest.raises(ValueError, match="climb_angle"):
             TakeoffConfig(3.7, 9.0, 90.0, 1.0, 4.8)
+
+    def test_infinite_duration(self):
+        # Once an OverflowError inside run_takeoff.
+        with pytest.raises(ValueError, match="duration must be finite"):
+            replace(default_takeoff_config(), duration=math.inf)
 
 
 class TestDefaultRun:
