@@ -5,14 +5,12 @@ closed-loop take-off maneuvers with power accounting."""
 from .controller import (
     ControlParams,
     SlideGains,
-    WinchControllerState,
     WinchGains,
     WinchOuterParams,
     Zone,
     classify_zone,
     combine_refs,
     default_control_params,
-    initial_controller_state,
     slide_torque,
     winch_fbck,
     winch_ffwd,
@@ -54,13 +52,11 @@ from .spring_design import (
     sweep,
 )
 from .takeoff import (
-    Phase,
     TakeoffConfig,
     TakeoffError,
     TakeoffResult,
     TakeoffTrace,
     default_takeoff_config,
-    motor_power,
     run_takeoff,
 )
 

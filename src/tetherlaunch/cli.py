@@ -114,11 +114,21 @@ def _outdir(args) -> Path:
     return out
 
 
-def _travel_label(travel: float) -> str:
-    return f"{travel:g}".replace(".", "p")
+def _trace_name(travel: float) -> str:
+    """File name of a travel's spring-compare trace."""
+    return f"spring_compare_travel_{travel:g}".replace(".", "p") + ".csv"
 
 
 def cmd_spring_compare(args) -> int:
+    # %g names two travels alike when they differ past six digits; no
+    # travel may overwrite another's trace.
+    named: dict[str, float] = {}
+    for travel in args.travels:
+        name = _trace_name(travel)
+        if name in named:
+            raise ConfigError(f"--travels: {named[name]!r} and {travel!r} "
+                              f"both write {name}")
+        named[name] = travel
     config = _load(args)
     out = _outdir(args)
     points = []
@@ -129,7 +139,7 @@ def cmd_spring_compare(args) -> int:
                                 max_time=config.max_time,
                                 force_tol=config.force_tolerance)
         result = assess_trace(trace, params, config.force_tolerance)
-        path = out / f"spring_compare_travel_{_travel_label(travel)}.csv"
+        path = out / _trace_name(travel)
         write_design_trace(trace, path)
         points.append((travel, params.spring.stiffness, result))
         if not args.quiet:

@@ -222,6 +222,11 @@ def _assemble(merged: dict[str, dict], defaults: AppConfig) -> AppConfig:
             f"(got {takeoff.takeoff_speed} <= "
             f"{system.aircraft.min_cruise_speed})"
         )
+    if not system.slide.equivalent_mass > system.aircraft.mass:
+        raise ConfigError(
+            "slide.equivalent_mass: must be > aircraft.mass "
+            f"(got {system.slide.equivalent_mass} <= {system.aircraft.mass})"
+        )
 
     return AppConfig(system=system, control=control, ic=ic, takeoff=takeoff,
                      **top)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from .model import _require_positive
 
@@ -112,13 +111,6 @@ class ControlParams:
     outer: WinchOuterParams
 
 
-class WinchControllerState(NamedTuple):
-    """Persistent state of the outer feedback loop."""
-
-    fbck_ref: float  # feedback speed reference of the previous step [rad/s]
-    zone: Zone
-
-
 def _clamp(value: float, low: float, high: float) -> float:
     return min(high, max(low, value))
 
@@ -150,9 +142,10 @@ def classify_zone(compression: float, p: WinchOuterParams) -> Zone:
     return Zone.C
 
 
-def winch_fbck(state: WinchControllerState, compression: float,
-               p: WinchOuterParams) -> tuple[float, WinchControllerState]:
-    """One update of the feedback winch speed reference.
+def winch_fbck(prev_ref: float, compression: float,
+               p: WinchOuterParams) -> tuple[float, Zone]:
+    """One update of the feedback winch speed reference: the new reference
+    [rad/s] from the previous one, and the zone of the compression.
 
     An integral controller on the distance of the compression from the
     hold band, with a piecewise-constant gain. In zone A the reference
@@ -162,21 +155,20 @@ def winch_fbck(state: WinchControllerState, compression: float,
     an inherited reference of the wrong sign is re-saturated immediately.
     """
     zone = classify_zone(compression, p)
-    prev = state.fbck_ref
     if zone is Zone.A:
         # Both numerator and denominator are negative below zone_low, so
         # the scale is positive and the increment inherits reelin_accel's
         # sign.
         scale = (compression - p.zone_low) / (p.reelin_anchor - p.zone_low)
-        ref = min(0.0, max(p.ref_min,
-                           prev + p.sample_period * p.reelin_accel * scale))
+        ref = min(0.0, max(p.ref_min, prev_ref
+                           + p.sample_period * p.reelin_accel * scale))
     elif zone is Zone.B:
-        ref = prev
+        ref = prev_ref
     else:
         scale = (compression - p.zone_high) / (p.reelout_anchor - p.zone_high)
-        ref = max(0.0, min(p.ref_max,
-                           prev + p.sample_period * p.reelout_accel * scale))
-    return ref, WinchControllerState(ref, zone)
+        ref = max(0.0, min(p.ref_max, prev_ref
+                           + p.sample_period * p.reelout_accel * scale))
+    return ref, zone
 
 
 def combine_refs(ffwd: float, fbck: float, slide_speed: float) -> float:
@@ -188,12 +180,6 @@ def combine_refs(ffwd: float, fbck: float, slide_speed: float) -> float:
     if slide_speed > 0.0:
         return max(ffwd, fbck)
     return fbck
-
-
-def initial_controller_state(compression: float,
-                             p: WinchOuterParams) -> WinchControllerState:
-    """Controller state before the take-off: winch at rest."""
-    return WinchControllerState(0.0, classify_zone(compression, p))
 
 
 def default_slide_gains() -> SlideGains:

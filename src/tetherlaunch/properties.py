@@ -13,15 +13,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .config import AppConfig, default_app_config
-from .controller import (
-    WinchControllerState,
-    Zone,
-    classify_zone,
-    combine_refs,
-    slide_torque,
-    winch_fbck,
-    winch_torque,
-)
+from .controller import combine_refs, slide_torque, winch_fbck, winch_torque
 from .integrator import rk4_step, rk4_step6
 from .model import DesignState
 from .spring_design import REFERENCE_TRAVELS, evaluate_spring, simulate_design
@@ -62,8 +54,7 @@ def check_fbck_reference_bounded(outer, n: int = 1_000_000) -> PropertyCheck:
     """Feedback reference stays within [ref_min, ref_max] for random walks."""
     rng = random.Random(_SEED)
     travel = outer.reelout_anchor + 0.15
-    state = WinchControllerState(0.0, classify_zone(0.0, outer))
-    lo = hi = 0.0
+    ref = lo = hi = 0.0
     ok = True
     compression = 0.0
     for _ in range(n):
@@ -72,7 +63,7 @@ def check_fbck_reference_bounded(outer, n: int = 1_000_000) -> PropertyCheck:
         else:
             compression = min(travel, max(0.0, compression
                                           + rng.uniform(-0.01, 0.01)))
-        ref, state = winch_fbck(state, compression, outer)
+        ref, _ = winch_fbck(ref, compression, outer)
         lo = min(lo, ref)
         hi = max(hi, ref)
         if not outer.ref_min <= ref <= outer.ref_max:
@@ -91,10 +82,10 @@ def check_zone_b_holds(outer, n: int = 1000) -> PropertyCheck:
     ok = True
     for _ in range(50):
         held = rng.uniform(outer.ref_min, outer.ref_max)
-        state = WinchControllerState(held, Zone.B)
+        ref = held
         for _ in range(n):
             compression = rng.uniform(outer.zone_low, outer.zone_high - 1e-12)
-            ref, state = winch_fbck(state, compression, outer)
+            ref, _ = winch_fbck(ref, compression, outer)
             if ref != held:
                 ok = False
                 break
@@ -111,15 +102,13 @@ def check_zone_entry_resaturation(outer, n: int = 10000) -> PropertyCheck:
     ok = True
     for _ in range(n):
         positive = rng.uniform(1e-9, outer.ref_max)
-        state = WinchControllerState(positive, Zone.C)
-        ref, _ = winch_fbck(state, rng.uniform(0.0, outer.zone_low - 1e-12),
-                            outer)
+        ref, _ = winch_fbck(positive,
+                            rng.uniform(0.0, outer.zone_low - 1e-12), outer)
         if ref > 0.0:
             ok = False
             break
         negative = rng.uniform(outer.ref_min, -1e-9)
-        state = WinchControllerState(negative, Zone.A)
-        ref, _ = winch_fbck(state, rng.uniform(outer.zone_high, travel),
+        ref, _ = winch_fbck(negative, rng.uniform(outer.zone_high, travel),
                             outer)
         if ref < 0.0:
             ok = False

@@ -17,16 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from .controller import (
     ControlParams,
-    WinchControllerState,
     combine_refs,
-    initial_controller_state,
     slide_torque,
     winch_ffwd,
     winch_fbck,
@@ -56,11 +53,6 @@ class TakeoffError(RuntimeError):
     def __init__(self, message: str, trace: "TakeoffTrace | None" = None):
         super().__init__(message)
         self.trace = trace
-
-
-class Phase(Enum):
-    ON_SLIDE = "on_slide"
-    AIRBORNE = "airborne"
 
 
 @dataclass(frozen=True)
@@ -178,11 +170,6 @@ def _build_trace(rows: list[tuple]) -> TakeoffTrace:
     return TakeoffTrace(*(np.array(column) for column in columns))
 
 
-def motor_power(torque: float, speed: float) -> float:
-    """Mechanical motor power [W]; negative means braking (dissipated)."""
-    return torque * speed
-
-
 def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
                 control: ControlParams) -> TakeoffResult:
     """Simulate one take-off maneuver and return its trace and key figures.
@@ -265,26 +252,27 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
 
     slide_angle = slide_speed = winch_angle = winch_speed = 0.0
     spring_pos = spring_vel = path_pos = path_vel = 0.0
-    phase = Phase.ON_SLIDE
-    ctrl_state: WinchControllerState = initial_controller_state(0.0, outer)
-    liftoff_time: float | None = None
+    fbck = 0.0  # feedback winch speed reference, winch at rest [rad/s]
+    liftoff_time: float | None = None  # None while on the slide
     liftoff_distance = 0.0
 
     n_ctrl = round(cfg.duration / sample_period)
     rows: list[tuple] = []
 
     for k in range(n_ctrl):
-        if phase is Phase.ON_SLIDE:
+        if liftoff_time is None:
+            phase = "on_slide"
             distance = drum_radius * slide_angle
             speed = drum_radius * slide_speed
         else:
+            phase = "airborne"
             distance = path_pos
             speed = path_vel
 
         # Control update from the sampled measurements.
         u_slide = slide_torque(angle_ref, slide_angle, slide_speed,
                                control.slide)
-        fbck, ctrl_state = winch_fbck(ctrl_state, spring_pos, outer)
+        fbck, zone = winch_fbck(fbck, spring_pos, outer)
         ffwd = winch_ffwd(slide_speed, outer.ffwd_gain)
         speed_ref = combine_refs(ffwd, fbck, slide_speed)
         u_winch = winch_torque(speed_ref, winch_speed, control.winch)
@@ -296,13 +284,12 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
         rows.append((
             k * sample_period, slide_angle, slide_speed, winch_angle,
             winch_speed, spring_pos, distance, speed, length, force, u_slide,
-            u_winch, motor_power(u_slide, slide_speed),
-            motor_power(u_winch, winch_speed), ctrl_state.zone.value,
-            phase.value, ffwd, fbck, speed_ref))
+            u_winch, u_slide * slide_speed, u_winch * winch_speed,
+            zone.value, phase, ffwd, fbck, speed_ref))
 
         # Plant substeps under zero-order-hold torques.
         for j in range(substeps):
-            if phase is Phase.ON_SLIDE:
+            if liftoff_time is None:
                 (slide_angle, slide_speed, winch_angle, winch_speed,
                  spring_pos, spring_vel) = rk4_step6(
                     on_slide, dt, slide_angle, slide_speed, winch_angle,
@@ -321,14 +308,13 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
                 state = _ClimbPhaseState(
                     slide_angle, slide_speed, winch_angle, winch_speed,
                     spring_pos, spring_vel, path_pos, path_vel)
-                check_finite(state if phase is Phase.AIRBORNE
-                             else _SlidePhaseState(*state[:6]))
+                check_finite(_SlidePhaseState(*state[:6])
+                             if liftoff_time is None else state)
             if spring_pos < 0.0 or spring_pos > max_travel:
                 spring_pos, spring_vel = clamp_spring_travel(
                     spring_pos, spring_vel, max_travel)
-            if (phase is Phase.ON_SLIDE
+            if (liftoff_time is None
                     and drum_radius * slide_speed >= cfg.takeoff_speed):
-                phase = Phase.AIRBORNE
                 liftoff_time = (k * substeps + j + 1) * dt
                 liftoff_distance = drum_radius * slide_angle
                 path_pos = drum_radius * slide_angle

@@ -3,11 +3,15 @@ reproducible byte for byte, and errors exit nonzero with a machine
 readable stderr line."""
 
 import csv
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from tetherlaunch.cli import main
+
+GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
 
 
 def read_csv(path):
@@ -103,6 +107,19 @@ class TestSpringCompareCommand:
         assert "argument --travels" in capsys.readouterr().err
         assert not (tmp_path / "spring_compare_summary.csv").exists()
 
+    @pytest.mark.parametrize("travels", ["0.2,0.2000001", "0.35,0.05,0.35"],
+                             ids=["same-label", "repeat"])
+    def test_rejects_travels_sharing_a_file(self, tmp_path, capsys, travels):
+        # %g names both travels of the first pair 0p2.
+        out = tmp_path / "out"
+        code = main(["spring-compare", "--out", str(out), "--quiet",
+                     f"--travels={travels}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: --travels: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_singleton_matches_spring_compare(self, tmp_path):
@@ -164,6 +181,9 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 8
+        golden = json.loads(GOLDENS.read_text(encoding="utf-8"))
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == golden["validate"]["files"]["stdout"])
 
 
 class TestErrorHandling:
@@ -192,6 +212,17 @@ class TestErrorHandling:
         assert err.startswith("error: config: simulation")
         assert err.count("\n") == 1
         assert not (tmp_path / "takeoff_trace.csv").exists()
+
+    def test_slide_lighter_than_aircraft(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"slide": {"equivalent_mass": 1.0}}))
+        code = main(["takeoff", "--out", str(tmp_path / "out"), "--quiet",
+                     "--config", str(config)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: config: slide.equivalent_mass: must be > aircraft.mass "
+            "(got 1.0 <= 1.2)\n")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -223,6 +224,14 @@ class TestRejection:
     def test_takeoff_speed_floor(self, tmp_path):
         with pytest.raises(ConfigError, match="takeoff_speed"):
             load_config(write(tmp_path, {"simulation": {"takeoff_speed": 6.5}}))
+
+    def test_slide_heavier_than_aircraft(self, tmp_path):
+        with pytest.raises(ConfigError, match=re.escape(
+                "slide.equivalent_mass: must be > aircraft.mass "
+                "(got 1.0 <= 1.2)")):
+            load_config(write(tmp_path, {"slide": {"equivalent_mass": 1.0}}))
+        with pytest.raises(ConfigError, match="slide.equivalent_mass"):
+            load_config(write(tmp_path, {"aircraft": {"mass": 11.2}}))
 
     def test_nonpositive_step(self, tmp_path):
         with pytest.raises(ConfigError, match="simulation.dt"):

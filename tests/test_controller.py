@@ -7,7 +7,6 @@ import pytest
 
 from tetherlaunch.controller import (
     SlideGains,
-    WinchControllerState,
     WinchGains,
     WinchOuterParams,
     Zone,
@@ -15,7 +14,6 @@ from tetherlaunch.controller import (
     combine_refs,
     default_control_params,
     default_outer_params,
-    initial_controller_state,
     slide_torque,
     winch_fbck,
     winch_ffwd,
@@ -91,52 +89,48 @@ class TestZones:
 
 class TestFeedback:
     def test_entering_reel_in_resaturates(self, outer):
-        state = WinchControllerState(50.0, Zone.C)
-        ref, new = winch_fbck(state, 0.04, outer)
+        ref, zone = winch_fbck(50.0, 0.04, outer)
         assert ref <= 0.0
-        assert new.zone is Zone.A
+        assert zone is Zone.A
 
     def test_entering_reel_out_resaturates(self, outer):
-        state = WinchControllerState(-8.0, Zone.A)
-        ref, _ = winch_fbck(state, 0.2, outer)
+        ref, _ = winch_fbck(-8.0, 0.2, outer)
         assert ref >= 0.0
 
     def test_hold_band_is_exactly_constant(self, outer):
-        state = WinchControllerState(37.5, Zone.B)
+        ref = 37.5
         for compression in (0.05, 0.06, 0.08, 0.0999, 0.07):
-            ref, state = winch_fbck(state, compression, outer)
+            ref, _ = winch_fbck(ref, compression, outer)
             assert ref == 37.5
 
     def test_reel_out_single_step(self, outer):
         # full-rate scale at the anchor: 0 + 0.001 * 30 * 1
-        state = WinchControllerState(0.0, Zone.B)
-        ref, _ = winch_fbck(state, 0.2, outer)
+        ref, _ = winch_fbck(0.0, 0.2, outer)
         assert ref == pytest.approx(0.03)
 
     def test_reel_in_single_step(self, outer):
         # scale doubles at zero compression: 0.001 * (-100) * 2
-        state = WinchControllerState(0.0, Zone.B)
-        ref, _ = winch_fbck(state, 0.0, outer)
+        ref, _ = winch_fbck(0.0, 0.0, outer)
         assert ref == pytest.approx(-0.2)
 
     def test_reel_in_ramp_clamps_at_floor(self, outer):
-        state = WinchControllerState(0.0, Zone.A)
+        ref = 0.0
         for _ in range(200):
-            ref, state = winch_fbck(state, 0.0, outer)
+            ref, _ = winch_fbck(ref, 0.0, outer)
             assert outer.ref_min <= ref <= 0.0
         assert ref == outer.ref_min
 
     def test_reel_out_ramp_clamps_at_ceiling(self, outer):
-        state = WinchControllerState(0.0, Zone.C)
+        ref = 0.0
         for _ in range(3000):
-            ref, state = winch_fbck(state, 0.35, outer)
+            ref, _ = winch_fbck(ref, 0.35, outer)
             assert 0.0 <= ref <= outer.ref_max
         assert ref == outer.ref_max
 
-    def test_state_carries_reference(self, outer):
-        state = WinchControllerState(0.0, Zone.B)
-        ref, new = winch_fbck(state, 0.2, outer)
-        assert new.fbck_ref == ref
+    def test_returns_the_compression_zone(self, outer):
+        for compression in (0.0, 0.04, 0.05, 0.075, 0.1, 0.2, 0.35):
+            _, zone = winch_fbck(0.0, compression, outer)
+            assert zone is classify_zone(compression, outer)
 
 
 class TestCombine:
@@ -151,35 +145,30 @@ class TestCombine:
         assert combine_refs(42.0, -3.0, 0.0) == -3.0
 
 
-def speed_reference(state, compression, slide_speed, outer):
+def speed_reference(prev_fbck, compression, slide_speed, outer):
     """One outer-loop update composed as run_takeoff does it: feedback
-    step, feedforward, then arbitration."""
-    fbck, new_state = winch_fbck(state, compression, outer)
+    step, feedforward, then arbitration. Returns the speed reference, the
+    new feedback reference and the zone."""
+    fbck, zone = winch_fbck(prev_fbck, compression, outer)
     ffwd = winch_ffwd(slide_speed, outer.ffwd_gain)
-    return combine_refs(ffwd, fbck, slide_speed), new_state
+    return combine_refs(ffwd, fbck, slide_speed), fbck, zone
 
 
 class TestComposition:
-    def test_initial_state(self, outer):
-        state = initial_controller_state(0.0, outer)
-        assert state.fbck_ref == 0.0
-        assert state.zone is Zone.A
-
     def test_full_update_matches_parts(self, outer):
-        state = initial_controller_state(0.12, outer)
-        ref, new = speed_reference(state, 0.12, 90.0, outer)
-        fbck, _ = winch_fbck(state, 0.12, outer)
+        ref, _, zone = speed_reference(0.0, 0.12, 90.0, outer)
+        fbck, _ = winch_fbck(0.0, 0.12, outer)
         assert ref == combine_refs(winch_ffwd(90.0, outer.ffwd_gain), fbck, 90.0)
-        assert new.zone is Zone.C
+        assert zone is Zone.C
 
     def test_stepping_is_deterministic(self, outer):
         compressions = [0.0, 0.02, 0.12, 0.2, 0.35, 0.08, 0.01]
 
         def run():
-            state = initial_controller_state(0.0, outer)
+            fbck = 0.0
             out = []
             for c in compressions * 50:
-                ref, state = speed_reference(state, c, 30.0, outer)
+                ref, fbck, _ = speed_reference(fbck, c, 30.0, outer)
                 out.append(ref)
             return out
 

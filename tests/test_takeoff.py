@@ -2,26 +2,20 @@
 accounting, and the failure paths."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tetherlaunch.controller import SlideGains
+from tetherlaunch.integrator import IntegrationError
 from tetherlaunch.takeoff import (
     TakeoffConfig,
     TakeoffError,
     default_takeoff_config,
-    motor_power,
     run_takeoff,
 )
-
-
-class TestSmallOps:
-    def test_motor_power(self):
-        assert motor_power(26.0, 90.0) == 2340.0
-        assert motor_power(0.0, 90.0) == 0.0
-        assert motor_power(-13.0, 50.0) == -650.0
 
 
 class TestConfigValidation:
@@ -152,6 +146,21 @@ class TestVariants:
                                         torque_limit=26.0))
         with pytest.raises(TakeoffError, match="overran"):
             run_takeoff(config.takeoff, config.system, soft)
+
+    @pytest.mark.parametrize("part, field, value, state", [
+        # Friction this large overflows the slide state before lift-off.
+        ("slide", "rot_friction", 1e308, "_SlidePhaseState("),
+        # A line this stiff only bites once the climb takes up the slack.
+        ("tether", "breaking_load", 1e9, "_ClimbPhaseState("),
+    ])
+    def test_blow_up_names_the_phase_state(self, config, part, field, value,
+                                           state):
+        params = replace(getattr(config.system, part), **{field: value})
+        system = replace(config.system, **{part: params})
+        with pytest.raises(IntegrationError,
+                           match="^non-finite state component in "
+                           + re.escape(state)):
+            run_takeoff(config.takeoff, system, config.control)
 
     def test_too_short_duration_errors(self, config):
         cfg = replace(config.takeoff, duration=0.2)
