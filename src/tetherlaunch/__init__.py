@@ -8,12 +8,14 @@ from .controller import (
     WinchGains,
     WinchOuterParams,
     Zone,
-    classify_zone,
     combine_refs,
     default_control_params,
+    outer_law,
+    slide_law,
     slide_torque,
     winch_fbck,
     winch_ffwd,
+    winch_law,
     winch_torque,
 )
 from .integrator import IntegrationError, rk4_step

@@ -9,12 +9,18 @@ during the launch acceleration, and an integral feedback driven by the
 buffer-spring compression, split into three zones (reel-in when nearly
 uncompressed, hold in the middle band, reel-out under load). All loops are
 discrete time with a common sample period.
+
+Each law is written once, as a closure that `slide_law`, `winch_law` or
+`outer_law` builds from its parameters; a run builds them once and calls
+them every control step. `slide_torque`, `winch_torque` and `winch_fbck`
+build one for a single call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .model import _require_positive
 
@@ -111,21 +117,48 @@ class ControlParams:
     outer: WinchOuterParams
 
 
-def _clamp(value: float, low: float, high: float) -> float:
-    return min(high, max(low, value))
+def slide_law(gains: SlideGains) -> Callable[[float, float, float], float]:
+    """The slide drum position loop, built once: returns
+    `torque(angle_ref, angle, speed)`, the torque command [N*m] saturated
+    at the drive limit. A NaN command saturates to -torque_limit."""
+    position_gain = gains.position_gain
+    speed_gain = gains.speed_gain
+    high = gains.torque_limit
+    low = -high
+
+    def torque(angle_ref: float, angle: float, speed: float) -> float:
+        command = position_gain * (angle_ref - angle) - speed_gain * speed
+        command = command if command > low else low
+        return command if command < high else high
+
+    return torque
+
+
+def winch_law(gains: WinchGains) -> Callable[[float, float], float]:
+    """The winch drum speed loop, built once: returns
+    `torque(speed_ref, speed)`, the torque command [N*m] saturated at the
+    drive limit. A NaN command saturates to -torque_limit."""
+    speed_gain = gains.speed_gain
+    high = gains.torque_limit
+    low = -high
+
+    def torque(speed_ref: float, speed: float) -> float:
+        command = speed_gain * (speed_ref - speed)
+        command = command if command > low else low
+        return command if command < high else high
+
+    return torque
 
 
 def slide_torque(angle_ref: float, angle: float, speed: float,
                  gains: SlideGains) -> float:
     """Slide drum torque command [N*m], saturated at the drive limit."""
-    torque = gains.position_gain * (angle_ref - angle) - gains.speed_gain * speed
-    return _clamp(torque, -gains.torque_limit, gains.torque_limit)
+    return slide_law(gains)(angle_ref, angle, speed)
 
 
 def winch_torque(speed_ref: float, speed: float, gains: WinchGains) -> float:
     """Winch drum torque command [N*m], saturated at the drive limit."""
-    torque = gains.speed_gain * (speed_ref - speed)
-    return _clamp(torque, -gains.torque_limit, gains.torque_limit)
+    return winch_law(gains)(speed_ref, speed)
 
 
 def winch_ffwd(slide_speed: float, ffwd_gain: float) -> float:
@@ -133,42 +166,57 @@ def winch_ffwd(slide_speed: float, ffwd_gain: float) -> float:
     return ffwd_gain * slide_speed
 
 
-def classify_zone(compression: float, p: WinchOuterParams) -> Zone:
-    """Zone of the given spring compression."""
-    if compression < p.zone_low:
-        return Zone.A
-    if compression < p.zone_high:
-        return Zone.B
-    return Zone.C
+def outer_law(
+        p: WinchOuterParams) -> Callable[[float, float], tuple[float, Zone]]:
+    """The feedback winch speed reference generator, built once: returns
+    `step(prev_ref, compression) -> (ref, zone)`, the new reference
+    [rad/s] from the previous one, and the zone of the compression.
+
+    An integral controller on the distance of the compression from the
+    hold band, with a piecewise-constant gain. Zone A is compression below
+    zone_low, zone C at or above zone_high, zone B in between. In zone A
+    the reference ramps negative (reel-in) and is clamped to [ref_min, 0];
+    in zone C it ramps positive (reel-out) and is clamped to [0, ref_max];
+    in zone B it is held. The clamps are applied every step, so on
+    entering zone A or C an inherited reference of the wrong sign is
+    re-saturated immediately. A NaN compression falls in zone C and gives
+    ref_max; a -0.0 reference comes out of either clamp as 0.0.
+    """
+    zone_low = p.zone_low
+    zone_high = p.zone_high
+    ref_min = p.ref_min
+    ref_max = p.ref_max
+    # sample_period * accel * scale rounds as (sample_period * accel) * scale.
+    reelin_rate = p.sample_period * p.reelin_accel
+    reelout_rate = p.sample_period * p.reelout_accel
+    reelin_span = p.reelin_anchor - zone_low
+    reelout_span = p.reelout_anchor - zone_high
+    zone_a, zone_b, zone_c = Zone.A, Zone.B, Zone.C
+
+    def step(prev_ref: float, compression: float) -> tuple[float, Zone]:
+        if compression < zone_low:
+            # Both numerator and denominator are negative below zone_low,
+            # so the scale is positive and the increment inherits
+            # reelin_accel's sign.
+            ref = prev_ref + reelin_rate * ((compression - zone_low)
+                                            / reelin_span)
+            ref = ref if ref > ref_min else ref_min
+            return (ref if ref < 0.0 else 0.0), zone_a
+        if compression < zone_high:
+            return prev_ref, zone_b
+        ref = prev_ref + reelout_rate * ((compression - zone_high)
+                                         / reelout_span)
+        ref = ref if ref < ref_max else ref_max
+        return (ref if ref > 0.0 else 0.0), zone_c
+
+    return step
 
 
 def winch_fbck(prev_ref: float, compression: float,
                p: WinchOuterParams) -> tuple[float, Zone]:
-    """One update of the feedback winch speed reference: the new reference
-    [rad/s] from the previous one, and the zone of the compression.
-
-    An integral controller on the distance of the compression from the
-    hold band, with a piecewise-constant gain. In zone A the reference
-    ramps negative (reel-in) and is clamped to [ref_min, 0]; in zone C it
-    ramps positive (reel-out) and is clamped to [0, ref_max]; in zone B it
-    is held. The clamps are applied every step, so on entering zone A or C
-    an inherited reference of the wrong sign is re-saturated immediately.
-    """
-    zone = classify_zone(compression, p)
-    if zone is Zone.A:
-        # Both numerator and denominator are negative below zone_low, so
-        # the scale is positive and the increment inherits reelin_accel's
-        # sign.
-        scale = (compression - p.zone_low) / (p.reelin_anchor - p.zone_low)
-        ref = min(0.0, max(p.ref_min, prev_ref
-                           + p.sample_period * p.reelin_accel * scale))
-    elif zone is Zone.B:
-        ref = prev_ref
-    else:
-        scale = (compression - p.zone_high) / (p.reelout_anchor - p.zone_high)
-        ref = max(0.0, min(p.ref_max, prev_ref
-                           + p.sample_period * p.reelout_accel * scale))
-    return ref, zone
+    """One update of the feedback winch speed reference: `outer_law(p)`'s
+    step, for a single call."""
+    return outer_law(p)(prev_ref, compression)
 
 
 def combine_refs(ffwd: float, fbck: float, slide_speed: float) -> float:

@@ -4,16 +4,25 @@ Exercises the controller laws over large pseudorandom input sets (fixed
 seed, so every run sees the same sequence) and the integrator over its
 convergence checks. Each check returns a pass/fail result with a short
 detail string; the suite passes only if every check does.
+
+The checks drive the same closures that `run_takeoff` runs, built once
+per check by `outer_law`, `slide_law` and `winch_law`. Each draw
+`rng.uniform(a, b)` is written out as CPython defines it,
+`a + (b - a) * rng.random()`, with the same operands in the same order:
+the numbers drawn are the same, without a method call per draw.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, replace
+from random import Random
 
 from .config import AppConfig, default_app_config
-from .controller import combine_refs, slide_torque, winch_fbck, winch_torque
+from .controller import combine_refs, outer_law, slide_law, winch_law
+# No longer called here; perfbench/worker.py still looks them up in this
+# module.
+from .controller import slide_torque, winch_fbck, winch_torque  # noqa: F401
 from .integrator import rk4_step, rk4_step6
 from .model import DesignState
 from .spring_design import REFERENCE_TRAVELS, evaluate_spring, simulate_design
@@ -52,21 +61,27 @@ def _harmonic_period_error(steps: int) -> tuple[float, bool]:
 
 def check_fbck_reference_bounded(outer, n: int = 1_000_000) -> PropertyCheck:
     """Feedback reference stays within [ref_min, ref_max] for random walks."""
-    rng = random.Random(_SEED)
+    random = Random(_SEED).random
+    step = outer_law(outer)
+    ref_min, ref_max = outer.ref_min, outer.ref_max
     travel = outer.reelout_anchor + 0.15
     ref = lo = hi = 0.0
     ok = True
     compression = 0.0
     for _ in range(n):
-        if rng.random() < 0.01:
-            compression = rng.uniform(0.0, travel)  # zone jump
+        if random() < 0.01:
+            compression = 0.0 + (travel - 0.0) * random()  # zone jump
         else:
-            compression = min(travel, max(0.0, compression
-                                          + rng.uniform(-0.01, 0.01)))
-        ref, _ = winch_fbck(ref, compression, outer)
-        lo = min(lo, ref)
-        hi = max(hi, ref)
-        if not outer.ref_min <= ref <= outer.ref_max:
+            # min(travel, max(0.0, compression + uniform(-0.01, 0.01)))
+            compression += -0.01 + (0.01 - -0.01) * random()
+            compression = compression if compression > 0.0 else 0.0
+            compression = compression if compression < travel else travel
+        ref, _ = step(ref, compression)
+        if ref < lo:
+            lo = ref
+        elif ref > hi:
+            hi = ref
+        if not ref_min <= ref <= ref_max:
             ok = False
             break
     return PropertyCheck(
@@ -78,14 +93,16 @@ def check_fbck_reference_bounded(outer, n: int = 1_000_000) -> PropertyCheck:
 
 def check_zone_b_holds(outer, n: int = 1000) -> PropertyCheck:
     """The reference is exactly constant while the spring sits in zone B."""
-    rng = random.Random(_SEED + 1)
+    random = Random(_SEED + 1).random
+    step = outer_law(outer)
+    ref_min, ref_max = outer.ref_min, outer.ref_max
+    zone_low, below_high = outer.zone_low, outer.zone_high - 1e-12
     ok = True
     for _ in range(50):
-        held = rng.uniform(outer.ref_min, outer.ref_max)
+        held = ref_min + (ref_max - ref_min) * random()
         ref = held
         for _ in range(n):
-            compression = rng.uniform(outer.zone_low, outer.zone_high - 1e-12)
-            ref, _ = winch_fbck(ref, compression, outer)
+            ref, _ = step(ref, zone_low + (below_high - zone_low) * random())
             if ref != held:
                 ok = False
                 break
@@ -97,19 +114,20 @@ def check_zone_b_holds(outer, n: int = 1000) -> PropertyCheck:
 
 def check_zone_entry_resaturation(outer, n: int = 10000) -> PropertyCheck:
     """Inherited references re-saturate in sign on entering zone A or C."""
-    rng = random.Random(_SEED + 2)
+    random = Random(_SEED + 2).random
+    step = outer_law(outer)
+    ref_min, ref_max = outer.ref_min, outer.ref_max
+    below_low, zone_high = outer.zone_low - 1e-12, outer.zone_high
     travel = outer.reelout_anchor + 0.15
     ok = True
     for _ in range(n):
-        positive = rng.uniform(1e-9, outer.ref_max)
-        ref, _ = winch_fbck(positive,
-                            rng.uniform(0.0, outer.zone_low - 1e-12), outer)
+        positive = 1e-9 + (ref_max - 1e-9) * random()
+        ref, _ = step(positive, 0.0 + (below_low - 0.0) * random())
         if ref > 0.0:
             ok = False
             break
-        negative = rng.uniform(outer.ref_min, -1e-9)
-        ref, _ = winch_fbck(negative, rng.uniform(outer.zone_high, travel),
-                            outer)
+        negative = ref_min + (-1e-9 - ref_min) * random()
+        ref, _ = step(negative, zone_high + (travel - zone_high) * random())
         if ref < 0.0:
             ok = False
             break
@@ -121,12 +139,13 @@ def check_zone_entry_resaturation(outer, n: int = 10000) -> PropertyCheck:
 
 def check_combine_refs(n: int = 100_000) -> PropertyCheck:
     """Arbitration equals max(ffwd, fbck) for forward slide motion."""
-    rng = random.Random(_SEED + 3)
+    rng = Random(_SEED + 3)
+    random = rng.random
     ok = True
     for _ in range(n):
-        ffwd = rng.uniform(-150.0, 150.0)
-        fbck = rng.uniform(-150.0, 150.0)
-        slide_speed = rng.choice((0.0, rng.uniform(-100.0, 100.0)))
+        ffwd = -150.0 + (150.0 - -150.0) * random()
+        fbck = -150.0 + (150.0 - -150.0) * random()
+        slide_speed = rng.choice((0.0, -100.0 + (100.0 - -100.0) * random()))
         got = combine_refs(ffwd, fbck, slide_speed)
         want = max(ffwd, fbck) if slide_speed > 0.0 else fbck
         if got != want:
@@ -141,14 +160,19 @@ def check_combine_refs(n: int = 100_000) -> PropertyCheck:
 def check_torque_saturation(slide_gains, winch_gains,
                             n: int = 100_000) -> PropertyCheck:
     """Commanded torques never exceed the drive limits."""
-    rng = random.Random(_SEED + 4)
+    random = Random(_SEED + 4).random
+    slide = slide_law(slide_gains)
+    winch = winch_law(winch_gains)
+    slide_limit = slide_gains.torque_limit
+    winch_limit = winch_gains.torque_limit
     ok = True
     for _ in range(n):
-        u_s = slide_torque(rng.uniform(-500, 500), rng.uniform(-500, 500),
-                           rng.uniform(-300, 300), slide_gains)
-        u_w = winch_torque(rng.uniform(-300, 300), rng.uniform(-300, 300),
-                           winch_gains)
-        if abs(u_s) > slide_gains.torque_limit or abs(u_w) > winch_gains.torque_limit:
+        u_s = slide(-500 + (500 - -500) * random(),
+                    -500 + (500 - -500) * random(),
+                    -300 + (300 - -300) * random())
+        u_w = winch(-300 + (300 - -300) * random(),
+                    -300 + (300 - -300) * random())
+        if abs(u_s) > slide_limit or abs(u_w) > winch_limit:
             ok = False
             break
     return PropertyCheck(

@@ -24,10 +24,10 @@ import numpy as np
 from .controller import (
     ControlParams,
     combine_refs,
-    slide_torque,
+    outer_law,
+    slide_law,
     winch_ffwd,
-    winch_fbck,
-    winch_torque,
+    winch_law,
 )
 from .integrator import DEFAULT_STEP, check_finite, rk4_step6
 from .model import (
@@ -39,6 +39,7 @@ from .model import (
 )
 # No longer called here; perfbench/worker.py still looks them up in this
 # module.
+from .controller import slide_torque, winch_fbck, winch_torque  # noqa: F401
 from .integrator import rk4_step  # noqa: F401
 from .model import spring_friction, tether_stiffness  # noqa: F401
 
@@ -213,6 +214,9 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     slide_inertia_empty = ((slide.equivalent_mass - aircraft.mass)
                            * drum_radius ** 2)
     angle_ref = cfg.slide_travel / drum_radius  # position step issued at k=0
+    slide_drive = slide_law(control.slide)
+    winch_drive = winch_law(control.winch)
+    fbck_step = outer_law(outer)
     tension, carriage_accel, winch_accel, line_length = line_model(
         system.tether, spring, winch, cfg.initial_slack)
     # After lift-off: the aircraft on its climb ray, one plant per held
@@ -270,12 +274,11 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
             speed = path_vel
 
         # Control update from the sampled measurements.
-        u_slide = slide_torque(angle_ref, slide_angle, slide_speed,
-                               control.slide)
-        fbck, zone = winch_fbck(fbck, spring_pos, outer)
+        u_slide = slide_drive(angle_ref, slide_angle, slide_speed)
+        fbck, zone = fbck_step(fbck, spring_pos)
         ffwd = winch_ffwd(slide_speed, outer.ffwd_gain)
         speed_ref = combine_refs(ffwd, fbck, slide_speed)
-        u_winch = winch_torque(speed_ref, winch_speed, control.winch)
+        u_winch = winch_drive(speed_ref, winch_speed)
         # Built at every latch, so it also serves a lift-off mid-step.
         in_flight = airborne(u_winch)
 

@@ -10,10 +10,10 @@ from tetherlaunch.controller import (
     WinchGains,
     WinchOuterParams,
     Zone,
-    classify_zone,
     combine_refs,
     default_control_params,
     default_outer_params,
+    outer_law,
     slide_torque,
     winch_fbck,
     winch_ffwd,
@@ -70,21 +70,25 @@ class TestFfwd:
         assert winch_ffwd(-5.0, 1.2) == pytest.approx(-6.0)
 
 
+def zone_of(compression, outer):
+    return outer_law(outer)(0.0, compression)[1]
+
+
 class TestZones:
     def test_uncompressed_is_reel_in(self, outer):
-        assert classify_zone(0.0, outer) is Zone.A
+        assert zone_of(0.0, outer) is Zone.A
 
     def test_middle_band_holds(self, outer):
-        assert classify_zone(0.075, outer) is Zone.B
+        assert zone_of(0.075, outer) is Zone.B
 
     def test_low_threshold_belongs_to_hold(self, outer):
-        assert classify_zone(0.05, outer) is Zone.B
+        assert zone_of(0.05, outer) is Zone.B
 
     def test_high_threshold_belongs_to_reel_out(self, outer):
-        assert classify_zone(0.1, outer) is Zone.C
+        assert zone_of(0.1, outer) is Zone.C
 
     def test_full_travel(self, outer):
-        assert classify_zone(0.35, outer) is Zone.C
+        assert zone_of(0.35, outer) is Zone.C
 
 
 class TestFeedback:
@@ -128,9 +132,12 @@ class TestFeedback:
         assert ref == outer.ref_max
 
     def test_returns_the_compression_zone(self, outer):
-        for compression in (0.0, 0.04, 0.05, 0.075, 0.1, 0.2, 0.35):
+        expected = ((0.0, Zone.A), (0.04, Zone.A), (0.05, Zone.B),
+                    (0.075, Zone.B), (0.1, Zone.C), (0.2, Zone.C),
+                    (0.35, Zone.C))
+        for compression, want in expected:
             _, zone = winch_fbck(0.0, compression, outer)
-            assert zone is classify_zone(compression, outer)
+            assert zone is want
 
 
 class TestCombine:
