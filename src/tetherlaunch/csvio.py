@@ -6,7 +6,6 @@ so files are locale independent and byte identical across runs.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 from .spring_design import SweepPoint, Trace
@@ -31,11 +30,18 @@ SWEEP_HEADER = [
 ]
 
 
+def _quote(text: str) -> str:
+    """`text` as csv.writer's minimal quoting writes it."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, str):
-        return value
+        return _quote(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -43,44 +49,38 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def write_rows(path: str | Path, header: list[str], rows) -> None:
-    """Write one CSV file (RFC 4180 style, header row first)."""
+def write_rows(path: str | Path, header: list[str], columns) -> None:
+    """Write one CSV file from its columns, header row first."""
+    cells = [map(repr, c.tolist()) if getattr(c, "dtype", None) == "float64"
+             else map(_cell, c) for c in columns]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        handle.write(",".join(map(_quote, header)) + "\r\n")
+        for row in zip(*cells):
+            handle.write(",".join(row) + "\r\n")
 
 
 def write_design_trace(trace: Trace, path: str | Path) -> None:
     """Serialize a sizing-study trace, one row per integration step."""
-    rows = zip(trace.times, trace.pos, trace.vel, trace.spring_pos,
-               trace.spring_vel, trace.winch_angle, trace.winch_speed,
-               trace.force, trace.length)
-    write_rows(path, DESIGN_TRACE_HEADER, rows)
+    write_rows(path, DESIGN_TRACE_HEADER,
+               [trace.times, *trace.states.T, trace.force, trace.length])
 
 
 def write_takeoff_trace(trace: TakeoffTrace, path: str | Path) -> None:
     """Serialize a take-off trace, one row per controller step."""
-    rows = zip(trace.t, trace.slide_angle, trace.slide_speed,
-               trace.winch_angle, trace.winch_speed, trace.spring_pos,
-               trace.distance, trace.speed, trace.tether_length,
-               trace.tether_force, trace.slide_torque, trace.winch_torque,
-               trace.slide_power, trace.winch_power,
-               (str(z) for z in trace.zone), (str(p) for p in trace.phase))
-    write_rows(path, TAKEOFF_TRACE_HEADER, rows)
+    write_rows(path, TAKEOFF_TRACE_HEADER, [
+        trace.t, trace.slide_angle, trace.slide_speed, trace.winch_angle,
+        trace.winch_speed, trace.spring_pos, trace.distance, trace.speed,
+        trace.tether_length, trace.tether_force, trace.slide_torque,
+        trace.winch_torque, trace.slide_power, trace.winch_power, trace.zone,
+        trace.phase])
 
 
 def write_sweep_csv(points: list[SweepPoint], path: str | Path) -> None:
     """Serialize sweep results, one row per grid point."""
-    def rows():
-        for p in points:
-            r = p.result
-            if r is None:
-                yield (p.travel, p.stiffness, None, None, None, None, None,
-                       None, p.error)
-            else:
-                yield (p.travel, p.stiffness, r.feasible, r.min_speed,
-                       r.t_at_min, r.t_star, r.timed_out,
-                       r.compression_cycles, p.error)
-    write_rows(path, SWEEP_HEADER, rows())
+    outcome = ("feasible", "min_speed", "t_at_min", "t_star", "timed_out",
+               "compression_cycles")
+    write_rows(path, SWEEP_HEADER, [
+        [p.travel for p in points], [p.stiffness for p in points],
+        *([None if p.result is None else getattr(p.result, name)
+           for p in points] for name in outcome),
+        [p.error for p in points]])

@@ -1,6 +1,7 @@
-"""The take-off and the ten-travel sizing comparison write, bit for bit,
-the files whose SHA-256 the benchmark's goldens record, and every function
-the benchmark's tracer wraps can still be looked up."""
+"""The take-off, the ten-travel sizing comparison and the 10x10 sweep
+write, bit for bit, the files whose SHA-256 the benchmark's goldens
+record, and every function the benchmark's tracer wraps can still be
+looked up."""
 
 import hashlib
 import importlib
@@ -16,7 +17,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDENS = json.loads((PERFBENCH / "goldens.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("workload", ["takeoff", "spring-compare-10"])
+@pytest.mark.parametrize("workload",
+                         ["takeoff", "spring-compare-10", "sweep-10x10"])
 def test_outputs_match_goldens(tmp_path, workload):
     golden = GOLDENS[workload]
     assert main(golden["argv"] + ["--out", str(tmp_path), "--quiet"]) == 0
