@@ -12,13 +12,10 @@ from .controller import (
     default_control_params,
     outer_law,
     slide_law,
-    slide_torque,
-    winch_fbck,
     winch_ffwd,
     winch_law,
-    winch_torque,
 )
-from .integrator import IntegrationError, rk4_step
+from .integrator import IntegrationError
 from .model import (
     AircraftParams,
     AmbientParams,
@@ -33,11 +30,8 @@ from .model import (
     clamp_spring_travel,
     default_init_conditions,
     default_system_params,
-    design_derivatives,
     initial_state,
     line_model,
-    spring_friction,
-    tether_stiffness,
 )
 from .config import AppConfig, ConfigError, default_app_config, load_config
 from .csvio import write_design_trace, write_sweep_csv, write_takeoff_trace

@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .config import AppConfig, ConfigError, load_config
@@ -141,7 +141,7 @@ def cmd_spring_compare(args) -> int:
         result = assess_trace(trace, params, config.force_tolerance)
         path = out / _trace_name(travel)
         write_design_trace(trace, path)
-        points.append((travel, params.spring.stiffness, result))
+        points.append(SweepPoint(travel, params.spring.stiffness, result))
         if not args.quiet:
             t_star = "timeout" if result.t_star is None else f"{result.t_star:.4f} s"
             print(f"travel {travel:g} m: min speed {result.min_speed:.4f} m/s "
@@ -150,10 +150,8 @@ def cmd_spring_compare(args) -> int:
                   f"{'feasible' if result.feasible else 'NOT feasible'} "
                   f"-> {path}")
 
-    summary = [SweepPoint(travel, stiffness, result)
-               for travel, stiffness, result in points]
     summary_path = out / "spring_compare_summary.csv"
-    write_sweep_csv(summary, summary_path)
+    write_sweep_csv(points, summary_path)
     if not args.quiet:
         print(f"summary -> {summary_path}")
     return 0
@@ -190,12 +188,8 @@ def cmd_takeoff(args) -> int:
     trace_path = out / "takeoff_trace.csv"
     write_takeoff_trace(result.trace, trace_path)
     summary = {
-        "liftoff_time": result.liftoff_time,
-        "liftoff_distance": result.liftoff_distance,
-        "peak_slide_power": result.peak_slide_power,
-        "peak_winch_power": result.peak_winch_power,
-        "max_spring_compression": result.max_spring_compression,
-        "stall_risk": result.stall_risk,
+        **{f.name: getattr(result, f.name) for f in fields(result)
+           if f.name != "trace"},
         "duration": cfg.duration,
         "dt": cfg.dt,
         "sample_period": config.control.outer.sample_period,

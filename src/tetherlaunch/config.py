@@ -131,13 +131,10 @@ def load_config(path: str | Path | None = None,
     """Parse a JSON config file, fill defaults, and validate everything.
 
     `overrides` ({section: {key: value}}) is merged over the file's
-    sections and checked like file values. With neither the defaults are
-    returned directly. Raises ConfigError with the offending section.key
-    on parse errors, unknown keys, or invariant violations.
+    sections and checked like file values. Raises ConfigError with the
+    offending section.key on parse errors, unknown keys, or invariant
+    violations.
     """
-    if path is None and not overrides:
-        return default_app_config()
-
     raw = {} if path is None else _read_json(path)
     for section, values in (overrides or {}).items():
         provided = raw.setdefault(section, {})

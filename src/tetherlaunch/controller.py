@@ -230,34 +230,24 @@ def combine_refs(ffwd: float, fbck: float, slide_speed: float) -> float:
     return fbck
 
 
-def default_slide_gains() -> SlideGains:
-    """Slide loop as tuned on the prototype; 26 N*m is twice rated torque,
-    available from the drive for the short launch burst."""
-    return SlideGains(position_gain=14.0, speed_gain=2.5, torque_limit=26.0)
-
-
-def default_winch_gains() -> WinchGains:
-    return WinchGains(speed_gain=1.0, torque_limit=13.0)
-
-
-def default_outer_params() -> WinchOuterParams:
-    return WinchOuterParams(
-        ffwd_gain=1.2,
-        zone_low=0.05,       # [m]
-        zone_high=0.1,       # [m]
-        reelin_anchor=0.025,  # [m]
-        reelout_anchor=0.2,   # [m]
-        ref_min=-10.0,        # [rad/s]
-        ref_max=120.0,        # [rad/s]
-        reelin_accel=-100.0,  # [rad/s^2]
-        reelout_accel=30.0,   # [rad/s^2]
-        sample_period=0.001,  # [s]
-    )
-
-
 def default_control_params() -> ControlParams:
+    """The control stack as tuned on the prototype."""
     return ControlParams(
-        slide=default_slide_gains(),
-        winch=default_winch_gains(),
-        outer=default_outer_params(),
+        # 26 N*m is twice rated torque, available from the drive for the
+        # short launch burst.
+        slide=SlideGains(position_gain=14.0, speed_gain=2.5,
+                         torque_limit=26.0),
+        winch=WinchGains(speed_gain=1.0, torque_limit=13.0),
+        outer=WinchOuterParams(
+            ffwd_gain=1.2,
+            zone_low=0.05,       # [m]
+            zone_high=0.1,       # [m]
+            reelin_anchor=0.025,  # [m]
+            reelout_anchor=0.2,   # [m]
+            ref_min=-10.0,        # [rad/s]
+            ref_max=120.0,        # [rad/s]
+            reelin_accel=-100.0,  # [rad/s^2]
+            reelout_accel=30.0,   # [rad/s^2]
+            sample_period=0.001,  # [s]
+        ),
     )

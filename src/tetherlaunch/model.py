@@ -361,66 +361,40 @@ def clamp_spring_travel(spring_pos: float, spring_vel: float,
     return spring_pos, spring_vel
 
 
-def default_aircraft_params() -> AircraftParams:
-    """Aircraft constants of the small-scale prototype glider."""
-    return AircraftParams(
-        effective_area=0.3,     # [m^2]
-        drag_coeff=0.05,
-        mass=1.2,               # [kg]
-        max_thrust=10.0,        # [N]
-        min_cruise_speed=7.0,   # [m/s]
-    )
-
-
-def default_tether_params() -> TetherParams:
-    """2 mm UHMWPE line."""
-    return TetherParams(breaking_load=4500.0, breaking_elongation=0.02)
-
-
-def default_spring_params() -> SpringParams:
-    """Buffer spring as built: 0.35 m travel at 70 N/m."""
-    return SpringParams(
-        stiffness=70.0,      # [N/m]
-        carriage_mass=2.0,   # [kg]
-        free_friction=1e-4,  # [kg/s]
-        endstop_gain=1e6,
-        endstop_margin=0.001,  # [m]
-        max_travel=0.35,       # [m]
-    )
-
-
-def default_winch_params() -> WinchParams:
-    return WinchParams(
-        radius=0.1,        # [m]
-        max_torque=13.0,   # rated motor torque [N*m]
-        inertia=0.1,       # [kg*m^2]
-        rot_friction=0.01,  # [kg*m^2/s]
-    )
-
-
-def default_ambient_params() -> AmbientParams:
-    return AmbientParams(air_density=1.2)
-
-
-def default_slide_params() -> SlidePlantParams:
-    """Slide motion system: 11.2 kg equivalent mass on a 0.1 m drum.
-
-    The drum friction coefficient is taken equal to the winch's; the two
-    use the same motor and a similar drum.
-    """
-    return SlidePlantParams(drum_radius=0.1, equivalent_mass=11.2,
-                            rot_friction=0.01)
-
-
 def default_system_params() -> SystemParams:
     """Full prototype parameter set."""
     return SystemParams(
-        aircraft=default_aircraft_params(),
-        tether=default_tether_params(),
-        spring=default_spring_params(),
-        winch=default_winch_params(),
-        ambient=default_ambient_params(),
-        slide=default_slide_params(),
+        # The small-scale prototype glider.
+        aircraft=AircraftParams(
+            effective_area=0.3,     # [m^2]
+            drag_coeff=0.05,
+            mass=1.2,               # [kg]
+            max_thrust=10.0,        # [N]
+            min_cruise_speed=7.0,   # [m/s]
+        ),
+        # 2 mm UHMWPE line.
+        tether=TetherParams(breaking_load=4500.0, breaking_elongation=0.02),
+        # Buffer spring as built: 0.35 m travel at 70 N/m.
+        spring=SpringParams(
+            stiffness=70.0,      # [N/m]
+            carriage_mass=2.0,   # [kg]
+            free_friction=1e-4,  # [kg/s]
+            endstop_gain=1e6,
+            endstop_margin=0.001,  # [m]
+            max_travel=0.35,       # [m]
+        ),
+        winch=WinchParams(
+            radius=0.1,        # [m]
+            max_torque=13.0,   # rated motor torque [N*m]
+            inertia=0.1,       # [kg*m^2]
+            rot_friction=0.01,  # [kg*m^2/s]
+        ),
+        ambient=AmbientParams(air_density=1.2),  # [kg/m^3]
+        # Slide motion system: 11.2 kg equivalent mass on a 0.1 m drum. The
+        # drum friction is taken equal to the winch's; the two use the same
+        # motor and a similar drum.
+        slide=SlidePlantParams(drum_radius=0.1, equivalent_mass=11.2,
+                               rot_friction=0.01),
     )
 
 

@@ -250,17 +250,13 @@ def simulate_design(params: SystemParams, ic: InitConditions,
                     force_tol)
 
 
-def _with_design(params: SystemParams, travel: float,
-                 stiffness: float) -> SystemParams:
-    spring = replace(params.spring, max_travel=travel, stiffness=stiffness)
-    return replace(params, spring=spring)
-
-
 def _evaluate_point(args) -> SweepPoint:
     params, ic, travel, stiffness, dt, max_time, force_tol = args
     try:
-        result = evaluate_spring(_with_design(params, travel, stiffness),
-                                 ic, dt, max_time, force_tol)
+        spring = replace(params.spring, max_travel=travel,
+                         stiffness=stiffness)
+        result = evaluate_spring(replace(params, spring=spring), ic, dt,
+                                 max_time, force_tol)
         return SweepPoint(travel, stiffness, result)
     except (ValueError, RuntimeError) as exc:
         return SweepPoint(travel, stiffness, None, error=str(exc))

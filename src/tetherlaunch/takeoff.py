@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .controller import (
     winch_ffwd,
     winch_law,
 )
-from .integrator import DEFAULT_STEP, check_finite, rk4_step6
+from .integrator import DEFAULT_STEP, IntegrationError, rk4_step6
 from .model import (
     SystemParams,
     _require_positive,
@@ -98,29 +97,10 @@ def default_takeoff_config() -> TakeoffConfig:
     )
 
 
-# The plant states, built only to report a non-finite one.
-class _SlidePhaseState(NamedTuple):
-    """Plant state while the aircraft rides the slide."""
-
-    slide_angle: float
-    slide_speed: float
-    winch_angle: float
-    winch_speed: float
-    spring_pos: float
-    spring_vel: float
-
-
-class _ClimbPhaseState(NamedTuple):
-    """Plant state after lift-off: the aircraft is a separate point mass."""
-
-    slide_angle: float
-    slide_speed: float
-    winch_angle: float
-    winch_speed: float
-    spring_pos: float
-    spring_vel: float
-    path_pos: float
-    path_vel: float
+# The plant states by name, for the report of a non-finite one; the path
+# states exist only after lift-off.
+_STATE_NAMES = ("slide_angle", "slide_speed", "winch_angle", "winch_speed",
+                "spring_pos", "spring_vel", "path_pos", "path_vel")
 
 
 @dataclass
@@ -308,11 +288,15 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
             if not math.isfinite(slide_angle + slide_speed + winch_angle
                                  + winch_speed + spring_pos + spring_vel
                                  + path_pos + path_vel):
-                state = _ClimbPhaseState(
+                names, state_phase = ((_STATE_NAMES[:6], "on_slide")
+                                      if liftoff_time is None
+                                      else (_STATE_NAMES, "airborne"))
+                state = dict(zip(names, (
                     slide_angle, slide_speed, winch_angle, winch_speed,
-                    spring_pos, spring_vel, path_pos, path_vel)
-                check_finite(_SlidePhaseState(*state[:6])
-                             if liftoff_time is None else state)
+                    spring_pos, spring_vel, path_pos, path_vel)))
+                if not all(map(math.isfinite, state.values())):
+                    raise IntegrationError("non-finite state component in "
+                                           f"{state_phase} state {state}")
             if spring_pos < 0.0 or spring_pos > max_travel:
                 spring_pos, spring_vel = clamp_spring_travel(
                     spring_pos, spring_vel, max_travel)

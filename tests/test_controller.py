@@ -12,7 +12,6 @@ from tetherlaunch.controller import (
     Zone,
     combine_refs,
     default_control_params,
-    default_outer_params,
     outer_law,
     slide_torque,
     winch_fbck,
@@ -28,7 +27,7 @@ def gains():
 
 @pytest.fixture
 def outer():
-    return default_outer_params()
+    return default_control_params().outer
 
 
 class TestSlideTorque:
@@ -192,7 +191,7 @@ class TestValidation:
             SlideGains(14.0, math.nan, 26.0)
 
     def test_outer_invariants(self):
-        good = default_outer_params()
+        good = default_control_params().outer
         with pytest.raises(ValueError, match="zone"):
             WinchOuterParams(1.2, 0.1, 0.05, 0.025, 0.2, -10.0, 120.0,
                              -100.0, 30.0, 0.001)

@@ -1,0 +1,19 @@
+"""The README's "Library use" example runs as documented."""
+
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_library_use() -> str:
+    """The Python block of the README's Library use section."""
+    section = README.read_text(encoding="utf-8").split("## Library use")[1]
+    return section.split("```python\n")[1].split("```")[0]
+
+
+def test_library_use_runs(capsys):
+    namespace: dict = {}
+    exec(compile(readme_library_use(), str(README), "exec"), namespace)
+    # One line for the sizing verdict, one for the take-off.
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert namespace["result"].liftoff_time > 0.0

@@ -147,20 +147,23 @@ class TestVariants:
         with pytest.raises(TakeoffError, match="overran"):
             run_takeoff(config.takeoff, config.system, soft)
 
-    @pytest.mark.parametrize("part, field, value, state", [
+    @pytest.mark.parametrize("part, field, value, phase, entry", [
         # Friction this large overflows the slide state before lift-off.
-        ("slide", "rot_friction", 1e308, "_SlidePhaseState("),
+        ("slide", "rot_friction", 1e308, "on_slide", "'slide_angle': nan"),
         # A line this stiff only bites once the climb takes up the slack.
-        ("tether", "breaking_load", 1e9, "_ClimbPhaseState("),
-    ])
+        ("tether", "breaking_load", 1e9, "airborne", "'path_pos': -inf"),
+    ], ids=["on_slide", "airborne"])
     def test_blow_up_names_the_phase_state(self, config, part, field, value,
-                                           state):
+                                           phase, entry):
         params = replace(getattr(config.system, part), **{field: value})
         system = replace(config.system, **{part: params})
         with pytest.raises(IntegrationError,
                            match="^non-finite state component in "
-                           + re.escape(state)):
+                           + re.escape(f"{phase} state {{")) as info:
             run_takeoff(config.takeoff, system, config.control)
+        assert entry in str(info.value)
+        # The path states are named only once the aircraft flies.
+        assert ("'path_pos'" in str(info.value)) == (phase == "airborne")
 
     def test_too_short_duration_errors(self, config):
         cfg = replace(config.takeoff, duration=0.2)
