@@ -21,6 +21,7 @@ from pathlib import Path
 from .config import AppConfig, ConfigError, load_config
 from .csvio import write_design_trace, write_sweep_csv, write_takeoff_trace
 from .integrator import IntegrationError
+from .model import SpringParams
 from .properties import run_property_suite
 from .spring_design import (
     REFERENCE_TRAVELS,
@@ -33,15 +34,18 @@ from .spring_design import (
 from .takeoff import TakeoffError, run_takeoff
 
 
-def _common_arguments(parser: argparse.ArgumentParser) -> None:
+def _common_arguments(parser: argparse.ArgumentParser,
+                      writes: bool = True) -> None:
+    """--config and --dt; --out and --quiet too if the command `writes`."""
     parser.add_argument("--config", metavar="PATH", default=None,
                         help="JSON config file (defaults for missing fields)")
-    parser.add_argument("--out", metavar="DIR", default=".",
-                        help="output directory (created if missing)")
     parser.add_argument("--dt", type=float, default=None,
                         help="set simulation.dt, the integration step [s]")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress progress output")
+    if writes:
+        parser.add_argument("--out", metavar="DIR", default=".",
+                            help="output directory (created if missing)")
+        parser.add_argument("--quiet", action="store_true",
+                            help="suppress progress output")
 
 
 def _float_list(text: str) -> list[float]:
@@ -97,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="set simulation.duration, the simulated time span [s]")
 
     p = sub.add_parser("validate", help="run the property suite")
-    _common_arguments(p)
+    _common_arguments(p, writes=False)
     return parser
 
 
@@ -120,28 +124,32 @@ def _trace_name(travel: float) -> str:
 
 
 def cmd_spring_compare(args) -> int:
-    # %g names two travels alike when they differ past six digits; no
-    # travel may overwrite another's trace.
-    named: dict[str, float] = {}
+    config = _load(args)
+    # Every travel is checked before any runs: %g names two travels alike
+    # when they differ past six digits, and no travel may overwrite
+    # another's trace.
+    named: dict[str, SpringParams] = {}
     for travel in args.travels:
         name = _trace_name(travel)
         if name in named:
-            raise ConfigError(f"--travels: {named[name]!r} and {travel!r} "
-                              f"both write {name}")
-        named[name] = travel
-    config = _load(args)
+            raise ConfigError(f"--travels: {named[name].max_travel!r} and "
+                              f"{travel!r} both write {name}")
+        try:
+            named[name] = replace(config.system.spring, max_travel=travel)
+        except ValueError as exc:
+            raise ConfigError(f"--travels: {exc}") from exc
     out = _outdir(args)
     points = []
-    for travel in args.travels:
-        spring = replace(config.system.spring, max_travel=travel)
+    for name, spring in named.items():
+        travel = spring.max_travel
         params = replace(config.system, spring=spring)
         trace = simulate_design(params, config.ic, dt=config.dt,
                                 max_time=config.max_time,
                                 force_tol=config.force_tolerance)
         result = assess_trace(trace, params, config.force_tolerance)
-        path = out / _trace_name(travel)
+        path = out / name
         write_design_trace(trace, path)
-        points.append(SweepPoint(travel, params.spring.stiffness, result))
+        points.append(SweepPoint(travel, spring.stiffness, result))
         if not args.quiet:
             t_star = "timeout" if result.t_star is None else f"{result.t_star:.4f} s"
             print(f"travel {travel:g} m: min speed {result.min_speed:.4f} m/s "

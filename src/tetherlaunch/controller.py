@@ -19,18 +19,9 @@ build one for a single call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 from .model import _require_positive
-
-
-class Zone(Enum):
-    """Spring-compression band: A reels in, B holds, C reels out."""
-
-    A = "a"
-    B = "b"
-    C = "c"
 
 
 @dataclass(frozen=True)
@@ -167,10 +158,11 @@ def winch_ffwd(slide_speed: float, ffwd_gain: float) -> float:
 
 
 def outer_law(
-        p: WinchOuterParams) -> Callable[[float, float], tuple[float, Zone]]:
+        p: WinchOuterParams) -> Callable[[float, float], tuple[float, str]]:
     """The feedback winch speed reference generator, built once: returns
     `step(prev_ref, compression) -> (ref, zone)`, the new reference
-    [rad/s] from the previous one, and the zone of the compression.
+    [rad/s] from the previous one, and the zone letter of the compression:
+    'a' reels in, 'b' holds, 'c' reels out.
 
     An integral controller on the distance of the compression from the
     hold band, with a piecewise-constant gain. Zone A is compression below
@@ -191,9 +183,8 @@ def outer_law(
     reelout_rate = p.sample_period * p.reelout_accel
     reelin_span = p.reelin_anchor - zone_low
     reelout_span = p.reelout_anchor - zone_high
-    zone_a, zone_b, zone_c = Zone.A, Zone.B, Zone.C
 
-    def step(prev_ref: float, compression: float) -> tuple[float, Zone]:
+    def step(prev_ref: float, compression: float) -> tuple[float, str]:
         if compression < zone_low:
             # Both numerator and denominator are negative below zone_low,
             # so the scale is positive and the increment inherits
@@ -201,19 +192,19 @@ def outer_law(
             ref = prev_ref + reelin_rate * ((compression - zone_low)
                                             / reelin_span)
             ref = ref if ref > ref_min else ref_min
-            return (ref if ref < 0.0 else 0.0), zone_a
+            return (ref if ref < 0.0 else 0.0), "a"
         if compression < zone_high:
-            return prev_ref, zone_b
+            return prev_ref, "b"
         ref = prev_ref + reelout_rate * ((compression - zone_high)
                                          / reelout_span)
         ref = ref if ref < ref_max else ref_max
-        return (ref if ref > 0.0 else 0.0), zone_c
+        return (ref if ref > 0.0 else 0.0), "c"
 
     return step
 
 
 def winch_fbck(prev_ref: float, compression: float,
-               p: WinchOuterParams) -> tuple[float, Zone]:
+               p: WinchOuterParams) -> tuple[float, str]:
     """One update of the feedback winch speed reference: `outer_law(p)`'s
     step, for a single call."""
     return outer_law(p)(prev_ref, compression)

@@ -13,7 +13,6 @@ flat RK4 of `integrator` and keeps every step in a Trace.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -269,8 +268,9 @@ def sweep(grid: SweepGrid, dt: float = DEFAULT_STEP,
     """Evaluate every grid point; failures are recorded, not raised.
 
     Points are independent, so with workers > 1 they are distributed over
-    a process pool; the result map is keyed and ordered by grid position
-    either way, and its contents do not depend on the worker count.
+    a process pool of at most one process per point; the result map is
+    keyed and ordered by grid position either way, and its contents do
+    not depend on the worker count.
     """
     jobs = [
         (grid.params, grid.ic, travel, stiffness, dt, max_time, force_tol)
@@ -278,7 +278,11 @@ def sweep(grid: SweepGrid, dt: float = DEFAULT_STEP,
         for stiffness in grid.stiffness_values
     ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Imported here: the pool machinery costs every other run its
+        # import time.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             points = list(pool.map(_evaluate_point, jobs))
     else:
         points = [_evaluate_point(job) for job in jobs]

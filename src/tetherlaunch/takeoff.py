@@ -268,7 +268,7 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
             k * sample_period, slide_angle, slide_speed, winch_angle,
             winch_speed, spring_pos, distance, speed, length, force, u_slide,
             u_winch, u_slide * slide_speed, u_winch * winch_speed,
-            zone.value, phase, ffwd, fbck, speed_ref))
+            zone, phase, ffwd, fbck, speed_ref))
 
         # Plant substeps under zero-order-hold torques.
         for j in range(substeps):

@@ -5,10 +5,14 @@ readable stderr line."""
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tetherlaunch
 from tetherlaunch.cli import main
 
 GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
@@ -120,6 +124,19 @@ class TestSpringCompareCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_rejects_bad_travel_before_running_any(self, tmp_path, capsys):
+        # 0.001 m cannot host the 0.001 m endstop margins; 0.2 comes first
+        # and must not be run.
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["spring-compare", "--out", str(out), "--quiet",
+                     "--travels", "0.2,0.001"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("error: config: --travels: endstop_margin must be in "
+                       "(0, max_travel/2) (got 0.001 with max_travel 0.001)\n")
+        assert list(out.iterdir()) == []
+
 
 class TestSweepCommand:
     def test_singleton_matches_spring_compare(self, tmp_path):
@@ -184,6 +201,27 @@ class TestValidateCommand:
         golden = json.loads(GOLDENS.read_text(encoding="utf-8"))
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == golden["validate"]["files"]["stdout"])
+
+    @pytest.mark.parametrize("flag", [["--out", "results"], ["--quiet"]],
+                             ids=["out", "quiet"])
+    def test_rejects_output_flags(self, capsys, flag):
+        # validate writes no file and prints only its check lines.
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_import_leaves_process_pool_unloaded():
+    package_root = str(Path(tetherlaunch.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tetherlaunch.cli; "
+         "assert 'concurrent.futures' not in sys.modules"],
+        env=env, check=True)
 
 
 class TestErrorHandling:

@@ -9,7 +9,6 @@ from tetherlaunch.controller import (
     SlideGains,
     WinchGains,
     WinchOuterParams,
-    Zone,
     combine_refs,
     default_control_params,
     outer_law,
@@ -75,26 +74,26 @@ def zone_of(compression, outer):
 
 class TestZones:
     def test_uncompressed_is_reel_in(self, outer):
-        assert zone_of(0.0, outer) is Zone.A
+        assert zone_of(0.0, outer) == "a"
 
     def test_middle_band_holds(self, outer):
-        assert zone_of(0.075, outer) is Zone.B
+        assert zone_of(0.075, outer) == "b"
 
     def test_low_threshold_belongs_to_hold(self, outer):
-        assert zone_of(0.05, outer) is Zone.B
+        assert zone_of(0.05, outer) == "b"
 
     def test_high_threshold_belongs_to_reel_out(self, outer):
-        assert zone_of(0.1, outer) is Zone.C
+        assert zone_of(0.1, outer) == "c"
 
     def test_full_travel(self, outer):
-        assert zone_of(0.35, outer) is Zone.C
+        assert zone_of(0.35, outer) == "c"
 
 
 class TestFeedback:
     def test_entering_reel_in_resaturates(self, outer):
         ref, zone = winch_fbck(50.0, 0.04, outer)
         assert ref <= 0.0
-        assert zone is Zone.A
+        assert zone == "a"
 
     def test_entering_reel_out_resaturates(self, outer):
         ref, _ = winch_fbck(-8.0, 0.2, outer)
@@ -131,12 +130,11 @@ class TestFeedback:
         assert ref == outer.ref_max
 
     def test_returns_the_compression_zone(self, outer):
-        expected = ((0.0, Zone.A), (0.04, Zone.A), (0.05, Zone.B),
-                    (0.075, Zone.B), (0.1, Zone.C), (0.2, Zone.C),
-                    (0.35, Zone.C))
+        expected = ((0.0, "a"), (0.04, "a"), (0.05, "b"), (0.075, "b"),
+                    (0.1, "c"), (0.2, "c"), (0.35, "c"))
         for compression, want in expected:
             _, zone = winch_fbck(0.0, compression, outer)
-            assert zone is want
+            assert zone == want
 
 
 class TestCombine:
@@ -165,7 +163,7 @@ class TestComposition:
         ref, _, zone = speed_reference(0.0, 0.12, 90.0, outer)
         fbck, _ = winch_fbck(0.0, 0.12, outer)
         assert ref == combine_refs(winch_ffwd(90.0, outer.ffwd_gain), fbck, 90.0)
-        assert zone is Zone.C
+        assert zone == "c"
 
     def test_stepping_is_deterministic(self, outer):
         compressions = [0.0, 0.02, 0.12, 0.2, 0.35, 0.08, 0.01]

@@ -1,6 +1,11 @@
-"""The README's "Library use" example runs as documented."""
+"""The README's "Library use" example runs as documented, and its imports
+are the whole of the package's public surface."""
 
+import ast
+import types
 from pathlib import Path
+
+import tetherlaunch
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,3 +22,15 @@ def test_library_use_runs(capsys):
     # One line for the sizing verdict, one for the take-off.
     assert len(capsys.readouterr().out.splitlines()) == 2
     assert namespace["result"].liftoff_time > 0.0
+
+
+def test_package_exports_only_the_readme_names():
+    block = ast.parse(readme_library_use())
+    imported = {alias.name for node in ast.walk(block)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "tetherlaunch"
+                for alias in node.names}
+    exported = {name for name, value in vars(tetherlaunch).items()
+                if not name.startswith("_")
+                and not isinstance(value, types.ModuleType)}
+    assert exported == imported

@@ -1,11 +1,13 @@
 """Spring sizing tests: feasibility verdicts, cycle counting, and the
 sweep machinery including parallel execution."""
 
+import concurrent.futures
 import math
 from dataclasses import replace
 
 import pytest
 
+from tetherlaunch import spring_design
 from tetherlaunch.model import InitConditions, default_init_conditions
 from tetherlaunch.spring_design import (
     SweepGrid,
@@ -127,6 +129,35 @@ class TestSweep:
         parallel = sweep(grid, workers=2)
         assert list(serial) == list(parallel)
         assert serial == parallel
+
+    @pytest.mark.parametrize("travels", [(0.35,), (0.05, 0.2, 0.35)],
+                             ids=["one-point", "three-points"])
+    def test_pool_capped_at_grid_size(self, config, monkeypatch, travels):
+        # The pool class is looked up when the pool is built, so the fake
+        # below replaces it and no process is started.
+        assert not hasattr(spring_design, "ProcessPoolExecutor")
+        started = []
+
+        class FakePool:
+            """Records max_workers and maps the jobs in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
+        grid = SweepGrid(travels, (70.0,), config.system, config.ic)
+        assert sweep(grid, workers=100_000_000) == sweep(grid)
+        assert started == [len(travels)]
 
     def test_points_carry_grid_coordinates(self, config):
         grid = SweepGrid((0.2,), (55.0,), config.system, config.ic)
