@@ -86,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the sizing test for a list of spring travels")
     _common_arguments(p)
     _travels_argument(p)
+    p.set_defaults(run=cmd_spring_compare)
 
     p = sub.add_parser("sweep", help="feasibility grid over travel x stiffness")
     _common_arguments(p)
@@ -94,14 +95,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated spring stiffness values [N/m]")
     p.add_argument("--workers", type=_worker_count, default=1,
                    help="worker processes for the grid (results identical)")
+    p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("takeoff", help="run one closed-loop take-off maneuver")
     _common_arguments(p)
     p.add_argument("--duration", type=float, default=None,
                    help="set simulation.duration, the simulated time span [s]")
+    p.set_defaults(run=cmd_takeoff)
 
     p = sub.add_parser("validate", help="run the property suite")
     _common_arguments(p, writes=False)
+    p.set_defaults(run=cmd_validate)
     return parser
 
 
@@ -226,18 +230,10 @@ def cmd_validate(args) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
-_COMMANDS = {
-    "spring-compare": cmd_spring_compare,
-    "sweep": cmd_sweep,
-    "takeoff": cmd_takeoff,
-    "validate": cmd_validate,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

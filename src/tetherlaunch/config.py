@@ -24,7 +24,12 @@ from .model import (
     default_system_params,
 )
 from .spring_design import DEFAULT_FORCE_TOL, DEFAULT_MAX_TIME
-from .takeoff import TakeoffConfig, default_takeoff_config
+from .takeoff import (
+    TakeoffConfig,
+    TakeoffError,
+    check_takeoff,
+    default_takeoff_config,
+)
 
 
 class ConfigError(ValueError):
@@ -200,11 +205,6 @@ def _assemble(merged: dict[str, dict], defaults: AppConfig) -> AppConfig:
                        parts[f"control.{f.name}"])
         for f in fields(ControlParams)
     })
-    if not control.outer.zone_high < system.spring.max_travel:
-        raise ConfigError(
-            "controller.zone_high: must be < spring.max_travel "
-            f"(got {control.outer.zone_high} >= {system.spring.max_travel})"
-        )
 
     top = parts[""]
     for field, value in top.items():
@@ -213,17 +213,10 @@ def _assemble(merged: dict[str, dict], defaults: AppConfig) -> AppConfig:
             raise ConfigError(f"{section}.{key}: must be > 0 (got {value})")
     ic = _build("simulation", defaults.ic, parts["ic"])
     takeoff = _build("simulation", defaults.takeoff, parts["takeoff"])
-    if takeoff.takeoff_speed <= system.aircraft.min_cruise_speed:
-        raise ConfigError(
-            "simulation.takeoff_speed: must be > aircraft.min_cruise_speed "
-            f"(got {takeoff.takeoff_speed} <= "
-            f"{system.aircraft.min_cruise_speed})"
-        )
-    if not system.slide.equivalent_mass > system.aircraft.mass:
-        raise ConfigError(
-            "slide.equivalent_mass: must be > aircraft.mass "
-            f"(got {system.slide.equivalent_mass} <= {system.aircraft.mass})"
-        )
+    try:
+        check_takeoff(takeoff, system, control)
+    except TakeoffError as exc:
+        raise ConfigError(str(exc)) from exc
 
     return AppConfig(system=system, control=control, ic=ic, takeoff=takeoff,
                      **top)

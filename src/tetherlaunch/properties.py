@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from random import Random
 
-from .config import AppConfig, default_app_config
+from .config import AppConfig
 from .controller import combine_refs, outer_law, slide_law, winch_law
 # No longer called here; perfbench/worker.py still looks them up in this
 # module.
@@ -231,10 +231,8 @@ def check_trace_bounds(config: AppConfig) -> PropertyCheck:
     return PropertyCheck("trace-bounds", ok, "; ".join(details))
 
 
-def run_property_suite(config: AppConfig | None = None) -> list[PropertyCheck]:
+def run_property_suite(config: AppConfig) -> list[PropertyCheck]:
     """Run every property check; deterministic, no I/O."""
-    if config is None:
-        config = default_app_config()
     outer = config.control.outer
     return [
         check_fbck_reference_bounded(outer),

@@ -46,24 +46,12 @@ class Trace:
     timed_out: bool      # the force was never released
 
     @property
-    def pos(self) -> np.ndarray:
-        return self.states[:, 0]
-
-    @property
     def vel(self) -> np.ndarray:
         return self.states[:, 1]
 
     @property
     def spring_pos(self) -> np.ndarray:
         return self.states[:, 2]
-
-    @property
-    def spring_vel(self) -> np.ndarray:
-        return self.states[:, 3]
-
-    @property
-    def winch_angle(self) -> np.ndarray:
-        return self.states[:, 4]
 
     @property
     def winch_speed(self) -> np.ndarray:
@@ -272,10 +260,11 @@ def sweep(grid: SweepGrid, dt: float = DEFAULT_STEP,
     keyed and ordered by grid position either way, and its contents do
     not depend on the worker count.
     """
+    # A repeated value is run once: the map has one entry per point.
     jobs = [
         (grid.params, grid.ic, travel, stiffness, dt, max_time, force_tol)
-        for travel in grid.travel_values
-        for stiffness in grid.stiffness_values
+        for travel in dict.fromkeys(grid.travel_values)
+        for stiffness in dict.fromkeys(grid.stiffness_values)
     ]
     if workers > 1:
         # Imported here: the pool machinery costs every other run its

@@ -151,29 +151,46 @@ def _build_trace(rows: list[tuple]) -> TakeoffTrace:
     return TakeoffTrace(*(np.array(column) for column in columns))
 
 
+def check_takeoff(cfg: TakeoffConfig, system: SystemParams,
+                  control: ControlParams) -> None:
+    """Raise TakeoffError, naming the config keys, unless the slide
+    releases the aircraft above its minimum cruise speed, outweighs it,
+    and the spring travel reaches the winch's reel-out zone."""
+    aircraft = system.aircraft
+    if not control.outer.zone_high < system.spring.max_travel:
+        raise TakeoffError(
+            "controller.zone_high: must be < spring.max_travel "
+            f"(got {control.outer.zone_high} >= {system.spring.max_travel})"
+        )
+    if not cfg.takeoff_speed > aircraft.min_cruise_speed:
+        raise TakeoffError(
+            "simulation.takeoff_speed: must be > aircraft.min_cruise_speed "
+            f"(got {cfg.takeoff_speed} <= {aircraft.min_cruise_speed})"
+        )
+    if not system.slide.equivalent_mass > aircraft.mass:
+        raise TakeoffError(
+            "slide.equivalent_mass: must be > aircraft.mass "
+            f"(got {system.slide.equivalent_mass} <= {aircraft.mass})"
+        )
+
+
 def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
                 control: ControlParams) -> TakeoffResult:
     """Simulate one take-off maneuver and return its trace and key figures.
 
-    Raises TakeoffError if the slide overruns the rails or the aircraft
-    never reaches take-off speed within the configured duration.
+    Raises TakeoffError if the set-up breaks a check_takeoff rule, if dt
+    does not divide the controller sample period, if the slide overruns
+    the rails, or if the aircraft never reaches take-off speed within the
+    configured duration. The dt rule stays here, not in load_config:
+    checked at load, it would reject `spring-compare`, `sweep` and
+    `validate --dt 3e-4`, which never run a take-off.
     """
+    check_takeoff(cfg, system, control)
     aircraft = system.aircraft
     spring = system.spring
     winch = system.winch
     slide = system.slide
     outer = control.outer
-
-    if cfg.takeoff_speed <= aircraft.min_cruise_speed:
-        raise TakeoffError(
-            "takeoff_speed must exceed the minimum cruise speed "
-            f"(got {cfg.takeoff_speed} <= {aircraft.min_cruise_speed})"
-        )
-    if slide.equivalent_mass <= aircraft.mass:
-        raise TakeoffError(
-            "slide equivalent_mass must exceed the aircraft mass "
-            f"(got {slide.equivalent_mass} <= {aircraft.mass})"
-        )
 
     sample_period = outer.sample_period
     substeps = round(sample_period / cfg.dt)

@@ -3,6 +3,7 @@ write, bit for bit, the files whose SHA-256 the benchmark's goldens
 record, and every function the benchmark's tracer wraps can still be
 looked up."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -14,6 +15,7 @@ import pytest
 from tetherlaunch.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src" / "tetherlaunch"
 GOLDENS = json.loads((PERFBENCH / "goldens.json").read_text(encoding="utf-8"))
 
 
@@ -27,13 +29,18 @@ def test_outputs_match_goldens(tmp_path, workload):
     assert written == golden["files"]
 
 
-def test_instrumented_names_resolve():
-    """perfbench/worker.py replaces each (module, attribute) it instruments
-    by getattr and setattr; a missing name crashes every traced pass."""
+def load_worker():
     spec = importlib.util.spec_from_file_location(
         "perfbench_worker", PERFBENCH / "worker.py")
     worker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(worker)
+    return worker
+
+
+def test_instrumented_names_resolve():
+    """perfbench/worker.py replaces each (module, attribute) it instruments
+    by getattr and setattr; a missing name crashes every traced pass."""
+    worker = load_worker()
     names = [(module, attr) for module, attr, _ in worker.INSTRUMENTED]
     names += [("properties", attr) for attr in worker.PROPERTY_CHECKS]
     missing = [f"{module}.{attr}" for module, attr in names
@@ -41,3 +48,32 @@ def test_instrumented_names_resolve():
                    importlib.import_module(f"tetherlaunch.{module}"),
                    attr, None))]
     assert missing == []
+
+
+def test_unused_imports_are_instrumented():
+    """A module imports a name it never reads only for the benchmark's
+    tracer to find; once perfbench stops looking it up, it must go. The
+    package __init__ is left out: its imports are its exports, which
+    tests/test_readme.py checks."""
+    looked_up: dict[str, set] = {}
+    for module, attr, _ in load_worker().INSTRUMENTED:
+        looked_up.setdefault(module, set()).add(attr)
+    unused = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name.partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        # Only reads count: an annotated dataclass field of the same name
+        # (TakeoffTrace.slide_torque) is a Store.
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        extra = imported - loaded - looked_up.get(path.stem, set())
+        if extra:
+            unused[path.stem] = sorted(extra)
+    assert unused == {}

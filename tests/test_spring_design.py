@@ -112,6 +112,22 @@ class TestSweep:
         direct = evaluate_spring(with_design(config.system, 0.35), config.ic)
         assert points[(0.35, 70.0)].result == direct
 
+    def test_repeated_values_run_once(self, config, monkeypatch):
+        distinct = sweep(SweepGrid((0.2, 0.35), (70.0,), config.system,
+                                   config.ic))
+        calls = []
+
+        def counting(params, *args):
+            calls.append((params.spring.max_travel, params.spring.stiffness))
+            return evaluate_spring(params, *args)
+
+        monkeypatch.setattr(spring_design, "evaluate_spring", counting)
+        points = sweep(SweepGrid((0.2, 0.2, 0.35), (70.0, 70.0),
+                                 config.system, config.ic))
+        assert calls == [(0.2, 70.0), (0.35, 70.0)]
+        assert list(points) == list(distinct)
+        assert points == distinct
+
     def test_invalid_point_recorded_and_sweep_continues(self, config):
         # 0.0015 m travel cannot host the 0.001 m endstop margins
         grid = SweepGrid((0.0015, 0.35), (70.0,), config.system, config.ic)

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tetherlaunch.config import ConfigError, load_config
 from tetherlaunch.controller import SlideGains
 from tetherlaunch.integrator import IntegrationError
 from tetherlaunch.takeoff import (
@@ -179,6 +180,33 @@ class TestVariants:
         cfg = replace(config.takeoff, takeoff_speed=6.0)
         with pytest.raises(TakeoffError, match="cruise"):
             run_takeoff(cfg, config.system, config.control)
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("simulation", "takeoff_speed", 6.5,
+         "simulation.takeoff_speed: must be > aircraft.min_cruise_speed "
+         "(got 6.5 <= 7.0)"),
+        ("slide", "equivalent_mass", 1.0,
+         "slide.equivalent_mass: must be > aircraft.mass (got 1.0 <= 1.2)"),
+        ("spring", "max_travel", 0.08,
+         "controller.zone_high: must be < spring.max_travel "
+         "(got 0.1 >= 0.08)"),
+        ("spring", "max_travel", 0.1,
+         "controller.zone_high: must be < spring.max_travel "
+         "(got 0.1 >= 0.1)"),
+    ], ids=["takeoff-speed", "slide-mass", "zone-high", "zone-high-equal"])
+    def test_load_and_run_reject_alike(self, config, section, key, value,
+                                       message):
+        with pytest.raises(ConfigError) as loaded:
+            load_config(None, {section: {key: value}})
+        cfg, system = config.takeoff, config.system
+        if section == "simulation":
+            cfg = replace(cfg, **{key: value})
+        else:
+            part = replace(getattr(system, section), **{key: value})
+            system = replace(system, **{section: part})
+        with pytest.raises(TakeoffError) as ran:
+            run_takeoff(cfg, system, config.control)
+        assert str(loaded.value) == str(ran.value) == message
 
     def test_deterministic_reruns(self, config, takeoff_default):
         result, _ = takeoff_default
