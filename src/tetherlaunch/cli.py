@@ -31,7 +31,7 @@ from .spring_design import (
     simulate_design,
     sweep,
 )
-from .takeoff import TakeoffError, run_takeoff
+from .takeoff import TakeoffError, check_takeoff, run_takeoff
 
 
 def _common_arguments(parser: argparse.ArgumentParser,
@@ -147,10 +147,8 @@ def cmd_spring_compare(args) -> int:
     for name, spring in named.items():
         travel = spring.max_travel
         params = replace(config.system, spring=spring)
-        trace = simulate_design(params, config.ic, dt=config.dt,
-                                max_time=config.max_time,
-                                force_tol=config.force_tolerance)
-        result = assess_trace(trace, params, config.force_tolerance)
+        trace = simulate_design(params, config.sizing)
+        result = assess_trace(trace, params, config.sizing.force_tolerance)
         path = out / name
         write_design_trace(trace, path)
         points.append(SweepPoint(travel, spring.stiffness, result))
@@ -177,9 +175,8 @@ def cmd_sweep(args) -> int:
         stiffness = [config.system.spring.stiffness]
     grid = SweepGrid(travel_values=tuple(args.travels),
                      stiffness_values=tuple(stiffness),
-                     params=config.system, ic=config.ic)
-    results = sweep(grid, dt=config.dt, max_time=config.max_time,
-                    force_tol=config.force_tolerance, workers=args.workers)
+                     params=config.system, sizing=config.sizing)
+    results = sweep(grid, workers=args.workers)
     points = list(results.values())
     path = out / "sweep.csv"
     write_sweep_csv(points, path)
@@ -193,8 +190,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_takeoff(args) -> int:
     config = _load(args)
-    out = _outdir(args)
     cfg = config.takeoff
+    # The take-off's rules are config errors, found before any file is
+    # written.
+    try:
+        check_takeoff(cfg, config.system, config.control)
+    except TakeoffError as exc:
+        raise ConfigError(str(exc)) from exc
+    out = _outdir(args)
     result = run_takeoff(cfg, config.system, config.control)
 
     trace_path = out / "takeoff_trace.csv"

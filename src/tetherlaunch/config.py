@@ -16,20 +16,9 @@ from operator import attrgetter
 from pathlib import Path
 
 from .controller import ControlParams, default_control_params
-from .integrator import DEFAULT_STEP
-from .model import (
-    InitConditions,
-    SystemParams,
-    default_init_conditions,
-    default_system_params,
-)
-from .spring_design import DEFAULT_FORCE_TOL, DEFAULT_MAX_TIME
-from .takeoff import (
-    TakeoffConfig,
-    TakeoffError,
-    check_takeoff,
-    default_takeoff_config,
-)
+from .model import SystemParams, default_system_params
+from .spring_design import SizingConfig, default_sizing_config
+from .takeoff import TakeoffConfig, default_takeoff_config
 
 
 class ConfigError(ValueError):
@@ -38,15 +27,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class AppConfig:
-    """Everything one run needs: plant, controller, and simulation setup."""
+    """Everything one run needs: plant, controller, and the settings of
+    the sizing run and of the take-off."""
 
     system: SystemParams
     control: ControlParams
-    ic: InitConditions
+    sizing: SizingConfig
     takeoff: TakeoffConfig
-    dt: float               # integration step [s]
-    max_time: float         # sizing-study time limit [s]
-    force_tolerance: float  # released-force threshold [N]
 
 
 def default_app_config() -> AppConfig:
@@ -54,11 +41,8 @@ def default_app_config() -> AppConfig:
     return AppConfig(
         system=default_system_params(),
         control=default_control_params(),
-        ic=default_init_conditions(),
+        sizing=default_sizing_config(),
         takeoff=default_takeoff_config(),
-        dt=DEFAULT_STEP,
-        max_time=DEFAULT_MAX_TIME,
-        force_tolerance=DEFAULT_FORCE_TOL,
     )
 
 
@@ -67,8 +51,8 @@ def default_app_config() -> AppConfig:
 _SYSTEM_SECTIONS = ("aircraft", "tether", "spring", "winch", "slide", "ambient")
 
 # The controller and simulation keys, by the AppConfig field each one sets
-# (a dotted path). simulation.dt sets both dt and takeoff.dt. A key's
-# default is the value of its field in default_app_config().
+# (a dotted path). simulation.dt sets both sizing.dt and takeoff.dt. A
+# key's default is the value of its field in default_app_config().
 _FLAT_KEYS = {
     "control.slide.position_gain": ("controller", "slide_position_gain"),
     "control.slide.speed_gain": ("controller", "slide_speed_gain"),
@@ -85,12 +69,12 @@ _FLAT_KEYS = {
     "control.outer.reelin_accel": ("controller", "reelin_accel"),
     "control.outer.reelout_accel": ("controller", "reelout_accel"),
     "control.outer.sample_period": ("controller", "sample_period"),
-    "dt": ("simulation", "dt"),
-    "max_time": ("simulation", "max_time"),
-    "force_tolerance": ("simulation", "force_tolerance"),
-    "ic.position": ("simulation", "initial_position"),
-    "ic.speed": ("simulation", "initial_speed"),
-    "ic.speed_deficit": ("simulation", "speed_deficit"),
+    "sizing.dt": ("simulation", "dt"),
+    "sizing.max_time": ("simulation", "max_time"),
+    "sizing.force_tolerance": ("simulation", "force_tolerance"),
+    "sizing.position": ("simulation", "initial_position"),
+    "sizing.speed": ("simulation", "initial_speed"),
+    "sizing.speed_deficit": ("simulation", "speed_deficit"),
     "takeoff.slide_travel": ("simulation", "slide_travel"),
     "takeoff.takeoff_speed": ("simulation", "takeoff_speed"),
     "takeoff.climb_angle_deg": ("simulation", "climb_angle_deg"),
@@ -133,12 +117,13 @@ def _merge_section(name: str, values: dict, provided: dict) -> None:
 
 def load_config(path: str | Path | None = None,
                 overrides: dict[str, dict] | None = None) -> AppConfig:
-    """Parse a JSON config file, fill defaults, and validate everything.
+    """Parse a JSON config file, fill defaults, and build the records.
 
     `overrides` ({section: {key: value}}) is merged over the file's
     sections and checked like file values. Raises ConfigError with the
     offending section.key on parse errors, unknown keys, or invariant
-    violations.
+    violations. The take-off's rules across parts are checked where a
+    take-off runs (takeoff.check_takeoff), not here.
     """
     raw = {} if path is None else _read_json(path)
     for section, values in (overrides or {}).items():
@@ -193,8 +178,7 @@ def _assemble(merged: dict[str, dict], defaults: AppConfig) -> AppConfig:
         for f in fields(SystemParams)
     })
 
-    # The fields of each AppConfig part the flat keys set, by the part's
-    # path; "" is AppConfig itself.
+    # The fields the flat keys set, by the path of their AppConfig part.
     parts: dict[str, dict] = {}
     for path, (section, key) in _FLAT_KEYS.items():
         part, _, field = path.rpartition(".")
@@ -206,17 +190,7 @@ def _assemble(merged: dict[str, dict], defaults: AppConfig) -> AppConfig:
         for f in fields(ControlParams)
     })
 
-    top = parts[""]
-    for field, value in top.items():
-        if not value > 0.0:
-            section, key = _FLAT_KEYS[field]
-            raise ConfigError(f"{section}.{key}: must be > 0 (got {value})")
-    ic = _build("simulation", defaults.ic, parts["ic"])
-    takeoff = _build("simulation", defaults.takeoff, parts["takeoff"])
-    try:
-        check_takeoff(takeoff, system, control)
-    except TakeoffError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    return AppConfig(system=system, control=control, ic=ic, takeoff=takeoff,
-                     **top)
+    return AppConfig(
+        system=system, control=control,
+        sizing=_build("simulation", defaults.sizing, parts["sizing"]),
+        takeoff=_build("simulation", defaults.takeoff, parts["takeoff"]))

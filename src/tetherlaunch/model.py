@@ -157,24 +157,6 @@ class SystemParams:
     slide: SlidePlantParams
 
 
-@dataclass(frozen=True)
-class InitConditions:
-    """Initial condition of the spring-sizing transient.
-
-    The aircraft flies at `speed` with the tether just taut at zero force
-    and the spring at rest, while the winch pays out line `speed_deficit`
-    slower than the aircraft moves. The deficit is what excites the
-    tension transient.
-    """
-
-    position: float       # initial aircraft position [m]
-    speed: float          # initial aircraft speed [m/s]
-    speed_deficit: float  # aircraft speed minus winch line speed at t=0 [m/s]
-
-    def __post_init__(self) -> None:
-        _require_positive(self, "position", "speed")
-
-
 class DesignState(NamedTuple):
     """Continuous state of the spring-sizing model."""
 
@@ -330,22 +312,6 @@ def design_derivatives(state: DesignState, params: SystemParams) -> tuple:
     return airborne_plant(params)(params.winch.max_torque)(*state)
 
 
-def initial_state(ic: InitConditions, winch: WinchParams) -> DesignState:
-    """Model state at t=0: tether exactly taut at zero force, spring at rest.
-
-    The winch angle is chosen so the deployed length equals the aircraft
-    position, and the winch speed lags the aircraft by the speed deficit.
-    """
-    return DesignState(
-        pos=ic.position,
-        vel=ic.speed,
-        spring_pos=0.0,
-        spring_vel=0.0,
-        winch_angle=ic.position / winch.radius,
-        winch_speed=(ic.speed - ic.speed_deficit) / winch.radius,
-    )
-
-
 def clamp_spring_travel(spring_pos: float, spring_vel: float,
                         max_travel: float) -> tuple[float, float]:
     """Hard stop at the ends of the spring travel.
@@ -396,8 +362,3 @@ def default_system_params() -> SystemParams:
         slide=SlidePlantParams(drum_radius=0.1, equivalent_mass=11.2,
                                rot_friction=0.01),
     )
-
-
-def default_init_conditions() -> InitConditions:
-    """Sizing-study initial condition: 10 m/s flight, 4 m/s winch deficit."""
-    return InitConditions(position=20.0, speed=10.0, speed_deficit=4.0)

@@ -196,12 +196,8 @@ def check_rk4_order() -> PropertyCheck:
 
 def check_step_convergence(config: AppConfig) -> PropertyCheck:
     """Minimum speed of the sizing test agrees between dt=1e-3 and 1e-4."""
-    coarse = evaluate_spring(config.system, config.ic, dt=1e-3,
-                             max_time=config.max_time,
-                             force_tol=config.force_tolerance)
-    fine = evaluate_spring(config.system, config.ic, dt=1e-4,
-                           max_time=config.max_time,
-                           force_tol=config.force_tolerance)
+    coarse = evaluate_spring(config.system, replace(config.sizing, dt=1e-3))
+    fine = evaluate_spring(config.system, replace(config.sizing, dt=1e-4))
     rel = abs(coarse.min_speed - fine.min_speed) / abs(fine.min_speed)
     return PropertyCheck(
         "step-convergence", rel < 0.005,
@@ -217,9 +213,7 @@ def check_trace_bounds(config: AppConfig) -> PropertyCheck:
     for travel in REFERENCE_TRAVELS:
         spring = replace(config.system.spring, max_travel=travel)
         params = replace(config.system, spring=spring)
-        trace = simulate_design(params, config.ic, dt=config.dt,
-                                max_time=config.max_time,
-                                force_tol=config.force_tolerance)
+        trace = simulate_design(params, config.sizing)
         if trace.force.min() < 0.0:
             ok = False
         if trace.spring_pos.min() < 0.0 or trace.spring_pos.max() > travel:

@@ -20,19 +20,62 @@ import numpy as np
 from .integrator import DEFAULT_STEP, check_finite, rk4_step6
 from .model import (
     DesignState,
-    InitConditions,
     SystemParams,
+    WinchParams,
     _check_positive,
+    _require_positive,
     airborne_plant,
     clamp_spring_travel,
-    initial_state,
     line_model,
 )
 
-DEFAULT_MAX_TIME = 10.0   # [s]
 DEFAULT_FORCE_TOL = 1e-6  # tension below this counts as released [N]
 # The spring travels the sizing comparison runs by default [m].
 REFERENCE_TRAVELS = (0.05, 0.2, 0.35)
+
+
+@dataclass(frozen=True)
+class SizingConfig:
+    """Start state, step and limits of the spring-sizing run.
+
+    The aircraft flies at `speed` with the tether just taut at zero force
+    and the spring at rest, while the winch pays out line `speed_deficit`
+    slower than the aircraft moves. The deficit is what excites the
+    tension transient. The run steps by `dt` until the tether force is
+    released or `max_time` has passed.
+    """
+
+    position: float       # initial aircraft position [m]
+    speed: float          # initial aircraft speed [m/s]
+    speed_deficit: float  # aircraft speed minus winch line speed at t=0 [m/s]
+    dt: float = DEFAULT_STEP  # integration step [s]
+    max_time: float = 10.0    # time limit [s]
+    force_tolerance: float = DEFAULT_FORCE_TOL  # released-force threshold [N]
+
+    def __post_init__(self) -> None:
+        _require_positive(self, "dt", "max_time", "force_tolerance",
+                          "position", "speed")
+
+
+def default_sizing_config() -> SizingConfig:
+    """Sizing-study set-up: 10 m/s flight, 4 m/s winch deficit."""
+    return SizingConfig(position=20.0, speed=10.0, speed_deficit=4.0)
+
+
+def initial_state(sizing: SizingConfig, winch: WinchParams) -> DesignState:
+    """Model state at t=0: tether exactly taut at zero force, spring at rest.
+
+    The winch angle is chosen so the deployed length equals the aircraft
+    position, and the winch speed lags the aircraft by the speed deficit.
+    """
+    return DesignState(
+        pos=sizing.position,
+        vel=sizing.speed,
+        spring_pos=0.0,
+        spring_vel=0.0,
+        winch_angle=sizing.position / winch.radius,
+        winch_speed=(sizing.speed - sizing.speed_deficit) / winch.radius,
+    )
 
 
 @dataclass
@@ -138,7 +181,7 @@ class SweepGrid:
     travel_values: tuple[float, ...]     # [m]
     stiffness_values: tuple[float, ...]  # [N/m]
     params: SystemParams
-    ic: InitConditions
+    sizing: SizingConfig
 
     def __post_init__(self) -> None:
         if not self.travel_values or not self.stiffness_values:
@@ -219,39 +262,31 @@ def assess_trace(trace: Trace, params: SystemParams,
     )
 
 
-def evaluate_spring(params: SystemParams, ic: InitConditions,
-                    dt: float = DEFAULT_STEP,
-                    max_time: float = DEFAULT_MAX_TIME,
-                    force_tol: float = DEFAULT_FORCE_TOL) -> FeasibilityResult:
+def evaluate_spring(params: SystemParams,
+                    sizing: SizingConfig) -> FeasibilityResult:
     """Run the sizing test for one parameter set and judge feasibility."""
-    trace = simulate_design(params, ic, dt, max_time, force_tol)
-    return assess_trace(trace, params, force_tol)
+    trace = simulate_design(params, sizing)
+    return assess_trace(trace, params, sizing.force_tolerance)
 
 
-def simulate_design(params: SystemParams, ic: InitConditions,
-                    dt: float = DEFAULT_STEP,
-                    max_time: float = DEFAULT_MAX_TIME,
-                    force_tol: float = DEFAULT_FORCE_TOL) -> Trace:
+def simulate_design(params: SystemParams, sizing: SizingConfig) -> Trace:
     """Integrate the sizing transient up to the force-release instant."""
-    return simulate(params, initial_state(ic, params.winch), dt, max_time,
-                    force_tol)
+    return simulate(params, initial_state(sizing, params.winch), sizing.dt,
+                    sizing.max_time, sizing.force_tolerance)
 
 
 def _evaluate_point(args) -> SweepPoint:
-    params, ic, travel, stiffness, dt, max_time, force_tol = args
+    params, sizing, travel, stiffness = args
     try:
         spring = replace(params.spring, max_travel=travel,
                          stiffness=stiffness)
-        result = evaluate_spring(replace(params, spring=spring), ic, dt,
-                                 max_time, force_tol)
+        result = evaluate_spring(replace(params, spring=spring), sizing)
         return SweepPoint(travel, stiffness, result)
     except (ValueError, RuntimeError) as exc:
         return SweepPoint(travel, stiffness, None, error=str(exc))
 
 
-def sweep(grid: SweepGrid, dt: float = DEFAULT_STEP,
-          max_time: float = DEFAULT_MAX_TIME,
-          force_tol: float = DEFAULT_FORCE_TOL,
+def sweep(grid: SweepGrid,
           workers: int = 1) -> dict[tuple[float, float], SweepPoint]:
     """Evaluate every grid point; failures are recorded, not raised.
 
@@ -262,7 +297,7 @@ def sweep(grid: SweepGrid, dt: float = DEFAULT_STEP,
     """
     # A repeated value is run once: the map has one entry per point.
     jobs = [
-        (grid.params, grid.ic, travel, stiffness, dt, max_time, force_tol)
+        (grid.params, grid.sizing, travel, stiffness)
         for travel in dict.fromkeys(grid.travel_values)
         for stiffness in dict.fromkeys(grid.stiffness_values)
     ]

@@ -155,7 +155,8 @@ def check_takeoff(cfg: TakeoffConfig, system: SystemParams,
                   control: ControlParams) -> None:
     """Raise TakeoffError, naming the config keys, unless the slide
     releases the aircraft above its minimum cruise speed, outweighs it,
-    and the spring travel reaches the winch's reel-out zone."""
+    the spring travel reaches the winch's reel-out zone, and the plant
+    substep divides the controller sample period."""
     aircraft = system.aircraft
     if not control.outer.zone_high < system.spring.max_travel:
         raise TakeoffError(
@@ -172,18 +173,22 @@ def check_takeoff(cfg: TakeoffConfig, system: SystemParams,
             "slide.equivalent_mass: must be > aircraft.mass "
             f"(got {system.slide.equivalent_mass} <= {aircraft.mass})"
         )
+    sample_period = control.outer.sample_period
+    substeps = round(sample_period / cfg.dt)
+    if substeps < 1 or abs(substeps * cfg.dt - sample_period) > 1e-12:
+        raise TakeoffError(
+            "simulation.dt: must divide controller.sample_period evenly "
+            f"(got {cfg.dt} and {sample_period})"
+        )
 
 
 def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
                 control: ControlParams) -> TakeoffResult:
     """Simulate one take-off maneuver and return its trace and key figures.
 
-    Raises TakeoffError if the set-up breaks a check_takeoff rule, if dt
-    does not divide the controller sample period, if the slide overruns
-    the rails, or if the aircraft never reaches take-off speed within the
-    configured duration. The dt rule stays here, not in load_config:
-    checked at load, it would reject `spring-compare`, `sweep` and
-    `validate --dt 3e-4`, which never run a take-off.
+    Raises TakeoffError if the set-up breaks a check_takeoff rule, if the
+    slide overruns the rails, or if the aircraft never reaches take-off
+    speed within the configured duration.
     """
     check_takeoff(cfg, system, control)
     aircraft = system.aircraft
@@ -194,12 +199,6 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
 
     sample_period = outer.sample_period
     substeps = round(sample_period / cfg.dt)
-    if substeps < 1 or abs(substeps * cfg.dt - sample_period) > 1e-12:
-        raise TakeoffError(
-            f"dt ({cfg.dt}) must divide the controller sample period "
-            f"({sample_period}) evenly"
-        )
-
     dt = cfg.dt
     drum_radius = slide.drum_radius
     drag_coeff = (0.5 * system.ambient.air_density * aircraft.drag_coeff

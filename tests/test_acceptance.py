@@ -162,7 +162,7 @@ def test_criterion_6_determinism(tmp_path, config):
     report(checks, "6.reruns", identical,
            "two take-off runs wrote byte-identical trace and summary files")
 
-    grid = SweepGrid((0.05, 0.2, 0.35), (70.0,), config.system, config.ic)
+    grid = SweepGrid((0.05, 0.2, 0.35), (70.0,), config.system, config.sizing)
     serial = sweep(grid, workers=1)
     parallel = sweep(grid, workers=2)
     report(checks, "6.workers", serial == parallel,

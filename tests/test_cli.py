@@ -240,16 +240,42 @@ class TestErrorHandling:
         assert code == 2
         assert "error: config:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
-    @pytest.mark.parametrize("flag", ["--dt", "--duration"])
+    @pytest.mark.parametrize("flag, value", [
+        *((flag, value) for flag in ("--dt", "--duration")
+          for value in ("inf", "nan", "-1", "0")),
+        ("--dt", "3e-4"),  # does not divide the controller sample period
+    ])
     def test_bad_simulation_flag(self, tmp_path, capsys, flag, value):
-        code = main(["takeoff", "--out", str(tmp_path), "--quiet",
+        out = tmp_path / "out"
+        code = main(["takeoff", "--out", str(out), "--quiet",
                      f"{flag}={value}"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config: simulation")
         assert err.count("\n") == 1
-        assert not (tmp_path / "takeoff_trace.csv").exists()
+        assert not out.exists()
+
+    # The take-off's rules hold only where a take-off runs: this spring
+    # is too short for the reel-out zone, and the sizing commands run
+    # their own travels anyway.
+    @pytest.mark.parametrize("argv, code, err", [
+        (["spring-compare", "--travels", "0.2"], 0, ""),
+        (["sweep", "--travels", "0.2"], 0, ""),
+        (["validate"], 0, ""),
+        (["takeoff"], 2, "error: config: controller.zone_high: must be < "
+                         "spring.max_travel (got 0.1 >= 0.08)\n"),
+    ], ids=["spring-compare", "sweep", "validate", "takeoff"])
+    def test_takeoff_rules_only_for_takeoff(self, tmp_path, capsys, argv,
+                                            code, err):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"spring": {"max_travel": 0.08}}))
+        out = tmp_path / "out"
+        if argv[0] != "validate":
+            argv = [*argv, "--quiet", "--out", str(out)]
+        assert main([*argv, "--config", str(config)]) == code
+        assert capsys.readouterr().err == err
+        if code:
+            assert not out.exists()
 
     def test_slide_lighter_than_aircraft(self, tmp_path, capsys):
         config = tmp_path / "c.json"

@@ -21,8 +21,13 @@ from tetherlaunch.csvio import (
     write_sweep_csv,
     write_takeoff_trace,
 )
-from tetherlaunch.model import default_init_conditions, default_system_params
-from tetherlaunch.spring_design import SweepGrid, SweepPoint, sweep
+from tetherlaunch.model import default_system_params
+from tetherlaunch.spring_design import (
+    SweepGrid,
+    SweepPoint,
+    default_sizing_config,
+    sweep,
+)
 
 
 def reference_cell(value) -> str:
@@ -137,7 +142,7 @@ def failed_point() -> SweepPoint:
     params = default_system_params()
     params = replace(params, spring=replace(
         params.spring, endstop_gain=1e300, free_friction=1e10))
-    grid = SweepGrid((0.2,), (70.0,), params, default_init_conditions())
+    grid = SweepGrid((0.2,), (70.0,), params, default_sizing_config())
     (point,) = sweep(grid).values()
     return point
 

@@ -11,15 +11,18 @@ import pytest
 from tetherlaunch.integrator import IntegrationError, rk4_step
 from tetherlaunch.model import (
     DesignState,
-    InitConditions,
     clamp_spring_travel,
-    default_init_conditions,
     default_system_params,
     design_derivatives,
-    initial_state,
     tether_stiffness,
 )
-from tetherlaunch.spring_design import DEFAULT_FORCE_TOL, simulate
+from tetherlaunch.spring_design import (
+    DEFAULT_FORCE_TOL,
+    SizingConfig,
+    default_sizing_config,
+    initial_state,
+    simulate,
+)
 
 
 def harmonic(state):
@@ -65,7 +68,7 @@ class TestRk4Step:
 @pytest.fixture(scope="module")
 def release_trace():
     params = default_system_params()
-    init = initial_state(default_init_conditions(), params.winch)
+    init = initial_state(default_sizing_config(), params.winch)
     return simulate(params, init, 1e-4, max_time=10.0), params
 
 
@@ -73,7 +76,7 @@ class TestSimulate:
 
     def test_rejects_bad_limits(self):
         params = default_system_params()
-        init = initial_state(default_init_conditions(), params.winch)
+        init = initial_state(default_sizing_config(), params.winch)
         with pytest.raises(ValueError, match="max_time"):
             simulate(params, init, 1e-4, max_time=0.0)
         with pytest.raises(ValueError, match="max_time must be finite"):
@@ -112,13 +115,13 @@ class TestSimulate:
 
     def test_release_instant_step_insensitive(self, release_trace):
         trace, params = release_trace
-        init = initial_state(default_init_conditions(), params.winch)
+        init = initial_state(default_sizing_config(), params.winch)
         finer = simulate(params, init, 1e-5, max_time=10.0)
         assert abs(trace.times[-1] - finer.times[-1]) <= 1e-3
 
     def test_min_speed_step_convergence(self, release_trace):
         trace, params = release_trace
-        init = initial_state(default_init_conditions(), params.winch)
+        init = initial_state(default_sizing_config(), params.winch)
         coarse = simulate(params, init, 1e-3, max_time=10.0)
         rel = abs(coarse.vel.min() - trace.vel.min()) / trace.vel.min()
         assert rel < 0.005
@@ -133,28 +136,28 @@ class TestSimulate:
         params = default_system_params()
         from dataclasses import replace
         tight = replace(params, spring=replace(params.spring, max_travel=0.05))
-        init = initial_state(default_init_conditions(), tight.winch)
+        init = initial_state(default_sizing_config(), tight.winch)
         trace = simulate(tight, init, 1e-4, max_time=10.0)
         assert trace.spring_pos.min() >= 0.0
         assert trace.spring_pos.max() <= 0.05
 
     def test_no_deficit_times_out_without_force(self):
         params = default_system_params()
-        init = initial_state(InitConditions(20.0, 10.0, 0.0), params.winch)
+        init = initial_state(SizingConfig(20.0, 10.0, 0.0), params.winch)
         trace = simulate(params, init, 1e-4, max_time=0.5)
         assert trace.timed_out
         assert trace.force.max() < 1e-9
 
     def test_short_window_tags_timeout(self):
         params = default_system_params()
-        init = initial_state(default_init_conditions(), params.winch)
+        init = initial_state(default_sizing_config(), params.winch)
         trace = simulate(params, init, 1e-4, max_time=0.05)
         assert trace.timed_out
         assert trace.times[-1] == pytest.approx(0.05, abs=1e-4)
 
     def test_bit_identical_across_runs_and_threads(self):
         params = default_system_params()
-        init = initial_state(default_init_conditions(), params.winch)
+        init = initial_state(default_sizing_config(), params.winch)
 
         def run(_):
             return simulate(params, init, 1e-4, max_time=10.0)
@@ -220,13 +223,13 @@ class TestSimulateMatchesReference:
         params = default_system_params()
         params = replace(params, spring=replace(params.spring,
                                                 max_travel=travel))
-        init = initial_state(default_init_conditions(), params.winch)
+        init = initial_state(default_sizing_config(), params.winch)
         self.assert_same(params, init, 1e-4, max_time=10.0)
 
     def test_max_time_stop(self):
         # The release comes later than 0.05 s, so the time limit ends it.
         params = default_system_params()
-        init = initial_state(default_init_conditions(), params.winch)
+        init = initial_state(default_sizing_config(), params.winch)
         trace = self.assert_same(params, init, 1e-4, max_time=0.05)
         assert len(trace.times) == 501
 
@@ -235,7 +238,7 @@ class TestSimulateMatchesReference:
         params = default_system_params()
         params = replace(params, spring=replace(params.spring,
                                                 max_travel=0.02))
-        init = initial_state(default_init_conditions(), params.winch)
+        init = initial_state(default_sizing_config(), params.winch)
         trace = self.assert_same(params, init, 1e-4, max_time=10.0)
         assert (trace.spring_pos == 0.02).any()
 
@@ -243,7 +246,7 @@ class TestSimulateMatchesReference:
         params = default_system_params()
         params = replace(params, spring=replace(
             params.spring, endstop_gain=1e300, free_friction=1e10))
-        init = initial_state(default_init_conditions(), params.winch)
+        init = initial_state(default_sizing_config(), params.winch)
         with pytest.raises(IntegrationError) as flat:
             simulate(params, init, 1e-4, 10.0)
         with pytest.raises(IntegrationError) as generic:

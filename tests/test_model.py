@@ -10,7 +10,6 @@ from tetherlaunch.model import (
     AircraftParams,
     AmbientParams,
     DesignState,
-    InitConditions,
     SlidePlantParams,
     SpringParams,
     TetherParams,
@@ -18,14 +17,17 @@ from tetherlaunch.model import (
     airborne_plant,
     clamp_spring_travel,
     default_system_params,
-    default_init_conditions,
     design_derivatives,
-    initial_state,
     line_model,
     spring_friction,
     tether_stiffness,
 )
-from tetherlaunch.spring_design import simulate
+from tetherlaunch.spring_design import (
+    SizingConfig,
+    default_sizing_config,
+    initial_state,
+    simulate,
+)
 
 
 @pytest.fixture
@@ -86,8 +88,10 @@ class TestValidation:
 
     def test_init_conditions_positive(self):
         with pytest.raises(ValueError, match="position"):
-            InitConditions(0.0, 10.0, 4.0)
-        InitConditions(20.0, 10.0, -1.0)  # negative deficit is allowed
+            SizingConfig(0.0, 10.0, 4.0)
+        with pytest.raises(ValueError, match="max_time must be > 0"):
+            SizingConfig(20.0, 10.0, 4.0, max_time=0.0)
+        SizingConfig(20.0, 10.0, -1.0)  # negative deficit is allowed
 
 
 class TestTetherStiffness:
@@ -276,7 +280,7 @@ class TestAirbornePlant:
 
 class TestInitialState:
     def test_reference_values(self, params):
-        state = initial_state(default_init_conditions(), params.winch)
+        state = initial_state(default_sizing_config(), params.winch)
         assert state.pos == 20.0
         assert state.vel == 10.0
         assert state.spring_pos == 0.0 and state.spring_vel == 0.0
@@ -284,9 +288,9 @@ class TestInitialState:
         assert state.winch_speed == pytest.approx(60.0)
 
     @pytest.mark.parametrize("ic", [
-        InitConditions(20.0, 10.0, 4.0),
-        InitConditions(5.0, 8.0, 0.0),
-        InitConditions(33.3, 12.5, -2.0),
+        SizingConfig(20.0, 10.0, 4.0),
+        SizingConfig(5.0, 8.0, 0.0),
+        SizingConfig(33.3, 12.5, -2.0),
     ])
     def test_initial_force_is_zero(self, params, line, ic):
         state = initial_state(ic, params.winch)
@@ -295,7 +299,7 @@ class TestInitialState:
                             state.spring_pos) < 1e-9
 
     def test_no_deficit_no_force(self, params):
-        ic = InitConditions(20.0, 10.0, 0.0)
+        ic = SizingConfig(20.0, 10.0, 0.0)
         trace = simulate(params, initial_state(ic, params.winch), 1e-4,
                          max_time=1.0)
         assert trace.force.max() < 1e-9

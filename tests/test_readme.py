@@ -1,13 +1,16 @@
-"""The README's "Library use" example runs as documented, and its imports
-are the whole of the package's public surface."""
+"""The README's "Library use" example runs as documented, its imports
+are the whole of the package's public surface, and its layout paragraph
+names every default factory."""
 
 import ast
+import re
 import types
 from pathlib import Path
 
 import tetherlaunch
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def readme_library_use() -> str:
@@ -34,3 +37,14 @@ def test_package_exports_only_the_readme_names():
                 if not name.startswith("_")
                 and not isinstance(value, types.ModuleType)}
     assert exported == imported
+
+
+def test_layout_names_the_default_factories():
+    text = README.read_text(encoding="utf-8")
+    paragraph = text.split("`src/tetherlaunch/` layout:")[1].split("\n\n")[0]
+    cited = set(re.findall(r"\bdefault_\w+", paragraph))
+    defined = {name for path in (ROOT / "src").rglob("*.py")
+               for name in re.findall(r"^def (default_\w+)",
+                                      path.read_text(encoding="utf-8"),
+                                      re.MULTILINE)}
+    assert cited == defined

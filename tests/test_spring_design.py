@@ -8,8 +8,8 @@ from dataclasses import replace
 import pytest
 
 from tetherlaunch import spring_design
-from tetherlaunch.model import InitConditions, default_init_conditions
 from tetherlaunch.spring_design import (
+    SizingConfig,
     SweepGrid,
     SweepPoint,
     count_compression_cycles,
@@ -49,7 +49,7 @@ class TestCycleCounting:
 
 class TestEvaluate:
     def test_reference_design_is_feasible(self, config):
-        result = evaluate_spring(config.system, config.ic)
+        result = evaluate_spring(config.system, config.sizing)
         assert result.feasible
         assert not result.timed_out
         assert result.t_star == pytest.approx(0.3322, abs=2e-3)
@@ -59,13 +59,14 @@ class TestEvaluate:
         assert result.compression_cycles == 1
 
     def test_short_travel_dips_below_cruise(self, config):
-        result = evaluate_spring(with_design(config.system, 0.05), config.ic)
+        result = evaluate_spring(with_design(config.system, 0.05),
+                                 config.sizing)
         assert not result.feasible
         assert result.min_speed < config.system.aircraft.min_cruise_speed
 
     def test_no_deficit_is_trivially_feasible(self, config):
-        ic = InitConditions(20.0, 10.0, 0.0)
-        result = evaluate_spring(config.system, ic, max_time=2.0)
+        sizing = SizingConfig(20.0, 10.0, 0.0, max_time=2.0)
+        result = evaluate_spring(config.system, sizing)
         assert result.timed_out and result.t_star is None
         assert result.feasible
         assert result.min_speed == 10.0
@@ -75,7 +76,8 @@ class TestEvaluate:
         # The tension transient starts but the window closes before the
         # winch provably catches up: judged infeasible even though the
         # observed minimum stayed above the cruise threshold.
-        result = evaluate_spring(config.system, config.ic, max_time=0.05)
+        result = evaluate_spring(config.system,
+                                 replace(config.sizing, max_time=0.05))
         assert result.timed_out and result.t_star is None
         assert result.min_speed > config.system.aircraft.min_cruise_speed
         assert not result.feasible
@@ -83,38 +85,41 @@ class TestEvaluate:
     def test_infinite_step(self, config):
         # Once judged feasible, with t_at_min = nan.
         with pytest.raises(ValueError, match="dt must be finite"):
-            evaluate_spring(config.system, config.ic, dt=math.inf)
+            evaluate_spring(config.system, replace(config.sizing, dt=math.inf))
 
     def test_infinite_time_limit(self, config):
         # Once an OverflowError.
         with pytest.raises(ValueError, match="max_time must be finite"):
-            simulate_design(config.system, config.ic, max_time=math.inf)
+            simulate_design(config.system,
+                            replace(config.sizing, max_time=math.inf))
 
 
 class TestSweep:
     def test_grid_validation(self, config):
         with pytest.raises(ValueError, match="empty"):
-            SweepGrid((), (70.0,), config.system, config.ic)
+            SweepGrid((), (70.0,), config.system, config.sizing)
         with pytest.raises(ValueError, match="> 0"):
-            SweepGrid((0.35,), (-70.0,), config.system, config.ic)
+            SweepGrid((0.35,), (-70.0,), config.system, config.sizing)
 
     def test_singleton_equals_direct_evaluation(self, config):
-        grid = SweepGrid((0.35,), (70.0,), config.system, config.ic)
+        grid = SweepGrid((0.35,), (70.0,), config.system, config.sizing)
         points = sweep(grid)
         assert list(points) == [(0.35, 70.0)]
-        direct = evaluate_spring(with_design(config.system, 0.35), config.ic)
+        direct = evaluate_spring(with_design(config.system, 0.35),
+                                 config.sizing)
         assert points[(0.35, 70.0)].result == direct
 
     def test_duplicate_point_collapses_identically(self, config):
-        grid = SweepGrid((0.35, 0.35), (70.0,), config.system, config.ic)
+        grid = SweepGrid((0.35, 0.35), (70.0,), config.system, config.sizing)
         points = sweep(grid)
         assert len(points) == 1
-        direct = evaluate_spring(with_design(config.system, 0.35), config.ic)
+        direct = evaluate_spring(with_design(config.system, 0.35),
+                                 config.sizing)
         assert points[(0.35, 70.0)].result == direct
 
     def test_repeated_values_run_once(self, config, monkeypatch):
         distinct = sweep(SweepGrid((0.2, 0.35), (70.0,), config.system,
-                                   config.ic))
+                                   config.sizing))
         calls = []
 
         def counting(params, *args):
@@ -123,14 +128,14 @@ class TestSweep:
 
         monkeypatch.setattr(spring_design, "evaluate_spring", counting)
         points = sweep(SweepGrid((0.2, 0.2, 0.35), (70.0, 70.0),
-                                 config.system, config.ic))
+                                 config.system, config.sizing))
         assert calls == [(0.2, 70.0), (0.35, 70.0)]
         assert list(points) == list(distinct)
         assert points == distinct
 
     def test_invalid_point_recorded_and_sweep_continues(self, config):
         # 0.0015 m travel cannot host the 0.001 m endstop margins
-        grid = SweepGrid((0.0015, 0.35), (70.0,), config.system, config.ic)
+        grid = SweepGrid((0.0015, 0.35), (70.0,), config.system, config.sizing)
         points = sweep(grid)
         bad = points[(0.0015, 70.0)]
         assert bad.result is None
@@ -140,7 +145,7 @@ class TestSweep:
 
     def test_parallel_equals_serial(self, config):
         grid = SweepGrid((0.05, 0.2, 0.35), (60.0, 70.0),
-                         config.system, config.ic)
+                         config.system, config.sizing)
         serial = sweep(grid, workers=1)
         parallel = sweep(grid, workers=2)
         assert list(serial) == list(parallel)
@@ -171,12 +176,12 @@ class TestSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             FakePool)
-        grid = SweepGrid(travels, (70.0,), config.system, config.ic)
+        grid = SweepGrid(travels, (70.0,), config.system, config.sizing)
         assert sweep(grid, workers=100_000_000) == sweep(grid)
         assert started == [len(travels)]
 
     def test_points_carry_grid_coordinates(self, config):
-        grid = SweepGrid((0.2,), (55.0,), config.system, config.ic)
+        grid = SweepGrid((0.2,), (55.0,), config.system, config.sizing)
         point = sweep(grid)[(0.2, 55.0)]
         assert isinstance(point, SweepPoint)
         assert point.travel == 0.2 and point.stiffness == 55.0
