@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from .model import SpringParams
 from .properties import run_property_suite
 from .spring_design import (
     REFERENCE_TRAVELS,
-    SweepGrid,
     SweepPoint,
     assess_trace,
     simulate_design,
@@ -116,9 +116,20 @@ def _load(args) -> AppConfig:
     return load_config(args.config, {"simulation": given} if given else None)
 
 
+@contextmanager
+def _creating(path: Path):
+    """Report an OSError from creating or writing the output `path` as a
+    config error on --out."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"--out: {path}: {exc.strerror or exc}") from exc
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with _creating(out):
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -148,9 +159,10 @@ def cmd_spring_compare(args) -> int:
         travel = spring.max_travel
         params = replace(config.system, spring=spring)
         trace = simulate_design(params, config.sizing)
-        result = assess_trace(trace, params, config.sizing.force_tolerance)
+        result = assess_trace(trace, params)
         path = out / name
-        write_design_trace(trace, path)
+        with _creating(path):
+            write_design_trace(trace, path)
         points.append(SweepPoint(travel, spring.stiffness, result))
         if not args.quiet:
             t_star = "timeout" if result.t_star is None else f"{result.t_star:.4f} s"
@@ -161,7 +173,8 @@ def cmd_spring_compare(args) -> int:
                   f"-> {path}")
 
     summary_path = out / "spring_compare_summary.csv"
-    write_sweep_csv(points, summary_path)
+    with _creating(summary_path):
+        write_sweep_csv(points, summary_path)
     if not args.quiet:
         print(f"summary -> {summary_path}")
     return 0
@@ -170,16 +183,12 @@ def cmd_spring_compare(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load(args)
     out = _outdir(args)
-    stiffness = args.stiffness
-    if stiffness is None:
-        stiffness = [config.system.spring.stiffness]
-    grid = SweepGrid(travel_values=tuple(args.travels),
-                     stiffness_values=tuple(stiffness),
-                     params=config.system, sizing=config.sizing)
-    results = sweep(grid, workers=args.workers)
-    points = list(results.values())
+    stiffness = args.stiffness or [config.system.spring.stiffness]
+    points = list(sweep(config.system, config.sizing, args.travels,
+                        stiffness, workers=args.workers).values())
     path = out / "sweep.csv"
-    write_sweep_csv(points, path)
+    with _creating(path):
+        write_sweep_csv(points, path)
     if not args.quiet:
         feasible = sum(1 for p in points if p.result and p.result.feasible)
         failed = sum(1 for p in points if p.error is not None)
@@ -201,7 +210,8 @@ def cmd_takeoff(args) -> int:
     result = run_takeoff(cfg, config.system, config.control)
 
     trace_path = out / "takeoff_trace.csv"
-    write_takeoff_trace(result.trace, trace_path)
+    with _creating(trace_path):
+        write_takeoff_trace(result.trace, trace_path)
     summary = {
         **{f.name: getattr(result, f.name) for f in fields(result)
            if f.name != "trace"},
@@ -210,8 +220,9 @@ def cmd_takeoff(args) -> int:
         "sample_period": config.control.outer.sample_period,
     }
     summary_path = out / "takeoff_summary.json"
-    summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2)
-                            + "\n", encoding="utf-8")
+    with _creating(summary_path):
+        summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2)
+                                + "\n", encoding="utf-8")
     if not args.quiet:
         print(f"liftoff_time = {result.liftoff_time:.4f} s over "
               f"{result.liftoff_distance:.4f} m")

@@ -16,6 +16,12 @@ import math
 from .model import design_derivatives  # noqa: F401
 
 DEFAULT_STEP = 1e-4  # [s]
+# The most steps one run may take: max_time / dt for a sizing run,
+# duration / dt for a take-off. A sizing run keeps every step in lists (a
+# tuple of six floats and a force float, about 270 B) and peaks at about
+# 330 B per step when it turns them into arrays (tracemalloc), so a run at
+# the budget peaks near 0.65 GB. The defaults take 1e5 and 3e4 steps.
+MAX_STEPS = 2_000_000
 
 
 class IntegrationError(RuntimeError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .integrator import DEFAULT_STEP, check_finite, rk4_step6
+from .integrator import DEFAULT_STEP, MAX_STEPS, check_finite, rk4_step6
 from .model import (
     DesignState,
     SystemParams,
@@ -32,6 +32,19 @@ from .model import (
 DEFAULT_FORCE_TOL = 1e-6  # tension below this counts as released [N]
 # The spring travels the sizing comparison runs by default [m].
 REFERENCE_TRAVELS = (0.05, 0.2, 0.35)
+
+
+def step_count(dt: float, max_time: float) -> int:
+    """Steps of a sizing run that may last `max_time` at step `dt`.
+
+    Raises ValueError if that exceeds MAX_STEPS; the ratio is checked
+    before any integer conversion, so a denormal dt fails here too.
+    """
+    steps = max_time / dt
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"max_time / dt must be <= {MAX_STEPS} steps "
+                         f"(got {steps:.6g})")
+    return int(math.ceil(steps - 1e-9))
 
 
 @dataclass(frozen=True)
@@ -55,6 +68,7 @@ class SizingConfig:
     def __post_init__(self) -> None:
         _require_positive(self, "dt", "max_time", "force_tolerance",
                           "position", "speed")
+        step_count(self.dt, self.max_time)
 
 
 def default_sizing_config() -> SizingConfig:
@@ -86,6 +100,7 @@ class Trace:
     states: np.ndarray   # (n, 6) rows in DesignState field order
     force: np.ndarray    # tether force per step [N]
     length: np.ndarray   # deployed tether length per step [m]
+    loaded: bool         # the force rose above the release threshold
     timed_out: bool      # the force was never released
 
     @property
@@ -117,6 +132,7 @@ def simulate(params: SystemParams, init: DesignState, dt: float,
     """
     _check_positive("max_time", max_time)
     _check_positive("dt", dt)
+    steps = step_count(dt, max_time)
 
     derivs = airborne_plant(params)(params.winch.max_torque)
     line = line_model(params.tether, params.spring, params.winch)
@@ -131,7 +147,7 @@ def simulate(params: SystemParams, init: DesignState, dt: float,
     force_seen = force > force_tol
     fired = False
 
-    for _ in range(int(math.ceil(max_time / dt - 1e-9))):
+    for _ in range(steps):
         pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = rk4_step6(
             derivs, dt, pos, vel, spring_pos, spring_vel, winch_angle,
             winch_speed)
@@ -158,6 +174,7 @@ def simulate(params: SystemParams, init: DesignState, dt: float,
         states=states,
         force=np.array(forces, dtype=float),
         length=line.length(states[:, 4], states[:, 2]),
+        loaded=force_seen,
         timed_out=not fired,
     )
 
@@ -172,23 +189,6 @@ class FeasibilityResult:
     timed_out: bool
     feasible: bool
     compression_cycles: int    # confirmed compression/extension cycles
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Cartesian grid of spring designs around a fixed parameter set."""
-
-    travel_values: tuple[float, ...]     # [m]
-    stiffness_values: tuple[float, ...]  # [N/m]
-    params: SystemParams
-    sizing: SizingConfig
-
-    def __post_init__(self) -> None:
-        if not self.travel_values or not self.stiffness_values:
-            raise ValueError("sweep grid must not be empty")
-        for v in (*self.travel_values, *self.stiffness_values):
-            if not v > 0.0:
-                raise ValueError(f"grid values must be > 0 (got {v})")
 
 
 @dataclass(frozen=True)
@@ -227,8 +227,7 @@ def count_compression_cycles(compression, margin: float) -> int:
     return cycles
 
 
-def assess_trace(trace: Trace, params: SystemParams,
-                 force_tol: float = DEFAULT_FORCE_TOL) -> FeasibilityResult:
+def assess_trace(trace: Trace, params: SystemParams) -> FeasibilityResult:
     """Judge feasibility from a completed sizing-test trace.
 
     On a normal run the window closed at the release instant recorded in
@@ -246,7 +245,7 @@ def assess_trace(trace: Trace, params: SystemParams,
     if not trace.timed_out:
         t_star = float(trace.times[-1])
         feasible = min_speed >= threshold
-    elif float(trace.force.max()) <= force_tol:
+    elif not trace.loaded:
         t_star = None
         feasible = min_speed >= threshold
     else:
@@ -266,7 +265,7 @@ def evaluate_spring(params: SystemParams,
                     sizing: SizingConfig) -> FeasibilityResult:
     """Run the sizing test for one parameter set and judge feasibility."""
     trace = simulate_design(params, sizing)
-    return assess_trace(trace, params, sizing.force_tolerance)
+    return assess_trace(trace, params)
 
 
 def simulate_design(params: SystemParams, sizing: SizingConfig) -> Trace:
@@ -286,7 +285,7 @@ def _evaluate_point(args) -> SweepPoint:
         return SweepPoint(travel, stiffness, None, error=str(exc))
 
 
-def sweep(grid: SweepGrid,
+def sweep(params: SystemParams, sizing: SizingConfig, travels, stiffness,
           workers: int = 1) -> dict[tuple[float, float], SweepPoint]:
     """Evaluate every grid point; failures are recorded, not raised.
 
@@ -295,11 +294,16 @@ def sweep(grid: SweepGrid,
     keyed and ordered by grid position either way, and its contents do
     not depend on the worker count.
     """
+    if not travels or not stiffness:
+        raise ValueError("sweep grid must not be empty")
+    for v in (*travels, *stiffness):
+        if not v > 0.0:
+            raise ValueError(f"grid values must be > 0 (got {v})")
     # A repeated value is run once: the map has one entry per point.
     jobs = [
-        (grid.params, grid.sizing, travel, stiffness)
-        for travel in dict.fromkeys(grid.travel_values)
-        for stiffness in dict.fromkeys(grid.stiffness_values)
+        (params, sizing, travel, k)
+        for travel in dict.fromkeys(travels)
+        for k in dict.fromkeys(stiffness)
     ]
     if workers > 1:
         # Imported here: the pool machinery costs every other run its

@@ -28,7 +28,7 @@ from .controller import (
     winch_ffwd,
     winch_law,
 )
-from .integrator import DEFAULT_STEP, IntegrationError, rk4_step6
+from .integrator import DEFAULT_STEP, MAX_STEPS, IntegrationError, rk4_step6
 from .model import (
     SystemParams,
     _require_positive,
@@ -155,8 +155,9 @@ def check_takeoff(cfg: TakeoffConfig, system: SystemParams,
                   control: ControlParams) -> None:
     """Raise TakeoffError, naming the config keys, unless the slide
     releases the aircraft above its minimum cruise speed, outweighs it,
-    the spring travel reaches the winch's reel-out zone, and the plant
-    substep divides the controller sample period."""
+    the spring travel reaches the winch's reel-out zone, the run takes at
+    most MAX_STEPS substeps, and the plant substep divides the controller
+    sample period."""
     aircraft = system.aircraft
     if not control.outer.zone_high < system.spring.max_travel:
         raise TakeoffError(
@@ -173,8 +174,15 @@ def check_takeoff(cfg: TakeoffConfig, system: SystemParams,
             "slide.equivalent_mass: must be > aircraft.mass "
             f"(got {system.slide.equivalent_mass} <= {aircraft.mass})"
         )
+    steps = cfg.duration / cfg.dt
+    if not steps <= MAX_STEPS:
+        raise TakeoffError(
+            "simulation.duration / simulation.dt: must be <= "
+            f"{MAX_STEPS} steps (got {steps:.6g})"
+        )
     sample_period = control.outer.sample_period
-    substeps = round(sample_period / cfg.dt)
+    ratio = sample_period / cfg.dt
+    substeps = round(ratio) if ratio < math.inf else 0
     if substeps < 1 or abs(substeps * cfg.dt - sample_period) > 1e-12:
         raise TakeoffError(
             "simulation.dt: must divide controller.sample_period evenly "

@@ -38,8 +38,7 @@ def sizing_runs(config):
                          spring=replace(config.system.spring,
                                         max_travel=travel))
         trace = simulate_design(params, config.sizing)
-        runs[travel] = (trace, assess_trace(trace, params,
-                                            config.sizing.force_tolerance))
+        runs[travel] = (trace, assess_trace(trace, params))
     elapsed = time.perf_counter() - start
     return runs, elapsed
 

@@ -33,7 +33,7 @@ from tetherlaunch.properties import (
     check_zone_b_holds,
     check_zone_entry_resaturation,
 )
-from tetherlaunch.spring_design import sweep, SweepGrid
+from tetherlaunch.spring_design import sweep
 from tetherlaunch.takeoff import run_takeoff
 
 
@@ -162,9 +162,9 @@ def test_criterion_6_determinism(tmp_path, config):
     report(checks, "6.reruns", identical,
            "two take-off runs wrote byte-identical trace and summary files")
 
-    grid = SweepGrid((0.05, 0.2, 0.35), (70.0,), config.system, config.sizing)
-    serial = sweep(grid, workers=1)
-    parallel = sweep(grid, workers=2)
+    grid = (config.system, config.sizing, (0.05, 0.2, 0.35), (70.0,))
+    serial = sweep(*grid, workers=1)
+    parallel = sweep(*grid, workers=2)
     report(checks, "6.workers", serial == parallel,
            "sweep results identical for serial and two-process execution")
     assert all(checks)

@@ -3,17 +3,22 @@ reproducible byte for byte, and errors exit nonzero with a machine
 readable stderr line."""
 
 import csv
+import errno
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tetherlaunch
 from tetherlaunch.cli import main
+from tetherlaunch.config import _section_defaults, default_app_config
 
 GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
 
@@ -288,6 +293,55 @@ class TestErrorHandling:
             "(got 1.0 <= 1.2)\n")
         assert not (tmp_path / "out").exists()
 
+    # Every command checks the step budget before it creates --out: a
+    # denormal step once ended in an OverflowError traceback, and a run
+    # that never releases went on to its max_time.
+    @pytest.mark.parametrize("argv, sections, text", [
+        *(([command, "--dt", "1e-320"], {},
+           "simulation: max_time / dt must be <= 2000000 steps (got inf)")
+          for command in ("spring-compare", "sweep", "takeoff", "validate")),
+        (["spring-compare", "--travels", "0.2"],
+         {"simulation": {"max_time": 1e9, "speed_deficit": 0.0}},
+         "simulation: max_time / dt must be <= 2000000 steps (got 1e+13)"),
+        (["takeoff"], {"simulation": {"duration": 1e7}},
+         "simulation.duration / simulation.dt: must be <= 2000000 steps "
+         "(got 1e+11)"),
+        (["takeoff", "--dt", "1e-12"], {},
+         "simulation: max_time / dt must be <= 2000000 steps (got 1e+13)"),
+        (["takeoff"],
+         {"controller": {"sample_period": 1e-320}, "simulation": {"dt": 1e-320}},
+         "simulation: max_time / dt must be <= 2000000 steps (got inf)"),
+    ], ids=["spring-compare-dt", "sweep-dt", "takeoff-dt", "validate-dt",
+            "max-time", "duration", "dt-1e-12", "sample-period"])
+    def test_step_budget(self, tmp_path, capsys, argv, sections, text):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(sections))
+        out = tmp_path / "out"
+        if argv[0] != "validate":
+            argv = [*argv, "--quiet", "--out", str(out)]
+        assert main([*argv, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: config: {text}\n"
+        assert not out.exists()
+
+    def test_tenth_of_the_step_within_budget(self, tmp_path):
+        # The README's dt/10 check still runs at the default max_time.
+        assert main(["spring-compare", "--dt", "1e-5", "--travels", "0.2",
+                     "--quiet", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("argv, out, named, code", [
+        (["takeoff"], "afile", "afile", errno.EEXIST),
+        (["spring-compare", "--travels", "0.2"], "afile/sub", "afile/sub",
+         errno.ENOTDIR),
+        (["sweep", "--travels", "0.2"], "o3", "o3/sweep.csv", errno.EISDIR),
+    ], ids=["takeoff-file", "spring-compare-under-file", "sweep-csv-dir"])
+    def test_unusable_out(self, tmp_path, capsys, argv, out, named, code):
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "o3" / "sweep.csv").mkdir(parents=True)
+        assert main([*argv, "--quiet", "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config: --out: {tmp_path / named}: "
+            f"{os.strerror(code)}\n")
+
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         code = main(["takeoff", "--out", str(tmp_path), "--config",
@@ -295,3 +349,71 @@ class TestErrorHandling:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: config: {missing}: No such file or directory\n"
+
+
+# The config keys the run fuzz scales: all but the step, the time spans
+# and the sample period, which it draws itself to keep every run short.
+DEFAULTS = _section_defaults(default_app_config())
+SCALED_KEYS = [
+    (section, key) for section, values in DEFAULTS.items() for key in values
+    if key not in ("dt", "max_time", "duration", "sample_period")]
+FUZZ_STEP = 1e-3
+# Steps over the budget at any drawn time span, denormal ones included.
+BAD_STEPS = (1e-12, 1e-310, 1e-320, 5e-324)
+
+RUNS = st.fixed_dictionaries({
+    "command": st.sampled_from(["spring-compare", "takeoff"]),
+    "travel": st.floats(0.01, 0.5),
+    # One draw in three takes a bad step.
+    "step": st.sampled_from((FUZZ_STEP,) * 8 + BAD_STEPS),
+    "max_time": st.floats(0.01, 1.0),
+    # Lift-off comes at 0.38 s in the default set-up.
+    "duration": st.floats(0.3, 0.6),
+    # Each scaled key's default is multiplied by 10**exponent.
+    "scaled": st.dictionaries(st.sampled_from(SCALED_KEYS),
+                              st.floats(-8.0, 8.0), max_size=3),
+})
+
+
+class TestRunFuzz:
+    """The run path keeps the CLI contract on drawn configs: exit 0, 1 or
+    2, one `error: ` line on failure, no numpy warning (the suite raises
+    warnings as errors), and the trace invariants in the written files."""
+
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(run=RUNS)
+    def test_run_keeps_the_contract(self, tmp_path, capsys, run):
+        sections = {"simulation": {"max_time": run["max_time"],
+                                   "duration": run["duration"]}}
+        for (section, key), exponent in run["scaled"].items():
+            sections.setdefault(section, {})[key] = (
+                DEFAULTS[section][key] * 10.0 ** exponent)
+        with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+            config = Path(scratch) / "c.json"
+            config.write_text(json.dumps(sections))
+            out = Path(scratch) / "out"
+            argv = [run["command"], "--quiet", "--config", str(config),
+                    "--dt", repr(run["step"]), "--out", str(out)]
+            if run["command"] == "spring-compare":
+                argv += ["--travels", repr(run["travel"])]
+                travel = run["travel"]
+            else:
+                travel = sections.get("spring", {}).get(
+                    "max_travel", DEFAULTS["spring"]["max_travel"])
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2)
+            if run["step"] != FUZZ_STEP:
+                assert code == 2 and not out.exists()
+            if code:
+                assert err.startswith("error: ") and err.count("\n") == 1
+                return
+            assert err == ""
+            (trace,) = (out.glob("spring_compare_travel_*.csv")
+                        if run["command"] == "spring-compare"
+                        else [out / "takeoff_trace.csv"])
+            for row in read_csv(trace):
+                assert float(row["tether_force"]) >= 0.0
+                assert 0.0 <= float(row["spring_compression"]) <= travel

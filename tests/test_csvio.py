@@ -23,7 +23,6 @@ from tetherlaunch.csvio import (
 )
 from tetherlaunch.model import default_system_params
 from tetherlaunch.spring_design import (
-    SweepGrid,
     SweepPoint,
     default_sizing_config,
     sweep,
@@ -142,8 +141,8 @@ def failed_point() -> SweepPoint:
     params = default_system_params()
     params = replace(params, spring=replace(
         params.spring, endstop_gain=1e300, free_friction=1e10))
-    grid = SweepGrid((0.2,), (70.0,), params, default_sizing_config())
-    (point,) = sweep(grid).values()
+    (point,) = sweep(params, default_sizing_config(), (0.2,),
+                     (70.0,)).values()
     return point
 
 

@@ -216,6 +216,7 @@ class TestSimulateMatchesReference:
         assert np.array_equal(trace.force, force)
         assert np.array_equal(trace.length, length)
         assert trace.timed_out == timed_out
+        assert trace.loaded == bool((force > DEFAULT_FORCE_TOL).any())
         return trace
 
     @pytest.mark.parametrize("travel", [0.05, 0.2, 0.35])

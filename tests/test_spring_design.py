@@ -3,18 +3,22 @@ sweep machinery including parallel execution."""
 
 import concurrent.futures
 import math
+import re
 from dataclasses import replace
 
 import pytest
 
 from tetherlaunch import spring_design
+from tetherlaunch.integrator import MAX_STEPS
 from tetherlaunch.spring_design import (
     SizingConfig,
-    SweepGrid,
     SweepPoint,
     count_compression_cycles,
     evaluate_spring,
+    initial_state,
+    simulate,
     simulate_design,
+    step_count,
     sweep,
 )
 
@@ -94,32 +98,47 @@ class TestEvaluate:
                             replace(config.sizing, max_time=math.inf))
 
 
+class TestStepBudget:
+    @pytest.mark.parametrize("dt, max_time, got", [
+        (1e-320, 10.0, "inf"), (1e-12, 10.0, "1e+13"), (1e-4, 1e9, "1e+13"),
+    ], ids=["denormal", "tiny-step", "long-run"])
+    def test_record_and_raw_run_reject_alike(self, config, dt, max_time,
+                                             got):
+        message = f"max_time / dt must be <= 2000000 steps (got {got})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(config.sizing, dt=dt, max_time=max_time)
+        init = initial_state(config.sizing, config.system.winch)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate(config.system, init, dt, max_time)
+
+    def test_budget_is_inclusive(self, config):
+        sizing = replace(config.sizing, dt=1e-4, max_time=200.0)
+        assert step_count(sizing.dt, sizing.max_time) == MAX_STEPS
+
+
 class TestSweep:
     def test_grid_validation(self, config):
         with pytest.raises(ValueError, match="empty"):
-            SweepGrid((), (70.0,), config.system, config.sizing)
+            sweep(config.system, config.sizing, (), (70.0,))
         with pytest.raises(ValueError, match="> 0"):
-            SweepGrid((0.35,), (-70.0,), config.system, config.sizing)
+            sweep(config.system, config.sizing, (0.35,), (-70.0,))
 
     def test_singleton_equals_direct_evaluation(self, config):
-        grid = SweepGrid((0.35,), (70.0,), config.system, config.sizing)
-        points = sweep(grid)
+        points = sweep(config.system, config.sizing, (0.35,), (70.0,))
         assert list(points) == [(0.35, 70.0)]
         direct = evaluate_spring(with_design(config.system, 0.35),
                                  config.sizing)
         assert points[(0.35, 70.0)].result == direct
 
     def test_duplicate_point_collapses_identically(self, config):
-        grid = SweepGrid((0.35, 0.35), (70.0,), config.system, config.sizing)
-        points = sweep(grid)
+        points = sweep(config.system, config.sizing, (0.35, 0.35), (70.0,))
         assert len(points) == 1
         direct = evaluate_spring(with_design(config.system, 0.35),
                                  config.sizing)
         assert points[(0.35, 70.0)].result == direct
 
     def test_repeated_values_run_once(self, config, monkeypatch):
-        distinct = sweep(SweepGrid((0.2, 0.35), (70.0,), config.system,
-                                   config.sizing))
+        distinct = sweep(config.system, config.sizing, (0.2, 0.35), (70.0,))
         calls = []
 
         def counting(params, *args):
@@ -127,16 +146,15 @@ class TestSweep:
             return evaluate_spring(params, *args)
 
         monkeypatch.setattr(spring_design, "evaluate_spring", counting)
-        points = sweep(SweepGrid((0.2, 0.2, 0.35), (70.0, 70.0),
-                                 config.system, config.sizing))
+        points = sweep(config.system, config.sizing, (0.2, 0.2, 0.35),
+                       (70.0, 70.0))
         assert calls == [(0.2, 70.0), (0.35, 70.0)]
         assert list(points) == list(distinct)
         assert points == distinct
 
     def test_invalid_point_recorded_and_sweep_continues(self, config):
         # 0.0015 m travel cannot host the 0.001 m endstop margins
-        grid = SweepGrid((0.0015, 0.35), (70.0,), config.system, config.sizing)
-        points = sweep(grid)
+        points = sweep(config.system, config.sizing, (0.0015, 0.35), (70.0,))
         bad = points[(0.0015, 70.0)]
         assert bad.result is None
         assert "endstop_margin" in bad.error
@@ -144,10 +162,9 @@ class TestSweep:
         assert good.error is None and good.result.feasible
 
     def test_parallel_equals_serial(self, config):
-        grid = SweepGrid((0.05, 0.2, 0.35), (60.0, 70.0),
-                         config.system, config.sizing)
-        serial = sweep(grid, workers=1)
-        parallel = sweep(grid, workers=2)
+        grid = (config.system, config.sizing, (0.05, 0.2, 0.35), (60.0, 70.0))
+        serial = sweep(*grid, workers=1)
+        parallel = sweep(*grid, workers=2)
         assert list(serial) == list(parallel)
         assert serial == parallel
 
@@ -176,13 +193,13 @@ class TestSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             FakePool)
-        grid = SweepGrid(travels, (70.0,), config.system, config.sizing)
-        assert sweep(grid, workers=100_000_000) == sweep(grid)
+        grid = (config.system, config.sizing, travels, (70.0,))
+        assert sweep(*grid, workers=100_000_000) == sweep(*grid)
         assert started == [len(travels)]
 
     def test_points_carry_grid_coordinates(self, config):
-        grid = SweepGrid((0.2,), (55.0,), config.system, config.sizing)
-        point = sweep(grid)[(0.2, 55.0)]
+        points = sweep(config.system, config.sizing, (0.2,), (55.0,))
+        point = points[(0.2, 55.0)]
         assert isinstance(point, SweepPoint)
         assert point.travel == 0.2 and point.stiffness == 55.0
         assert point.result.feasible in (True, False)

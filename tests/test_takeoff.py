@@ -176,6 +176,13 @@ class TestVariants:
                            match="must divide controller.sample_period"):
             run_takeoff(cfg, config.system, config.control)
 
+    def test_denormal_substep_cannot_divide_sample_period(self, config):
+        # Within the step budget, but sample_period / dt overflows to inf.
+        cfg = replace(config.takeoff, dt=1e-312, duration=1e-306)
+        with pytest.raises(TakeoffError,
+                           match="must divide controller.sample_period"):
+            run_takeoff(cfg, config.system, config.control)
+
     def test_takeoff_speed_above_cruise_floor(self, config):
         cfg = replace(config.takeoff, takeoff_speed=6.0)
         with pytest.raises(TakeoffError, match="cruise"):
@@ -196,8 +203,11 @@ class TestVariants:
         ("simulation", "dt", 3e-4,
          "simulation.dt: must divide controller.sample_period evenly "
          "(got 0.0003 and 0.001)"),
+        ("simulation", "duration", 1e7,
+         "simulation.duration / simulation.dt: must be <= 2000000 steps "
+         "(got 1e+11)"),
     ], ids=["takeoff-speed", "slide-mass", "zone-high", "zone-high-equal",
-            "dt"])
+            "dt", "step-budget"])
     def test_load_and_run_reject_alike(self, config, takeoff_rejection,
                                        section, key, value, message):
         # The takeoff command rejects the set-up as a config error with
