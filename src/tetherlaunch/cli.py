@@ -184,9 +184,12 @@ def cmd_sweep(args) -> int:
     config = _load(args)
     out = _outdir(args)
     stiffness = args.stiffness or [config.system.spring.stiffness]
+    path = out / "sweep.csv"
+    # Opened before the grid runs, so an unwritable file costs no point.
+    with _creating(path), open(path, "w", encoding="utf-8"):
+        pass
     points = list(sweep(config.system, config.sizing, args.travels,
                         stiffness, workers=args.workers).values())
-    path = out / "sweep.csv"
     with _creating(path):
         write_sweep_csv(points, path)
     if not args.quiet:

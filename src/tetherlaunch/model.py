@@ -198,17 +198,17 @@ def spring_friction(spring: SpringParams, spring_pos: float,
 class LineModel(NamedTuple):
     """The tether, pulley carriage and winch drum as closures over floats.
 
-    tension(distance, winch_angle, spring_pos) [N] for the aircraft
-    `distance` from the ground station;
-    carriage_accel(force, spring_pos, spring_vel) [m/s^2];
-    winch_accel(torque, force, winch_speed) [rad/s^2];
+    dynamics(distance, winch_angle, spring_pos, spring_vel, torque,
+    winch_speed) gives (force [N], carriage_accel [m/s^2], winch_accel
+    [rad/s^2]) for the aircraft `distance` from the ground station and
+    the drum motor holding `torque`;
+    tension(distance, winch_angle, spring_pos), its force alone [N];
     length(winch_angle, spring_pos) [m], the deployed line, on floats or
     numpy columns alike.
     """
 
+    dynamics: Callable[[float, float, float, float, float, float], tuple]
     tension: Callable[[float, float, float], float]
-    carriage_accel: Callable[[float, float, float], float]
-    winch_accel: Callable[[float, float, float], float]
     length: Callable[[float, float], float]
 
 
@@ -241,8 +241,9 @@ def line_model(tether: TetherParams, spring: SpringParams,
     def length(winch_angle, spring_pos):
         return slack + radius * winch_angle + 2.0 * spring_pos
 
-    def tension(distance: float, winch_angle: float,
-                spring_pos: float) -> float:
+    def dynamics(distance: float, winch_angle: float, spring_pos: float,
+                 spring_vel: float, torque: float,
+                 winch_speed: float) -> tuple:
         # length(winch_angle, spring_pos), inlined: the extra call per
         # plant evaluation made a sizing sweep about 8% slower.
         deployed = slack + radius * winch_angle + 2.0 * spring_pos
@@ -250,22 +251,23 @@ def line_model(tether: TetherParams, spring: SpringParams,
             raise ValueError(f"tether length must be > 0 (got {deployed})")
         force = (breaking_load / (breaking_elongation * deployed)
                  * (distance - deployed))
-        return force if force > 0.0 else 0.0  # max(0.0, force), minus a call
-
-    def carriage_accel(force: float, spring_pos: float,
-                       spring_vel: float) -> float:
+        force = force if force > 0.0 else 0.0  # max(0.0, force), minus a call
         if ((spring_pos <= lower_band and spring_vel < 0.0)
                 or (spring_pos > upper_band and spring_vel > 0.0)):
             friction = stop_friction
         else:
             friction = free_friction
-        return (2.0 * force - friction * spring_vel
-                - stiffness * spring_pos) / carriage_mass
+        return (force,
+                (2.0 * force - friction * spring_vel
+                 - stiffness * spring_pos) / carriage_mass,
+                (torque + radius * force - rot_friction * winch_speed)
+                / inertia)
 
-    def winch_accel(torque: float, force: float, winch_speed: float) -> float:
-        return (torque + radius * force - rot_friction * winch_speed) / inertia
+    def tension(distance: float, winch_angle: float,
+                spring_pos: float) -> float:
+        return dynamics(distance, winch_angle, spring_pos, 0.0, 0.0, 0.0)[0]
 
-    return LineModel(tension, carriage_accel, winch_accel, length)
+    return LineModel(dynamics, tension, length)
 
 
 def airborne_plant(params: SystemParams, slack: float = 0.0,
@@ -283,8 +285,8 @@ def airborne_plant(params: SystemParams, slack: float = 0.0,
     The sizing study flies level on a line without slack, under the peak
     reel-out torque: airborne_plant(params)(params.winch.max_torque).
     """
-    tension, carriage_accel, winch_accel, _ = line_model(
-        params.tether, params.spring, params.winch, slack)
+    dynamics = line_model(params.tether, params.spring, params.winch,
+                          slack).dynamics
     aircraft = params.aircraft
     thrust = aircraft.max_thrust
     drag_factor = (0.5 * params.ambient.air_density * aircraft.drag_coeff
@@ -295,11 +297,11 @@ def airborne_plant(params: SystemParams, slack: float = 0.0,
     def under(torque: float) -> Callable[..., tuple]:
         def derivs(pos, vel, spring_pos, spring_vel, winch_angle,
                    winch_speed):
-            force = tension(pos, winch_angle, spring_pos)
+            force, spring_accel, winch_accel = dynamics(
+                pos, winch_angle, spring_pos, spring_vel, torque, winch_speed)
             return (vel,
                     (thrust - drag_factor * vel * vel - force - gravity) / mass,
-                    spring_vel, carriage_accel(force, spring_pos, spring_vel),
-                    winch_speed, winch_accel(torque, force, winch_speed))
+                    spring_vel, spring_accel, winch_speed, winch_accel)
 
         return derivs
 

@@ -7,7 +7,9 @@ zero with the winch at least matching the aircraft speed. Sweeps evaluate
 a grid of designs independently; every point is a pure computation, so the
 grid can be farmed out to worker processes with results identical to a
 serial run. The sizing run steps the airborne plant of `model` with the
-flat RK4 of `integrator` and keeps every step in a Trace.
+flat RK4 of `integrator`. `simulate` keeps every step in a Trace, for
+spring-compare and validate's trace-bounds check; `evaluate_spring`, and
+so `sweep`, judges the design while it steps and keeps none.
 """
 
 from __future__ import annotations
@@ -116,6 +118,62 @@ class Trace:
         return self.states[:, 5]
 
 
+def _run_sizing(params: SystemParams, init: DesignState, dt: float,
+                steps: int, force_tol: float, rows: list | None = None):
+    """Step from `init` until the release or `steps` steps (see simulate).
+
+    Returns (last step index, loaded, released, lowest speed, its first
+    index, compression cycles) over the start and every step taken, and
+    appends each one's state and tether force to `rows` if given.
+    """
+    torque = params.winch.max_torque
+    derivs = airborne_plant(params)(torque)
+    # The force from dynamics itself: tension would add a call per step.
+    dynamics = line_model(params.tether, params.spring, params.winch).dynamics
+    radius = params.winch.radius
+    limit = params.spring.max_travel
+    margin = params.spring.endstop_margin
+
+    pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = init
+    force = dynamics(pos, winch_angle, spring_pos, spring_vel, torque,
+                     winch_speed)[0]
+    if rows is not None:
+        rows.append((*init, force))
+    force_seen = force > force_tol
+    fired = False
+    min_speed, i_min = vel, 0
+    trend, extreme, cycles = 0, spring_pos, 0
+    n = 0
+
+    for n in range(1, steps + 1):
+        pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = rk4_step6(
+            derivs, dt, pos, vel, spring_pos, spring_vel, winch_angle,
+            winch_speed)
+        if not math.isfinite(pos + vel + spring_pos + spring_vel
+                             + winch_angle + winch_speed):
+            check_finite(DesignState(pos, vel, spring_pos, spring_vel,
+                                     winch_angle, winch_speed))
+        if spring_pos < 0.0 or spring_pos > limit:
+            spring_pos, spring_vel = clamp_spring_travel(spring_pos,
+                                                         spring_vel, limit)
+        force = dynamics(pos, winch_angle, spring_pos, spring_vel, torque,
+                         winch_speed)[0]
+        if rows is not None:
+            rows.append((pos, vel, spring_pos, spring_vel, winch_angle,
+                         winch_speed, force))
+        if vel < min_speed:  # the first minimum, as argmin picks
+            min_speed, i_min = vel, n
+        trend, extreme, cycles = _cycle_step(spring_pos, margin, trend,
+                                             extreme, cycles)
+        if force > force_tol:
+            force_seen = True
+        elif force_seen and radius * winch_speed >= vel:
+            fired = True
+            break
+
+    return n, force_seen, fired, min_speed, i_min, cycles
+
+
 def simulate(params: SystemParams, init: DesignState, dt: float,
              max_time: float, force_tol: float = DEFAULT_FORCE_TOL) -> Trace:
     """Integrate the sizing model until the tether force is released.
@@ -132,49 +190,18 @@ def simulate(params: SystemParams, init: DesignState, dt: float,
     """
     _check_positive("max_time", max_time)
     _check_positive("dt", dt)
+    rows: list[tuple] = []
     steps = step_count(dt, max_time)
-
-    derivs = airborne_plant(params)(params.winch.max_torque)
+    _, loaded, fired, *_ = _run_sizing(params, init, dt, steps, force_tol, rows)
+    table = np.array(rows, dtype=float)
+    states = table[:, :6]
     line = line_model(params.tether, params.spring, params.winch)
-    tension = line.tension
-    radius = params.winch.radius
-    limit = params.spring.max_travel
-
-    pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = init
-    force = tension(pos, winch_angle, spring_pos)
-    rows = [init]
-    forces = [force]
-    force_seen = force > force_tol
-    fired = False
-
-    for _ in range(steps):
-        pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = rk4_step6(
-            derivs, dt, pos, vel, spring_pos, spring_vel, winch_angle,
-            winch_speed)
-        if not math.isfinite(pos + vel + spring_pos + spring_vel
-                             + winch_angle + winch_speed):
-            check_finite(DesignState(pos, vel, spring_pos, spring_vel,
-                                     winch_angle, winch_speed))
-        if spring_pos < 0.0 or spring_pos > limit:
-            spring_pos, spring_vel = clamp_spring_travel(spring_pos,
-                                                         spring_vel, limit)
-        force = tension(pos, winch_angle, spring_pos)
-        rows.append((pos, vel, spring_pos, spring_vel, winch_angle,
-                     winch_speed))
-        forces.append(force)
-        if force > force_tol:
-            force_seen = True
-        elif force_seen and radius * winch_speed >= vel:
-            fired = True
-            break
-
-    states = np.array(rows, dtype=float)
     return Trace(
         times=np.arange(len(rows), dtype=float) * dt,
         states=states,
-        force=np.array(forces, dtype=float),
+        force=table[:, 6],
         length=line.length(states[:, 4], states[:, 2]),
-        loaded=force_seen,
+        loaded=loaded,
         timed_out=not fired,
     )
 
@@ -201,6 +228,19 @@ class SweepPoint:
     error: str | None = None
 
 
+def _cycle_step(x: float, margin: float, trend: int, extreme: float,
+                cycles: int) -> tuple[int, float, int]:
+    """count_compression_cycles' update for the next compression `x`: the
+    new (trend, extreme, cycles)."""
+    if trend <= 0 and x >= extreme + margin:
+        return 1, x, cycles
+    if trend >= 0 and x <= extreme - margin:
+        return -1, x, (cycles + 1 if trend == 1 else cycles)
+    if (trend == 1 and x > extreme) or (trend == -1 and x < extreme):
+        return trend, x, cycles
+    return trend, extreme, cycles
+
+
 def count_compression_cycles(compression, margin: float) -> int:
     """Number of confirmed compression/extension cycles of the carriage.
 
@@ -212,60 +252,51 @@ def count_compression_cycles(compression, margin: float) -> int:
     trend = 0  # +1 compressing, -1 extending, 0 before the first move
     extreme = compression[0] if len(compression) else 0.0
     for x in compression:
-        if trend <= 0 and x >= extreme + margin:
-            trend = 1
-            extreme = x
-        elif trend >= 0 and x <= extreme - margin:
-            if trend == 1:
-                cycles += 1
-            trend = -1
-            extreme = x
-        elif trend == 1 and x > extreme:
-            extreme = x
-        elif trend == -1 and x < extreme:
-            extreme = x
+        trend, extreme, cycles = _cycle_step(x, margin, trend, extreme,
+                                             cycles)
     return cycles
 
 
-def assess_trace(trace: Trace, params: SystemParams) -> FeasibilityResult:
-    """Judge feasibility from a completed sizing-test trace.
+def _verdict(params: SystemParams, min_speed: float, t_at_min: float,
+             t_end: float, loaded: bool, timed_out: bool,
+             cycles: int) -> FeasibilityResult:
+    """Judge feasibility from the reductions of a sizing run that ended
+    at `t_end`, its release instant unless it timed out.
 
-    On a normal run the window closed at the release instant recorded in
-    the trace. On a timeout the design only counts as feasible if the
-    tether never produced any force at all (nothing to resolve, e.g. a
-    zero speed deficit); a timeout after excitation is conservatively
-    infeasible because the transient never provably ended.
+    A timeout counts as feasible only if the tether never pulled at all
+    (nothing to resolve, e.g. a zero speed deficit); after a pull it is
+    conservatively infeasible: the transient never provably ended.
     """
+    feasible = (not (timed_out and loaded)
+                and min_speed >= params.aircraft.min_cruise_speed)
+    return FeasibilityResult(min_speed, t_at_min,
+                             None if timed_out else t_end, timed_out,
+                             feasible, cycles)
+
+
+def assess_trace(trace: Trace, params: SystemParams) -> FeasibilityResult:
+    """Judge feasibility from a completed sizing-test trace (see _verdict),
+    reducing its arrays."""
     speeds = trace.vel
     i_min = int(speeds.argmin())
-    min_speed = float(speeds[i_min])
     cycles = count_compression_cycles(trace.spring_pos.tolist(),
                                       params.spring.endstop_margin)
-    threshold = params.aircraft.min_cruise_speed
-    if not trace.timed_out:
-        t_star = float(trace.times[-1])
-        feasible = min_speed >= threshold
-    elif not trace.loaded:
-        t_star = None
-        feasible = min_speed >= threshold
-    else:
-        t_star = None
-        feasible = False
-    return FeasibilityResult(
-        min_speed=min_speed,
-        t_at_min=float(trace.times[i_min]),
-        t_star=t_star,
-        timed_out=trace.timed_out,
-        feasible=feasible,
-        compression_cycles=cycles,
-    )
+    return _verdict(params, float(speeds[i_min]), float(trace.times[i_min]),
+                    float(trace.times[-1]), trace.loaded, trace.timed_out,
+                    cycles)
 
 
 def evaluate_spring(params: SystemParams,
                     sizing: SizingConfig) -> FeasibilityResult:
-    """Run the sizing test for one parameter set and judge feasibility."""
-    trace = simulate_design(params, sizing)
-    return assess_trace(trace, params)
+    """Run the sizing test for one parameter set and judge feasibility:
+    assess_trace(simulate_design(params, sizing), params), reduced while
+    the run steps, so that no step is kept."""
+    dt = sizing.dt
+    last, loaded, fired, min_speed, i_min, cycles = _run_sizing(
+        params, initial_state(sizing, params.winch), dt,
+        step_count(dt, sizing.max_time), sizing.force_tolerance)
+    return _verdict(params, float(min_speed), float(i_min * dt),
+                    float(last * dt), loaded, not fired, cycles)
 
 
 def simulate_design(params: SystemParams, sizing: SizingConfig) -> Trace:

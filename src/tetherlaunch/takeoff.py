@@ -221,7 +221,7 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     slide_drive = slide_law(control.slide)
     winch_drive = winch_law(control.winch)
     fbck_step = outer_law(outer)
-    tension, carriage_accel, winch_accel, line_length = line_model(
+    line_dynamics, tension, line_length = line_model(
         system.tether, spring, winch, cfg.initial_slack)
     # After lift-off: the aircraft on its climb ray, one plant per held
     # winch torque.
@@ -233,15 +233,16 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     def on_slide(slide_angle, slide_speed, winch_angle, winch_speed,
                  spring_pos, spring_vel):
         speed = drum_radius * slide_speed
-        force = tension(drum_radius * slide_angle, winch_angle, spring_pos)
+        force, spring_accel, winch_accel = line_dynamics(
+            drum_radius * slide_angle, winch_angle, spring_pos, spring_vel,
+            u_winch, winch_speed)
         # Thrust, drag and tether pull all act on the combined
         # slide+aircraft train through the equivalent mass.
         train_force = (u_slide / drum_radius + thrust
                        - drag_coeff * speed * speed - force
                        - slide_friction * slide_speed / drum_radius)
         return (slide_speed, train_force * drum_radius / slide_inertia_full,
-                winch_speed, winch_accel(u_winch, force, winch_speed),
-                spring_vel, carriage_accel(force, spring_pos, spring_vel))
+                winch_speed, winch_accel, spring_vel, spring_accel)
 
     def empty_slide(slide_angle, slide_speed):
         """RK4 step of the slide after lift-off, when no longer coupled to

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tetherlaunch
+from tetherlaunch import spring_design
 from tetherlaunch.cli import main
 from tetherlaunch.config import _section_defaults, default_app_config
 
@@ -334,13 +335,21 @@ class TestErrorHandling:
          errno.ENOTDIR),
         (["sweep", "--travels", "0.2"], "o3", "o3/sweep.csv", errno.EISDIR),
     ], ids=["takeoff-file", "spring-compare-under-file", "sweep-csv-dir"])
-    def test_unusable_out(self, tmp_path, capsys, argv, out, named, code):
+    def test_unusable_out(self, tmp_path, capsys, monkeypatch, argv, out,
+                          named, code):
         (tmp_path / "afile").write_text("")
         (tmp_path / "o3" / "sweep.csv").mkdir(parents=True)
+        # An unusable output is found before any grid point runs.
+        evaluated = []
+        evaluate_spring = spring_design.evaluate_spring
+        monkeypatch.setattr(
+            spring_design, "evaluate_spring",
+            lambda *args: evaluated.append(args) or evaluate_spring(*args))
         assert main([*argv, "--quiet", "--out", str(tmp_path / out)]) == 2
         assert capsys.readouterr().err == (
             f"error: config: --out: {tmp_path / named}: "
             f"{os.strerror(code)}\n")
+        assert evaluated == []
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

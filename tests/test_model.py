@@ -43,7 +43,7 @@ def line(params):
 def tension_on(line, distance, length):
     """The line's tension with `length` deployed, all of it by the
     carriage (halving is exact, so the length is too)."""
-    return line.tension(distance, 0.0, length / 2.0)
+    return line.dynamics(distance, 0.0, length / 2.0, 0.0, 0.0, 0.0)[0]
 
 
 class TestValidation:
@@ -139,24 +139,39 @@ class TestLineModel:
                 assert tension_on(line, distance, length) == max(
                     0.0, stiffness * (distance - length))
 
+    def test_tension_is_the_force_of_dynamics(self, line):
+        for spring_pos in (0.0, 0.1, 0.35):
+            for distance in (19.0, 20.5, 20.75):
+                force = line.dynamics(distance, 200.0, spring_pos, 0.5,
+                                      13.0, 60.0)[0]
+                assert line.tension(distance, 200.0, spring_pos) == force
+
     @pytest.mark.parametrize("length", [0.0, -1.0])
     def test_degenerate_length(self, line, length):
         with pytest.raises(ValueError, match="tether length"):
             tension_on(line, 20.0, length)
+        with pytest.raises(ValueError, match="tether length"):
+            line.tension(20.0, 0.0, length / 2.0)
 
     def test_carriage_uses_spring_friction(self, params, line):
         spring = params.spring
         for spring_pos in (0.0, 0.0005, 0.001, 0.1, 0.349, 0.3495, 0.35):
             for spring_vel in (-0.5, -0.0, 0.0, 0.5):
                 friction = spring_friction(spring, spring_pos, spring_vel)
-                assert line.carriage_accel(3.0, spring_pos, spring_vel) == (
-                    (2.0 * 3.0 - friction * spring_vel
+                force, carriage_accel, _ = line.dynamics(
+                    20.75, 200.0, spring_pos, spring_vel, 13.0, 60.0)
+                assert force > 0.0
+                assert carriage_accel == (
+                    (2.0 * force - friction * spring_vel
                      - spring.stiffness * spring_pos) / spring.carriage_mass)
 
     def test_winch_torque_and_pull_add(self, line):
-        assert line.winch_accel(13.0, 5.0, 60.0) == (
-            (13.0 + 0.1 * 5.0 - 0.01 * 60.0) / 0.1)
-        assert line.winch_accel(-13.0, 0.0, 0.0) == -130.0
+        force, _, winch_accel = line.dynamics(20.75, 200.0, 0.1, 0.0, 13.0,
+                                              60.0)
+        assert force > 0.0
+        assert winch_accel == (13.0 + 0.1 * force - 0.01 * 60.0) / 0.1
+        assert line.dynamics(19.0, 200.0, 0.0, 0.0, -13.0, 0.0)[::2] == (
+            0.0, -130.0)
 
 
 class TestEffectiveLength:

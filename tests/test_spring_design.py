@@ -2,9 +2,12 @@
 sweep machinery including parallel execution."""
 
 import concurrent.futures
+import json
 import math
 import re
-from dataclasses import replace
+import tracemalloc
+from dataclasses import astuple, replace
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ from tetherlaunch.integrator import MAX_STEPS
 from tetherlaunch.spring_design import (
     SizingConfig,
     SweepPoint,
+    assess_trace,
     count_compression_cycles,
     evaluate_spring,
     initial_state,
@@ -96,6 +100,88 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="max_time must be finite"):
             simulate_design(config.system,
                             replace(config.sizing, max_time=math.inf))
+
+
+def exact(result):
+    """The fields of a FeasibilityResult with their types, floats by hex."""
+    return [(type(v).__name__, v.hex() if isinstance(v, float) else v)
+            for v in astuple(result)]
+
+
+def benchmark_grid():
+    """The travels and stiffness values of the benchmark's seed-0 sweep."""
+    golden = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                         / "goldens.json").read_text(encoding="utf-8"))
+    argv = golden["sweep-10x10"]["argv"]
+    return [[float(v) for v in argv[argv.index(flag) + 1].split(",")]
+            for flag in ("--travels", "--stiffness")]
+
+
+class TestOnlineVerdict:
+    """evaluate_spring reduces the run as it steps; assess_trace reduces
+    the kept trace. Both give the same result, bit for bit."""
+
+    def assert_same(self, params, sizing):
+        online = evaluate_spring(params, sizing)
+        kept = assess_trace(simulate_design(params, sizing), params)
+        assert exact(online) == exact(kept)
+        return online
+
+    def test_benchmark_grid(self, config):
+        travels, stiffness = benchmark_grid()
+        assert len(travels) == len(stiffness) == 10
+        verdicts = {self.assert_same(with_design(config.system, travel, k),
+                                     config.sizing).feasible
+                    for travel in travels for k in stiffness}
+        assert verdicts == {True, False}
+
+    def test_loaded_timeout(self, config):
+        result = self.assert_same(config.system,
+                                  replace(config.sizing, max_time=0.05))
+        assert result.timed_out and not result.feasible
+
+    def test_unloaded_timeout(self, config):
+        result = self.assert_same(config.system,
+                                  SizingConfig(20.0, 10.0, 0.0, max_time=1.0))
+        assert result.timed_out and result.feasible
+
+    def test_tied_minimum_is_the_first(self, config):
+        # Thrust equal to the drag at 10 m/s and no deficit: the speed
+        # stays exactly 10 m/s, so every step ties for the minimum.
+        system = config.system
+        aircraft = system.aircraft
+        drag_factor = (0.5 * system.ambient.air_density * aircraft.drag_coeff
+                       * aircraft.effective_area)
+        cruise = replace(system, aircraft=replace(
+            aircraft, max_thrust=drag_factor * 10.0 * 10.0))
+        result = self.assert_same(cruise,
+                                  SizingConfig(20.0, 10.0, 0.0, max_time=0.05))
+        assert result.min_speed == 10.0 and result.t_at_min == 0.0
+
+    def test_raising_point(self, config):
+        # The winch reels in faster than the aircraft flies out.
+        sizing = SizingConfig(0.5, 1.0, 40.0, max_time=1.0)
+        with pytest.raises(ValueError) as online:
+            evaluate_spring(config.system, sizing)
+        with pytest.raises(ValueError) as kept:
+            simulate_design(config.system, sizing)
+        assert type(online.value) is type(kept.value)
+        assert str(online.value) == str(kept.value)
+        assert str(online.value).startswith("tether length must be > 0")
+
+    def test_keeps_no_step(self, config):
+        # 10,000 steps to the timeout; kept, they peak near 3.3 MB.
+        sizing = SizingConfig(20.0, 10.0, 0.0, max_time=1.0)
+        # A short run first: traced cold, the loop ran up to 5x slower.
+        evaluate_spring(config.system, replace(sizing, max_time=0.01))
+        tracemalloc.start()
+        try:
+            result = evaluate_spring(config.system, sizing)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.timed_out
+        assert peak < 1_000_000
 
 
 class TestStepBudget:
