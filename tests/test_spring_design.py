@@ -170,7 +170,7 @@ class TestOnlineVerdict:
         assert str(online.value).startswith("tether length must be > 0")
 
     def test_keeps_no_step(self, config):
-        # 10,000 steps to the timeout; kept, they peak near 3.3 MB.
+        # 10,000 steps to the timeout; kept, they peak near 3.2 MB.
         sizing = SizingConfig(20.0, 10.0, 0.0, max_time=1.0)
         # A short run first: traced cold, the loop ran up to 5x slower.
         evaluate_spring(config.system, replace(sizing, max_time=0.01))
