@@ -133,6 +133,14 @@ def _outdir(args) -> Path:
     return out
 
 
+def _create(*paths: Path) -> None:
+    """Create each output file empty before anything runs, so that an
+    unusable one costs no run and no finished output is left beside it."""
+    for path in paths:
+        with _creating(path), open(path, "w", encoding="utf-8"):
+            pass
+
+
 def _trace_name(travel: float) -> str:
     """File name of a travel's spring-compare trace."""
     return f"spring_compare_travel_{travel:g}".replace(".", "p") + ".csv"
@@ -154,6 +162,8 @@ def cmd_spring_compare(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--travels: {exc}") from exc
     out = _outdir(args)
+    summary_path = out / "spring_compare_summary.csv"
+    _create(*(out / name for name in named), summary_path)
     points = []
     for name, spring in named.items():
         travel = spring.max_travel
@@ -172,7 +182,6 @@ def cmd_spring_compare(args) -> int:
                   f"{'feasible' if result.feasible else 'NOT feasible'} "
                   f"-> {path}")
 
-    summary_path = out / "spring_compare_summary.csv"
     with _creating(summary_path):
         write_sweep_csv(points, summary_path)
     if not args.quiet:
@@ -185,9 +194,7 @@ def cmd_sweep(args) -> int:
     out = _outdir(args)
     stiffness = args.stiffness or [config.system.spring.stiffness]
     path = out / "sweep.csv"
-    # Opened before the grid runs, so an unwritable file costs no point.
-    with _creating(path), open(path, "w", encoding="utf-8"):
-        pass
+    _create(path)
     points = list(sweep(config.system, config.sizing, args.travels,
                         stiffness, workers=args.workers).values())
     with _creating(path):

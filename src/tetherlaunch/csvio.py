@@ -6,6 +6,7 @@ so files are locale independent and byte identical across runs.
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
 
 from .spring_design import SweepPoint, Trace
@@ -50,8 +51,11 @@ def _cell(value) -> str:
 
 
 def write_rows(path: str | Path, header: list[str], columns) -> None:
-    """Write one CSV file from its columns, header row first."""
-    cells = [map(repr, c.tolist()) if getattr(c, "dtype", None) == "float64"
+    """Write one CSV file from its columns, header row first. A column
+    that is a memoryview of doubles is written with repr, the text _cell
+    gives a float, without a call per cell."""
+    cells = [map(repr, c.tolist())
+             if isinstance(c, memoryview) and c.format == "d"
              else map(_cell, c) for c in columns]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(map(_quote, header)) + "\r\n")
@@ -62,17 +66,22 @@ def write_rows(path: str | Path, header: list[str], columns) -> None:
 def write_design_trace(trace: Trace, path: str | Path) -> None:
     """Serialize a sizing-study trace, one row per integration step."""
     write_rows(path, DESIGN_TRACE_HEADER,
-               [trace.times, *trace.states.T, trace.force, trace.length])
+               [trace.times, *map(trace.column, range(6)), trace.force,
+                trace.length])
 
 
 def write_takeoff_trace(trace: TakeoffTrace, path: str | Path) -> None:
-    """Serialize a take-off trace, one row per controller step."""
-    write_rows(path, TAKEOFF_TRACE_HEADER, [
+    """Serialize a take-off trace, one row per controller step. Its
+    numbers are written as doubles, so an integer that a parameter passed
+    through is written as a float."""
+    numbers = [
         trace.t, trace.slide_angle, trace.slide_speed, trace.winch_angle,
         trace.winch_speed, trace.spring_pos, trace.distance, trace.speed,
         trace.tether_length, trace.tether_force, trace.slide_torque,
-        trace.winch_torque, trace.slide_power, trace.winch_power, trace.zone,
-        trace.phase])
+        trace.winch_torque, trace.slide_power, trace.winch_power]
+    write_rows(path, TAKEOFF_TRACE_HEADER, [
+        *(memoryview(array("d", column)) for column in numbers),
+        trace.zone, trace.phase])
 
 
 def write_sweep_csv(points: list[SweepPoint], path: str | Path) -> None:

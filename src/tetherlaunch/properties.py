@@ -8,8 +8,9 @@ detail string; the suite passes only if every check does.
 The checks drive the same closures that `run_takeoff` runs, built once
 per check by `outer_law`, `slide_law` and `winch_law`. Each draw
 `rng.uniform(a, b)` is written out as CPython defines it,
-`a + (b - a) * rng.random()`, with the same operands in the same order:
-the numbers drawn are the same, without a method call per draw.
+`a + (b - a) * rng.random()`, with the same operands in the same order,
+and each `rng.choice` of two values as its index draw: the numbers drawn
+are the same, without a method call per draw.
 """
 
 from __future__ import annotations
@@ -141,11 +142,18 @@ def check_combine_refs(n: int = 100_000) -> PropertyCheck:
     """Arbitration equals max(ffwd, fbck) for forward slide motion."""
     rng = Random(_SEED + 3)
     random = rng.random
+    getrandbits = rng.getrandbits
     ok = True
     for _ in range(n):
         ffwd = -150.0 + (150.0 - -150.0) * random()
         fbck = -150.0 + (150.0 - -150.0) * random()
-        slide_speed = rng.choice((0.0, -100.0 + (100.0 - -100.0) * random()))
+        # rng.choice((0.0, uniform(-100.0, 100.0))): the index drawn as
+        # choice draws it, getrandbits(2) until it is below 2.
+        moving = -100.0 + (100.0 - -100.0) * random()
+        index = getrandbits(2)
+        while index > 1:
+            index = getrandbits(2)
+        slide_speed = moving if index else 0.0
         got = combine_refs(ffwd, fbck, slide_speed)
         want = max(ffwd, fbck) if slide_speed > 0.0 else fbck
         if got != want:
@@ -214,14 +222,14 @@ def check_trace_bounds(config: AppConfig) -> PropertyCheck:
         spring = replace(config.system.spring, max_travel=travel)
         params = replace(config.system, spring=spring)
         trace = simulate_design(params, config.sizing)
-        if trace.force.min() < 0.0:
+        force = trace.force.tolist()
+        f_lo, f_hi = min(force), max(force)
+        compression = trace.spring_pos.tolist()
+        x_lo, x_hi = min(compression), max(compression)
+        if f_lo < 0.0 or x_lo < 0.0 or x_hi > travel:
             ok = False
-        if trace.spring_pos.min() < 0.0 or trace.spring_pos.max() > travel:
-            ok = False
-        details.append(f"{travel}: F in [{trace.force.min():.2g}, "
-                       f"{trace.force.max():.3g}] N, "
-                       f"x in [{trace.spring_pos.min():.2g}, "
-                       f"{trace.spring_pos.max():.3g}] m")
+        details.append(f"{travel}: F in [{f_lo:.2g}, {f_hi:.3g}] N, "
+                       f"x in [{x_lo:.2g}, {x_hi:.3g}] m")
     return PropertyCheck("trace-bounds", ok, "; ".join(details))
 
 

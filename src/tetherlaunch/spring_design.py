@@ -15,9 +15,8 @@ so `sweep`, judges the design while it steps and keeps none.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .integrator import DEFAULT_STEP, MAX_STEPS, check_finite, rk4_step6
 from .model import (
@@ -94,37 +93,57 @@ def initial_state(sizing: SizingConfig, winch: WinchParams) -> DesignState:
     )
 
 
+def _doubles(count: int, values) -> memoryview:
+    """A read-only one-dimensional view of `count` floats packed as C
+    doubles."""
+    return memoryview(struct.pack(f"{count}d", *values)).cast("d")
+
+
 @dataclass
 class Trace:
-    """Uniform-grid log of a sizing run."""
+    """Uniform-grid log of a sizing run.
 
-    times: np.ndarray    # [s], strictly increasing, uniform step
-    states: np.ndarray   # (n, 6) rows in DesignState field order
-    force: np.ndarray    # tether force per step [N]
-    length: np.ndarray   # deployed tether length per step [m]
+    The columns are read-only memoryviews of C doubles, 8 bytes a value;
+    numpy.asarray(column) gives the array without a copy.
+    """
+
+    times: memoryview    # [s], strictly increasing, uniform step
+    states: memoryview   # (n, 6) rows in DesignState field order
+    force: memoryview    # tether force per step [N]
+    length: memoryview   # deployed tether length per step [m]
     loaded: bool         # the force rose above the release threshold
     timed_out: bool      # the force was never released
 
-    @property
-    def vel(self) -> np.ndarray:
-        return self.states[:, 1]
+    def column(self, j: int) -> memoryview:
+        """State `j` in DesignState field order at every step: a strided
+        view of `states`."""
+        return self.states.cast("B").cast("d")[j::6]
 
     @property
-    def spring_pos(self) -> np.ndarray:
-        return self.states[:, 2]
+    def vel(self) -> memoryview:
+        return self.column(1)
 
     @property
-    def winch_speed(self) -> np.ndarray:
-        return self.states[:, 5]
+    def spring_pos(self) -> memoryview:
+        return self.column(2)
+
+    @property
+    def winch_speed(self) -> memoryview:
+        return self.column(5)
 
 
 def _run_sizing(params: SystemParams, init: DesignState, dt: float,
-                steps: int, force_tol: float, rows: list | None = None):
+                steps: int, force_tol: float, states: list | None = None,
+                forces: list | None = None):
     """Step from `init` until the release or `steps` steps (see simulate).
 
     Returns (last step index, loaded, released, lowest speed, its first
     index, compression cycles) over the start and every step taken, and
-    appends each one's state and tether force to `rows` if given.
+    appends each one's six state values to `states` and its tether force
+    to `forces` if given. Keeping floats alone, a kept run leaves no
+    object that the cyclic garbage collector tracks: each tuple that
+    carries a step's values is freed at once, so the run triggers no
+    collection.
     """
     torque = params.winch.max_torque
     derivs = airborne_plant(params)(torque)
@@ -137,8 +156,9 @@ def _run_sizing(params: SystemParams, init: DesignState, dt: float,
     pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = init
     force = dynamics(pos, winch_angle, spring_pos, spring_vel, torque,
                      winch_speed)[0]
-    if rows is not None:
-        rows.append((*init, force))
+    if states is not None:
+        states += init
+        forces.append(force)
     force_seen = force > force_tol
     fired = False
     min_speed, i_min = vel, 0
@@ -158,9 +178,10 @@ def _run_sizing(params: SystemParams, init: DesignState, dt: float,
                                                          spring_vel, limit)
         force = dynamics(pos, winch_angle, spring_pos, spring_vel, torque,
                          winch_speed)[0]
-        if rows is not None:
-            rows.append((pos, vel, spring_pos, spring_vel, winch_angle,
-                         winch_speed, force))
+        if states is not None:
+            states += (pos, vel, spring_pos, spring_vel, winch_angle,
+                       winch_speed)
+            forces.append(force)
         if vel < min_speed:  # the first minimum, as argmin picks
             min_speed, i_min = vel, n
         trend, extreme, cycles = _cycle_step(spring_pos, margin, trend,
@@ -190,17 +211,18 @@ def simulate(params: SystemParams, init: DesignState, dt: float,
     """
     _check_positive("max_time", max_time)
     _check_positive("dt", dt)
-    rows: list[tuple] = []
-    steps = step_count(dt, max_time)
-    _, loaded, fired, *_ = _run_sizing(params, init, dt, steps, force_tol, rows)
-    table = np.array(rows, dtype=float)
-    states = table[:, :6]
+    states: list[float] = []
+    forces: list[float] = []
+    _, loaded, fired, *_ = _run_sizing(params, init, dt,
+                                       step_count(dt, max_time), force_tol,
+                                       states, forces)
+    n = len(forces)
     line = line_model(params.tether, params.spring, params.winch)
     return Trace(
-        times=np.arange(len(rows), dtype=float) * dt,
-        states=states,
-        force=table[:, 6],
-        length=line.length(states[:, 4], states[:, 2]),
+        times=_doubles(n, [i * dt for i in range(n)]),
+        states=_doubles(6 * n, states).cast("B").cast("d", (n, 6)),
+        force=_doubles(n, forces),
+        length=_doubles(n, map(line.length, states[4::6], states[2::6])),
         loaded=loaded,
         timed_out=not fired,
     )
@@ -276,14 +298,14 @@ def _verdict(params: SystemParams, min_speed: float, t_at_min: float,
 
 def assess_trace(trace: Trace, params: SystemParams) -> FeasibilityResult:
     """Judge feasibility from a completed sizing-test trace (see _verdict),
-    reducing its arrays."""
-    speeds = trace.vel
-    i_min = int(speeds.argmin())
+    reducing its columns."""
+    speeds = trace.vel.tolist()
+    min_speed = min(speeds)
+    i_min = speeds.index(min_speed)  # the first minimum, as argmin picks
     cycles = count_compression_cycles(trace.spring_pos.tolist(),
                                       params.spring.endstop_margin)
-    return _verdict(params, float(speeds[i_min]), float(trace.times[i_min]),
-                    float(trace.times[-1]), trace.loaded, trace.timed_out,
-                    cycles)
+    return _verdict(params, min_speed, trace.times[i_min], trace.times[-1],
+                    trace.loaded, trace.timed_out, cycles)
 
 
 def evaluate_spring(params: SystemParams,

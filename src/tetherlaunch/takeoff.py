@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-
-import numpy as np
+from operator import sub
 
 from .controller import (
     ControlParams,
@@ -105,31 +104,35 @@ _STATE_NAMES = ("slide_angle", "slide_speed", "winch_angle", "winch_speed",
 
 @dataclass
 class TakeoffTrace:
-    """Per-control-step log of a take-off run."""
+    """Per-control-step log of a take-off run.
 
-    t: np.ndarray
-    slide_angle: np.ndarray
-    slide_speed: np.ndarray
-    winch_angle: np.ndarray
-    winch_speed: np.ndarray
-    spring_pos: np.ndarray
-    distance: np.ndarray       # aircraft path distance [m]
-    speed: np.ndarray          # aircraft path speed [m/s]
-    tether_length: np.ndarray
-    tether_force: np.ndarray
-    slide_torque: np.ndarray
-    winch_torque: np.ndarray
-    slide_power: np.ndarray
-    winch_power: np.ndarray
-    zone: np.ndarray           # 'a' / 'b' / 'c'
-    phase: np.ndarray          # 'on_slide' / 'airborne'
-    ffwd_ref: np.ndarray       # feedforward winch speed reference [rad/s]
-    fbck_ref: np.ndarray       # feedback winch speed reference [rad/s]
-    winch_ref: np.ndarray      # arbitrated reference sent to the drive [rad/s]
+    Each column is a tuple with one value per control step: floats, but
+    strings for `zone` and `phase`; numpy.asarray(column) gives an array.
+    """
+
+    t: tuple[float, ...]
+    slide_angle: tuple[float, ...]
+    slide_speed: tuple[float, ...]
+    winch_angle: tuple[float, ...]
+    winch_speed: tuple[float, ...]
+    spring_pos: tuple[float, ...]
+    distance: tuple[float, ...]       # aircraft path distance [m]
+    speed: tuple[float, ...]          # aircraft path speed [m/s]
+    tether_length: tuple[float, ...]
+    tether_force: tuple[float, ...]
+    slide_torque: tuple[float, ...]
+    winch_torque: tuple[float, ...]
+    slide_power: tuple[float, ...]
+    winch_power: tuple[float, ...]
+    zone: tuple[str, ...]             # 'a' / 'b' / 'c'
+    phase: tuple[str, ...]            # 'on_slide' / 'airborne'
+    ffwd_ref: tuple[float, ...]       # feedforward winch speed reference [rad/s]
+    fbck_ref: tuple[float, ...]       # feedback winch speed reference [rad/s]
+    winch_ref: tuple[float, ...]      # arbitrated reference sent to the drive [rad/s]
 
     @property
-    def slack(self) -> np.ndarray:
-        return self.tether_length - self.distance
+    def slack(self) -> tuple[float, ...]:
+        return tuple(map(sub, self.tether_length, self.distance))
 
 
 @dataclass
@@ -147,8 +150,9 @@ class TakeoffResult:
 
 def _build_trace(rows: list[tuple]) -> TakeoffTrace:
     """The trace from its rows, in TakeoffTrace field order."""
-    columns = zip(*rows) if rows else [()] * len(fields(TakeoffTrace))
-    return TakeoffTrace(*(np.array(column) for column in columns))
+    if not rows:
+        return TakeoffTrace(*[()] * len(fields(TakeoffTrace)))
+    return TakeoffTrace(*zip(*rows))
 
 
 def check_takeoff(cfg: TakeoffConfig, system: SystemParams,
@@ -349,18 +353,19 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
 
     trace = _build_trace(rows)
 
+    # Stall risk: the spring at full travel while the force still rises
+    # into the next control step.
+    full_travel = spring.max_travel - 1e-12
     force = trace.tether_force
-    at_full_travel = trace.spring_pos >= spring.max_travel - 1e-12
-    force_rising = np.zeros_like(at_full_travel)
-    force_rising[:-1] = force[1:] > force[:-1]
-    stall_risk = bool(np.any(at_full_travel & force_rising))
+    stall_risk = any(x >= full_travel and after > before for x, before, after
+                     in zip(trace.spring_pos, force, force[1:]))
 
     return TakeoffResult(
         liftoff_time=liftoff_time,
         liftoff_distance=liftoff_distance,
-        peak_slide_power=float(trace.slide_power.max()),
-        peak_winch_power=float(trace.winch_power.max()),
-        max_spring_compression=float(trace.spring_pos.max()),
+        peak_slide_power=max(trace.slide_power),
+        peak_winch_power=max(trace.winch_power),
+        max_spring_compression=max(trace.spring_pos),
         stall_risk=stall_risk,
         trace=trace,
     )

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import time
+import warnings
+from contextlib import suppress
 from dataclasses import replace
 
 import pytest
@@ -12,6 +14,17 @@ from tetherlaunch.cli import main
 from tetherlaunch.config import default_app_config, load_config
 from tetherlaunch.spring_design import assess_trace, simulate_design
 from tetherlaunch.takeoff import TakeoffError, run_takeoff
+
+# When a @given test fails, hypothesis's pytest plugin imports this module
+# in its report hook. Its libcst import warns (DeprecationWarning), the
+# suite's warnings-as-errors setting makes that an exception inside the
+# hook, and pytest stops with INTERNALERROR, hiding the rest of the
+# report. Imported here once, with that warning silenced, the module is
+# already loaded when the hook asks for it. Without libcst the import
+# fails, here and in the hook, which then skips its patch.
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(scope="session")

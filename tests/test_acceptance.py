@@ -134,14 +134,14 @@ def test_criterion_5_numerical_suite(config, sizing_runs, takeoff_default):
     runs, _ = sizing_runs
     force_ok = travel_ok = True
     for travel, (trace, _) in runs.items():
-        force_ok &= trace.force.min() >= 0.0
-        travel_ok &= (trace.spring_pos.min() >= 0.0
-                      and trace.spring_pos.max() <= travel)
+        spring_pos = np.asarray(trace.spring_pos)
+        force_ok &= np.asarray(trace.force).min() >= 0.0
+        travel_ok &= spring_pos.min() >= 0.0 and spring_pos.max() <= travel
     takeoff, _ = takeoff_default
-    force_ok &= takeoff.trace.tether_force.min() >= 0.0
-    travel_ok &= (takeoff.trace.spring_pos.min() >= 0.0
-                  and takeoff.trace.spring_pos.max()
-                  <= config.system.spring.max_travel)
+    spring_pos = np.asarray(takeoff.trace.spring_pos)
+    force_ok &= np.asarray(takeoff.trace.tether_force).min() >= 0.0
+    travel_ok &= (spring_pos.min() >= 0.0
+                  and spring_pos.max() <= config.system.spring.max_travel)
     report(checks, "5.force", force_ok,
            "tether force nonnegative at every logged step of every run")
     report(checks, "5.travel", travel_ok,

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tetherlaunch
-from tetherlaunch import spring_design
+from tetherlaunch import cli, spring_design
 from tetherlaunch.cli import main
 from tetherlaunch.config import _section_defaults, default_app_config
 
@@ -218,16 +218,37 @@ class TestValidateCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_import_leaves_process_pool_unloaded():
+def package_env() -> dict:
+    """The environment with this package first on PYTHONPATH."""
     package_root = str(Path(tetherlaunch.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_import_leaves_process_pool_unloaded():
     subprocess.run(
         [sys.executable, "-c",
          "import sys, tetherlaunch.cli; "
          "assert 'concurrent.futures' not in sys.modules"],
-        env=env, check=True)
+        env=package_env(), check=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spring-compare", "--travels", "0.2", "--quiet"],
+    ["sweep", "--travels", "0.2", "--quiet"],
+    ["takeoff", "--quiet"],
+    ["validate"],
+], ids=["spring-compare", "sweep", "takeoff", "validate"])
+def test_command_leaves_numpy_unloaded(tmp_path, argv):
+    # Each command, run to its end, writing into the working directory.
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from tetherlaunch.cli import main; "
+         "code = main(sys.argv[1:]); "
+         "assert 'numpy' not in sys.modules; sys.exit(code)", *argv],
+        env=package_env(), cwd=tmp_path, capture_output=True, check=True)
 
 
 class TestErrorHandling:
@@ -334,22 +355,32 @@ class TestErrorHandling:
         (["spring-compare", "--travels", "0.2"], "afile/sub", "afile/sub",
          errno.ENOTDIR),
         (["sweep", "--travels", "0.2"], "o3", "o3/sweep.csv", errno.EISDIR),
-    ], ids=["takeoff-file", "spring-compare-under-file", "sweep-csv-dir"])
+        (["spring-compare", "--travels", "0.2,0.35"], "o4",
+         "o4/spring_compare_travel_0p35.csv", errno.EISDIR),
+    ], ids=["takeoff-file", "spring-compare-under-file", "sweep-csv-dir",
+            "spring-compare-later-trace-dir"])
     def test_unusable_out(self, tmp_path, capsys, monkeypatch, argv, out,
                           named, code):
         (tmp_path / "afile").write_text("")
         (tmp_path / "o3" / "sweep.csv").mkdir(parents=True)
-        # An unusable output is found before any grid point runs.
+        (tmp_path / "o4" / "spring_compare_travel_0p35.csv").mkdir(
+            parents=True)
+        # An unusable output is found before any grid point or travel
+        # runs, and no earlier output is written.
         evaluated = []
-        evaluate_spring = spring_design.evaluate_spring
-        monkeypatch.setattr(
-            spring_design, "evaluate_spring",
-            lambda *args: evaluated.append(args) or evaluate_spring(*args))
+        for module, name in ((spring_design, "evaluate_spring"),
+                             (cli, "simulate_design")):
+            run = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, run=run: (
+                evaluated.append(args) or run(*args)))
         assert main([*argv, "--quiet", "--out", str(tmp_path / out)]) == 2
         assert capsys.readouterr().err == (
             f"error: config: --out: {tmp_path / named}: "
             f"{os.strerror(code)}\n")
         assert evaluated == []
+        written = [path for path in (tmp_path / out).rglob("*")
+                   if path.is_file() and path.stat().st_size]
+        assert written == []
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

@@ -4,13 +4,13 @@ column-wise writer, the sweep's error column read back, and one
 
 import csv
 import math
+from array import array
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from tetherlaunch import csvio
 from tetherlaunch.csvio import (
@@ -27,6 +27,7 @@ from tetherlaunch.spring_design import (
     default_sizing_config,
     sweep,
 )
+from tetherlaunch.takeoff import run_takeoff
 
 
 def reference_cell(value) -> str:
@@ -97,10 +98,13 @@ OBJECT = st.one_of(st.none(), st.booleans(), st.integers(), FLOAT64,
 
 
 def columns(rows: int):
+    floats = st.lists(FLOAT64, min_size=rows, max_size=rows)
     return st.one_of(
-        hnp.arrays(np.float64, rows, elements=FLOAT64),
+        floats.map(lambda v: memoryview(array("d", v))),  # as a Trace's
+        floats.map(tuple),  # as the take-off's float columns
         st.lists(TEXT, min_size=rows, max_size=rows),
-        hnp.arrays("U6", rows, elements=TEXT),  # as the take-off's zones
+        # as the take-off's zones
+        st.lists(TEXT, min_size=rows, max_size=rows).map(tuple),
         st.lists(OBJECT, min_size=rows, max_size=rows),
     )
 
@@ -127,9 +131,10 @@ def test_write_rows_matches_csv_writer(tmp_path_factory, table):
 
 
 def test_strided_float_columns_match_csv_writer(tmp_path):
-    """A trace's state columns are strided views of one (n, 6) array."""
+    """A trace's state columns are strided views of one (n, 6) buffer."""
     states = np.random.default_rng(3).normal(size=(50, 6)) * 1e3
-    cols = list(states.T)
+    flat = memoryview(array("d", states.ravel().tolist()))
+    cols = [flat[j::6] for j in range(6)]
     write_rows(tmp_path / "columns.csv", list("uvwxyz"), cols)
     reference_write_rows(tmp_path / "reference.csv", list("uvwxyz"), cols)
     assert ((tmp_path / "columns.csv").read_bytes()
@@ -184,3 +189,19 @@ def test_each_writer_calls_write_rows_once(tmp_path, write_rows_calls,
     assert write_rows_calls == [tmp_path / "design.csv",
                                 tmp_path / "takeoff.csv",
                                 tmp_path / "sweep.csv"]
+
+
+def test_takeoff_numbers_written_as_floats(tmp_path, config):
+    """An integer that a parameter passes into the take-off trace, here
+    the saturated slide torque, is written as the float it equals."""
+    takeoff = replace(config.takeoff, duration=0.5)
+    slide = config.control.slide
+    whole = replace(config.control, slide=replace(
+        slide, torque_limit=int(slide.torque_limit)))
+    for name, control in (("float.csv", config.control),
+                          ("int.csv", whole)):
+        result = run_takeoff(takeoff, config.system, control)
+        write_takeoff_trace(result.trace, tmp_path / name)
+    assert int in set(map(type, result.trace.slide_torque))
+    assert ((tmp_path / "int.csv").read_bytes()
+            == (tmp_path / "float.csv").read_bytes())

@@ -1,6 +1,7 @@
 """Integrator tests: accuracy on a known system; and the sizing run built
 on it: its release stop, trace bookkeeping, and determinism."""
 
+import gc
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -103,15 +104,15 @@ class TestSimulate:
         # Tension rises from zero, slows the aircraft, then releases.
         trace, params = release_trace
         assert trace.force[0] < 1e-9
-        assert trace.force.max() > 1.0
-        assert trace.vel.min() < trace.vel[0]
+        assert np.asarray(trace.force).max() > 1.0
+        assert np.asarray(trace.vel).min() < trace.vel[0]
         assert not trace.timed_out
 
     def test_release_instant_condition(self, release_trace):
         trace, params = release_trace
         assert trace.force[-1] < 1e-6
         assert params.winch.radius * trace.winch_speed[-1] >= trace.vel[-1]
-        assert (trace.force > 1e-6).any()
+        assert (np.asarray(trace.force) > 1e-6).any()
 
     def test_release_instant_step_insensitive(self, release_trace):
         trace, params = release_trace
@@ -123,14 +124,50 @@ class TestSimulate:
         trace, params = release_trace
         init = initial_state(default_sizing_config(), params.winch)
         coarse = simulate(params, init, 1e-3, max_time=10.0)
-        rel = abs(coarse.vel.min() - trace.vel.min()) / trace.vel.min()
+        fine_min = np.asarray(trace.vel).min()
+        rel = abs(np.asarray(coarse.vel).min() - fine_min) / fine_min
         assert rel < 0.005
 
     def test_uniform_grid(self, release_trace):
         trace, _ = release_trace
-        steps = np.diff(trace.times)
+        steps = np.diff(np.asarray(trace.times))
         assert np.allclose(steps, 1e-4, rtol=1e-9, atol=0.0)
         assert len(trace.times) == len(trace.states)
+
+    def test_columns_are_read_only_doubles(self, release_trace):
+        # 8 bytes a value, as perfbench/worker.py counts a kept trace's
+        # bytes from these four columns' nbytes.
+        trace, _ = release_trace
+        n = len(trace.times)
+        assert trace.states.shape == (n, 6)
+        for column, values in ((trace.times, n), (trace.states, 6 * n),
+                               (trace.force, n), (trace.length, n)):
+            assert column.format == "d" and column.readonly
+            assert column.nbytes == 8 * values
+        states = np.asarray(trace.states)
+        for j, column in ((1, trace.vel), (2, trace.spring_pos),
+                          (5, trace.winch_speed)):
+            assert np.shares_memory(np.asarray(column), states)
+            assert np.array_equal(np.asarray(column), states[:, j])
+
+    def test_kept_run_triggers_no_collection(self):
+        # A kept step holds floats alone, which the cyclic garbage
+        # collector does not track, so thousands of steps start none.
+        params = default_system_params()
+        init = initial_state(default_sizing_config(), params.winch)
+        collections = []
+
+        def count(phase, info):
+            collections.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            trace = simulate(params, init, 1e-4, max_time=10.0)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(trace.times) > 3000
+        assert collections == []
 
     def test_spring_stays_inside_travel(self):
         params = default_system_params()
@@ -138,15 +175,16 @@ class TestSimulate:
         tight = replace(params, spring=replace(params.spring, max_travel=0.05))
         init = initial_state(default_sizing_config(), tight.winch)
         trace = simulate(tight, init, 1e-4, max_time=10.0)
-        assert trace.spring_pos.min() >= 0.0
-        assert trace.spring_pos.max() <= 0.05
+        spring_pos = np.asarray(trace.spring_pos)
+        assert spring_pos.min() >= 0.0
+        assert spring_pos.max() <= 0.05
 
     def test_no_deficit_times_out_without_force(self):
         params = default_system_params()
         init = initial_state(SizingConfig(20.0, 10.0, 0.0), params.winch)
         trace = simulate(params, init, 1e-4, max_time=0.5)
         assert trace.timed_out
-        assert trace.force.max() < 1e-9
+        assert np.asarray(trace.force).max() < 1e-9
 
     def test_short_window_tags_timeout(self):
         params = default_system_params()
@@ -164,9 +202,12 @@ class TestSimulate:
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             first, second = pool.map(run, range(2))
-        assert np.array_equal(first.states, second.states)
-        assert np.array_equal(first.force, second.force)
-        assert np.array_equal(first.length, second.length)
+        assert np.array_equal(np.asarray(first.states),
+                              np.asarray(second.states))
+        assert np.array_equal(np.asarray(first.force),
+                              np.asarray(second.force))
+        assert np.array_equal(np.asarray(first.length),
+                              np.asarray(second.length))
 
 
 def reference_simulate(params, init, dt, max_time,
@@ -212,9 +253,9 @@ class TestSimulateMatchesReference:
         trace = simulate(params, init, dt, max_time)
         states, force, length, timed_out = reference_simulate(
             params, init, dt, max_time)
-        assert np.array_equal(trace.states, states)
-        assert np.array_equal(trace.force, force)
-        assert np.array_equal(trace.length, length)
+        assert np.array_equal(np.asarray(trace.states), states)
+        assert np.array_equal(np.asarray(trace.force), force)
+        assert np.array_equal(np.asarray(trace.length), length)
         assert trace.timed_out == timed_out
         assert trace.loaded == bool((force > DEFAULT_FORCE_TOL).any())
         return trace
@@ -241,7 +282,7 @@ class TestSimulateMatchesReference:
                                                 max_travel=0.02))
         init = initial_state(default_sizing_config(), params.winch)
         trace = self.assert_same(params, init, 1e-4, max_time=10.0)
-        assert (trace.spring_pos == 0.02).any()
+        assert (np.asarray(trace.spring_pos) == 0.02).any()
 
     def test_same_error_when_non_finite(self):
         params = default_system_params()

@@ -1,5 +1,6 @@
 """The controller closures against the point-form laws they replaced, and
-the validate checks' inlined draws against `rng.uniform`.
+the validate checks' inlined draws against `rng.uniform` and
+`rng.choice`.
 
 The `reference_*` functions below are the point-form laws as written
 before `outer_law`, `slide_law` and `winch_law` existed: `min`/`max`
@@ -164,8 +165,9 @@ def exact(records):
 
 class TestDrawReplay:
     """Each check, run with the closures' calls logged, against the draw
-    loop it replaced: `rng.uniform`, `min`/`max` and the point-form laws
-    on the same seed. Inputs and outputs must agree bit for bit."""
+    loop it replaced: `rng.uniform`, `rng.choice`, `min`/`max` and the
+    point-form laws on the same seed. Inputs and outputs must agree bit
+    for bit."""
 
     def test_walk(self, control, monkeypatch):
         outer, n = control.outer, 100_000
