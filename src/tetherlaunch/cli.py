@@ -24,13 +24,9 @@ from .csvio import write_design_trace, write_sweep_csv, write_takeoff_trace
 from .integrator import IntegrationError
 from .model import SpringParams
 from .properties import run_property_suite
-from .spring_design import (
-    REFERENCE_TRAVELS,
-    SweepPoint,
-    assess_trace,
-    simulate_design,
-    sweep,
-)
+from .spring_design import REFERENCE_TRAVELS, SweepPoint, simulate_design, sweep
+# No longer called here; perfbench/worker.py still looks it up in this module.
+from .spring_design import assess_trace  # noqa: F401
 from .takeoff import TakeoffError, check_takeoff, run_takeoff
 
 
@@ -169,7 +165,7 @@ def cmd_spring_compare(args) -> int:
         travel = spring.max_travel
         params = replace(config.system, spring=spring)
         trace = simulate_design(params, config.sizing)
-        result = assess_trace(trace, params)
+        result = trace.result
         path = out / name
         with _creating(path):
             write_design_trace(trace, path)

@@ -6,7 +6,6 @@ so files are locale independent and byte identical across runs.
 
 from __future__ import annotations
 
-from array import array
 from pathlib import Path
 
 from .spring_design import SweepPoint, Trace
@@ -71,16 +70,12 @@ def write_design_trace(trace: Trace, path: str | Path) -> None:
 
 
 def write_takeoff_trace(trace: TakeoffTrace, path: str | Path) -> None:
-    """Serialize a take-off trace, one row per controller step. Its
-    numbers are written as doubles, so an integer that a parameter passed
-    through is written as a float."""
-    numbers = [
+    """Serialize a take-off trace, one row per controller step."""
+    write_rows(path, TAKEOFF_TRACE_HEADER, [
         trace.t, trace.slide_angle, trace.slide_speed, trace.winch_angle,
         trace.winch_speed, trace.spring_pos, trace.distance, trace.speed,
         trace.tether_length, trace.tether_force, trace.slide_torque,
-        trace.winch_torque, trace.slide_power, trace.winch_power]
-    write_rows(path, TAKEOFF_TRACE_HEADER, [
-        *(memoryview(array("d", column)) for column in numbers),
+        trace.winch_torque, trace.slide_power, trace.winch_power,
         trace.zone, trace.phase])
 
 

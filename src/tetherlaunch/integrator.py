@@ -18,10 +18,10 @@ from .model import design_derivatives  # noqa: F401
 DEFAULT_STEP = 1e-4  # [s]
 # The most steps one run may take: max_time / dt for a sizing run,
 # duration / dt for a take-off. A sizing run that keeps its steps
-# (spring-compare, validate's trace-bounds check) holds each in a list (a
-# tuple of six state floats and the force, about 270 B) and peaks at about
-# 330 B per step when it turns them into arrays (tracemalloc), so a run at
-# the budget peaks near 0.65 GB; evaluate_spring and sweep keep no step.
+# (spring-compare, validate's trace-bounds check) appends seven plain
+# floats a step to two lists and peaks at 315 B a step while it packs them
+# into the trace (tracemalloc, 100,001 steps), so a run at the budget
+# peaks near 0.63 GB; evaluate_spring and sweep keep no step.
 # The defaults take 1e5 and 3e4 steps.
 MAX_STEPS = 2_000_000
 

@@ -7,9 +7,11 @@ zero with the winch at least matching the aircraft speed. Sweeps evaluate
 a grid of designs independently; every point is a pure computation, so the
 grid can be farmed out to worker processes with results identical to a
 serial run. The sizing run steps the airborne plant of `model` with the
-flat RK4 of `integrator`. `simulate` keeps every step in a Trace, for
-spring-compare and validate's trace-bounds check; `evaluate_spring`, and
-so `sweep`, judges the design while it steps and keeps none.
+flat RK4 of `integrator` and judges the design while it steps.
+`simulate` keeps every step in a Trace of read-only memoryviews of C
+doubles, for spring-compare and validate's trace-bounds check, and attaches
+the verdict as its `result`; `evaluate_spring`, and so `sweep`, returns the
+verdict and keeps no step.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .model import (
     DesignState,
     SystemParams,
     WinchParams,
-    _check_positive,
     _require_positive,
     airborne_plant,
     clamp_spring_travel,
@@ -35,13 +36,13 @@ DEFAULT_FORCE_TOL = 1e-6  # tension below this counts as released [N]
 REFERENCE_TRAVELS = (0.05, 0.2, 0.35)
 
 
-def step_count(dt: float, max_time: float) -> int:
-    """Steps of a sizing run that may last `max_time` at step `dt`.
+def step_count(sizing: SizingConfig) -> int:
+    """Steps of a sizing run at `sizing.dt` that may last `sizing.max_time`.
 
     Raises ValueError if that exceeds MAX_STEPS; the ratio is checked
     before any integer conversion, so a denormal dt fails here too.
     """
-    steps = max_time / dt
+    steps = sizing.max_time / sizing.dt
     if not steps <= MAX_STEPS:
         raise ValueError(f"max_time / dt must be <= {MAX_STEPS} steps "
                          f"(got {steps:.6g})")
@@ -69,7 +70,7 @@ class SizingConfig:
     def __post_init__(self) -> None:
         _require_positive(self, "dt", "max_time", "force_tolerance",
                           "position", "speed")
-        step_count(self.dt, self.max_time)
+        step_count(self)
 
 
 def default_sizing_config() -> SizingConfig:
@@ -101,7 +102,7 @@ def _doubles(count: int, values) -> memoryview:
 
 @dataclass
 class Trace:
-    """Uniform-grid log of a sizing run.
+    """Uniform-grid log of a sizing run, and the run's verdict.
 
     The columns are read-only memoryviews of C doubles, 8 bytes a value;
     numpy.asarray(column) gives the array without a copy.
@@ -112,7 +113,7 @@ class Trace:
     force: memoryview    # tether force per step [N]
     length: memoryview   # deployed tether length per step [m]
     loaded: bool         # the force rose above the release threshold
-    timed_out: bool      # the force was never released
+    result: FeasibilityResult  # the verdict judged while the run stepped
 
     def column(self, j: int) -> memoryview:
         """State `j` in DesignState field order at every step: a strided
@@ -132,19 +133,20 @@ class Trace:
         return self.column(5)
 
 
-def _run_sizing(params: SystemParams, init: DesignState, dt: float,
-                steps: int, force_tol: float, states: list | None = None,
-                forces: list | None = None):
-    """Step from `init` until the release or `steps` steps (see simulate).
+def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
+                states: list | None = None, forces: list | None = None):
+    """Step from `init` until the release or the time limit (see simulate)
+    and judge the design over the start and every step taken.
 
-    Returns (last step index, loaded, released, lowest speed, its first
-    index, compression cycles) over the start and every step taken, and
-    appends each one's six state values to `states` and its tether force
-    to `forces` if given. Keeping floats alone, a kept run leaves no
-    object that the cyclic garbage collector tracks: each tuple that
-    carries a step's values is freed at once, so the run triggers no
-    collection.
+    Returns (verdict, whether the force was loaded), and appends each
+    step's six state values to `states` and its tether force to `forces`
+    if given. Keeping floats alone, a kept run leaves no object that the
+    cyclic garbage collector tracks: each tuple that carries a step's
+    values is freed at once, so the run triggers no collection.
     """
+    dt = sizing.dt
+    steps = step_count(sizing)
+    force_tol = sizing.force_tolerance
     torque = params.winch.max_torque
     derivs = airborne_plant(params)(torque)
     # The force from dynamics itself: tension would add a call per step.
@@ -192,31 +194,30 @@ def _run_sizing(params: SystemParams, init: DesignState, dt: float,
             fired = True
             break
 
-    return n, force_seen, fired, min_speed, i_min, cycles
+    return _verdict(params, float(min_speed), float(i_min * dt),
+                    float(n * dt), force_seen, not fired, cycles), force_seen
 
 
-def simulate(params: SystemParams, init: DesignState, dt: float,
-             max_time: float, force_tol: float = DEFAULT_FORCE_TOL) -> Trace:
-    """Integrate the sizing model until the tether force is released.
+def simulate(params: SystemParams, init: DesignState,
+             sizing: SizingConfig) -> Trace:
+    """Integrate the sizing model from `init` until the tether force is
+    released, with the step, time limit and release threshold of `sizing`.
 
     The run ends at the first step where the tether force has dropped
-    back below force_tol after having been above it, with the winch
+    back below the threshold after having been above it, with the winch
     paying out line at least as fast as the aircraft moves; that instant
     bounds the time window of the spring-sizing test. If the release
-    never happens within max_time the trace is tagged as timed out.
+    never happens within the time limit the verdict is a timeout.
     Records the state and tether force at every step, including the step
-    on which the release fires, and the deployed length from the states.
-    A pure function of its arguments: identical inputs give bit-identical
-    traces.
+    on which the release fires, the deployed length from the states, and
+    the verdict judged while stepping. A pure function of its arguments:
+    identical inputs give bit-identical traces.
     """
-    _check_positive("max_time", max_time)
-    _check_positive("dt", dt)
     states: list[float] = []
     forces: list[float] = []
-    _, loaded, fired, *_ = _run_sizing(params, init, dt,
-                                       step_count(dt, max_time), force_tol,
-                                       states, forces)
+    result, loaded = _run_sizing(params, init, sizing, states, forces)
     n = len(forces)
+    dt = sizing.dt
     line = line_model(params.tether, params.spring, params.winch)
     return Trace(
         times=_doubles(n, [i * dt for i in range(n)]),
@@ -224,7 +225,7 @@ def simulate(params: SystemParams, init: DesignState, dt: float,
         force=_doubles(n, forces),
         length=_doubles(n, map(line.length, states[4::6], states[2::6])),
         loaded=loaded,
-        timed_out=not fired,
+        result=result,
     )
 
 
@@ -298,33 +299,28 @@ def _verdict(params: SystemParams, min_speed: float, t_at_min: float,
 
 def assess_trace(trace: Trace, params: SystemParams) -> FeasibilityResult:
     """Judge feasibility from a completed sizing-test trace (see _verdict),
-    reducing its columns."""
+    reducing its columns: the array form of the verdict that `simulate`
+    attaches as `trace.result`, kept as an independent reference."""
     speeds = trace.vel.tolist()
     min_speed = min(speeds)
     i_min = speeds.index(min_speed)  # the first minimum, as argmin picks
     cycles = count_compression_cycles(trace.spring_pos.tolist(),
                                       params.spring.endstop_margin)
     return _verdict(params, min_speed, trace.times[i_min], trace.times[-1],
-                    trace.loaded, trace.timed_out, cycles)
+                    trace.loaded, trace.result.timed_out, cycles)
 
 
 def evaluate_spring(params: SystemParams,
                     sizing: SizingConfig) -> FeasibilityResult:
     """Run the sizing test for one parameter set and judge feasibility:
-    assess_trace(simulate_design(params, sizing), params), reduced while
-    the run steps, so that no step is kept."""
-    dt = sizing.dt
-    last, loaded, fired, min_speed, i_min, cycles = _run_sizing(
-        params, initial_state(sizing, params.winch), dt,
-        step_count(dt, sizing.max_time), sizing.force_tolerance)
-    return _verdict(params, float(min_speed), float(i_min * dt),
-                    float(last * dt), loaded, not fired, cycles)
+    simulate_design(params, sizing).result, without keeping a step."""
+    return _run_sizing(params, initial_state(sizing, params.winch),
+                       sizing)[0]
 
 
 def simulate_design(params: SystemParams, sizing: SizingConfig) -> Trace:
     """Integrate the sizing transient up to the force-release instant."""
-    return simulate(params, initial_state(sizing, params.winch), sizing.dt,
-                    sizing.max_time, sizing.force_tolerance)
+    return simulate(params, initial_state(sizing, params.winch), sizing)
 
 
 def _evaluate_point(args) -> SweepPoint:

@@ -16,6 +16,7 @@ torque times speed, braking counted negative.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields
 from operator import sub
 
@@ -106,33 +107,34 @@ _STATE_NAMES = ("slide_angle", "slide_speed", "winch_angle", "winch_speed",
 class TakeoffTrace:
     """Per-control-step log of a take-off run.
 
-    Each column is a tuple with one value per control step: floats, but
-    strings for `zone` and `phase`; numpy.asarray(column) gives an array.
+    Each column holds one value per control step: a read-only memoryview
+    of C doubles, but a tuple of strings for `zone` and `phase`;
+    numpy.asarray(column) gives an array.
     """
 
-    t: tuple[float, ...]
-    slide_angle: tuple[float, ...]
-    slide_speed: tuple[float, ...]
-    winch_angle: tuple[float, ...]
-    winch_speed: tuple[float, ...]
-    spring_pos: tuple[float, ...]
-    distance: tuple[float, ...]       # aircraft path distance [m]
-    speed: tuple[float, ...]          # aircraft path speed [m/s]
-    tether_length: tuple[float, ...]
-    tether_force: tuple[float, ...]
-    slide_torque: tuple[float, ...]
-    winch_torque: tuple[float, ...]
-    slide_power: tuple[float, ...]
-    winch_power: tuple[float, ...]
-    zone: tuple[str, ...]             # 'a' / 'b' / 'c'
-    phase: tuple[str, ...]            # 'on_slide' / 'airborne'
-    ffwd_ref: tuple[float, ...]       # feedforward winch speed reference [rad/s]
-    fbck_ref: tuple[float, ...]       # feedback winch speed reference [rad/s]
-    winch_ref: tuple[float, ...]      # arbitrated reference sent to the drive [rad/s]
+    t: memoryview
+    slide_angle: memoryview
+    slide_speed: memoryview
+    winch_angle: memoryview
+    winch_speed: memoryview
+    spring_pos: memoryview
+    distance: memoryview       # aircraft path distance [m]
+    speed: memoryview          # aircraft path speed [m/s]
+    tether_length: memoryview
+    tether_force: memoryview
+    slide_torque: memoryview
+    winch_torque: memoryview
+    slide_power: memoryview
+    winch_power: memoryview
+    zone: tuple[str, ...]      # 'a' / 'b' / 'c'
+    phase: tuple[str, ...]     # 'on_slide' / 'airborne'
+    ffwd_ref: memoryview       # feedforward winch speed reference [rad/s]
+    fbck_ref: memoryview       # feedback winch speed reference [rad/s]
+    winch_ref: memoryview      # arbitrated reference sent to the drive [rad/s]
 
     @property
-    def slack(self) -> tuple[float, ...]:
-        return tuple(map(sub, self.tether_length, self.distance))
+    def slack(self) -> memoryview:
+        return _doubles(map(sub, self.tether_length, self.distance))
 
 
 @dataclass
@@ -148,11 +150,18 @@ class TakeoffResult:
     trace: TakeoffTrace
 
 
+def _doubles(values) -> memoryview:
+    """A read-only view of `values` as C doubles: an int is stored as the
+    float it equals."""
+    return memoryview(array("d", values)).toreadonly()
+
+
 def _build_trace(rows: list[tuple]) -> TakeoffTrace:
     """The trace from its rows, in TakeoffTrace field order."""
-    if not rows:
-        return TakeoffTrace(*[()] * len(fields(TakeoffTrace)))
-    return TakeoffTrace(*zip(*rows))
+    columns = list(zip(*rows)) or [()] * len(fields(TakeoffTrace))
+    return TakeoffTrace(*(
+        column if field.name in ("zone", "phase") else _doubles(column)
+        for field, column in zip(fields(TakeoffTrace), columns)))
 
 
 def check_takeoff(cfg: TakeoffConfig, system: SystemParams,

@@ -97,6 +97,18 @@ class TestSpringCompareCommand:
         assert float(rows[2]["min_speed"]) >= 7.0
         assert "feasible" in capsys.readouterr().out
 
+    def test_judges_each_travel_once(self, tmp_path, monkeypatch):
+        # Each travel's verdict is the one its run judged while stepping;
+        # nothing reduces the kept trace again.
+        calls = []
+        for module, name in ((cli, "assess_trace"),
+                             (spring_design, "count_compression_cycles")):
+            run = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, run=run: (
+                calls.append(args) or run(*args)))
+        assert main(["spring-compare", "--out", str(tmp_path), "--quiet"]) == 0
+        assert calls == []
+
     def test_dt_override_changes_grid(self, tmp_path):
         fine, coarse = tmp_path / "fine", tmp_path / "coarse"
         assert main(["spring-compare", "--out", str(fine), "--quiet",

@@ -193,7 +193,8 @@ def test_each_writer_calls_write_rows_once(tmp_path, write_rows_calls,
 
 def test_takeoff_numbers_written_as_floats(tmp_path, config):
     """An integer that a parameter passes into the take-off trace, here
-    the saturated slide torque, is written as the float it equals."""
+    the saturated slide torque, is kept, and so written, as the float it
+    equals."""
     takeoff = replace(config.takeoff, duration=0.5)
     slide = config.control.slide
     whole = replace(config.control, slide=replace(
@@ -202,6 +203,6 @@ def test_takeoff_numbers_written_as_floats(tmp_path, config):
                           ("int.csv", whole)):
         result = run_takeoff(takeoff, config.system, control)
         write_takeoff_trace(result.trace, tmp_path / name)
-    assert int in set(map(type, result.trace.slide_torque))
+    assert set(map(type, result.trace.slide_torque)) == {float}
     assert ((tmp_path / "int.csv").read_bytes()
             == (tmp_path / "float.csv").read_bytes())

@@ -1,13 +1,14 @@
 """The take-off, the ten-travel sizing comparison and the 10x10 sweep
 write, bit for bit, the files whose SHA-256 the benchmark's goldens
-record, and every function the benchmark's tracer wraps can still be
-looked up."""
+record, through the point functions the benchmark times, and every
+function the benchmark's tracer wraps can still be looked up."""
 
 import ast
 import hashlib
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,22 +20,46 @@ SRC = PERFBENCH.parent / "src" / "tetherlaunch"
 GOLDENS = json.loads((PERFBENCH / "goldens.json").read_text(encoding="utf-8"))
 
 
+def load_perfbench(name: str):
+    """perfbench/`name`.py as a module, without running its main."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_worker():
+    return load_perfbench("worker")
+
+
 @pytest.mark.parametrize("workload",
                          ["takeoff", "spring-compare-10", "sweep-10x10"])
-def test_outputs_match_goldens(tmp_path, workload):
+def test_outputs_match_goldens(tmp_path, monkeypatch, workload):
+    """Also each of the workload's points, the functions the benchmark
+    times a call of, is called through the name it wraps, once per
+    operation; a pass that calls none has no point time to report."""
+    # perfbench/run.py imports the worker under the name `worker`.
+    monkeypatch.setitem(sys.modules, "worker", load_worker())
+    inputs = load_perfbench("run").workload_inputs(workload, 0, False,
+                                                   tmp_path)
+    calls = dict.fromkeys(inputs["points"], 0)
+    for point in calls:
+        module_name, attr = point.rsplit(".", 1)
+        module = importlib.import_module(f"tetherlaunch.{module_name}")
+        fn = getattr(module, attr)
+
+        def counted(*args, point=point, fn=fn, **kwargs):
+            calls[point] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
     golden = GOLDENS[workload]
     assert main(golden["argv"] + ["--out", str(tmp_path), "--quiet"]) == 0
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
     assert written == golden["files"]
-
-
-def load_worker():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_worker", PERFBENCH / "worker.py")
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
-    return worker
+    assert calls == dict.fromkeys(inputs["points"], inputs["ops"])
 
 
 def test_instrumented_names_resolve():

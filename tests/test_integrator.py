@@ -26,6 +26,12 @@ from tetherlaunch.spring_design import (
 )
 
 
+def limits(dt: float = 1e-4, max_time: float = 10.0) -> SizingConfig:
+    """The default sizing record with step `dt` and time limit
+    `max_time`."""
+    return replace(default_sizing_config(), dt=dt, max_time=max_time)
+
+
 def harmonic(state):
     return (state.vel, -state.pos, 0.0, 0.0, 0.0, 0.0)
 
@@ -70,20 +76,19 @@ class TestRk4Step:
 def release_trace():
     params = default_system_params()
     init = initial_state(default_sizing_config(), params.winch)
-    return simulate(params, init, 1e-4, max_time=10.0), params
+    return simulate(params, init, limits()), params
 
 
 class TestSimulate:
 
     def test_rejects_bad_limits(self):
-        params = default_system_params()
-        init = initial_state(default_sizing_config(), params.winch)
+        # simulate takes its limits from the record, which checks them.
         with pytest.raises(ValueError, match="max_time"):
-            simulate(params, init, 1e-4, max_time=0.0)
+            limits(1e-4, max_time=0.0)
         with pytest.raises(ValueError, match="max_time must be finite"):
-            simulate(params, init, 1e-4, max_time=math.inf)
+            limits(1e-4, max_time=math.inf)
         with pytest.raises(ValueError, match="dt must be finite"):
-            simulate(params, init, math.inf, max_time=1.0)
+            limits(math.inf, max_time=1.0)
 
     def test_spring_clamp_applied(self):
         # A carriage too heavy to feel its spring coasts at 10 m/s on a
@@ -94,10 +99,10 @@ class TestSimulate:
         heavy = replace(params.spring, carriage_mass=1e9)
         state = DesignState(1.0, 0.0, 0.3, 10.0, 100.0, 0.0)
         out = simulate(replace(params, spring=replace(heavy, max_travel=0.35)),
-                       state, 0.1, max_time=0.1)
+                       state, limits(0.1, max_time=0.1))
         assert out.spring_pos[-1] == 0.35
         out = simulate(replace(params, spring=replace(heavy, max_travel=2.0)),
-                       state, 0.1, max_time=0.1)
+                       state, limits(0.1, max_time=0.1))
         assert out.spring_pos[-1] == pytest.approx(1.3)
 
     def test_transient_shape(self, release_trace):
@@ -106,7 +111,7 @@ class TestSimulate:
         assert trace.force[0] < 1e-9
         assert np.asarray(trace.force).max() > 1.0
         assert np.asarray(trace.vel).min() < trace.vel[0]
-        assert not trace.timed_out
+        assert not trace.result.timed_out
 
     def test_release_instant_condition(self, release_trace):
         trace, params = release_trace
@@ -117,13 +122,13 @@ class TestSimulate:
     def test_release_instant_step_insensitive(self, release_trace):
         trace, params = release_trace
         init = initial_state(default_sizing_config(), params.winch)
-        finer = simulate(params, init, 1e-5, max_time=10.0)
+        finer = simulate(params, init, limits(1e-5))
         assert abs(trace.times[-1] - finer.times[-1]) <= 1e-3
 
     def test_min_speed_step_convergence(self, release_trace):
         trace, params = release_trace
         init = initial_state(default_sizing_config(), params.winch)
-        coarse = simulate(params, init, 1e-3, max_time=10.0)
+        coarse = simulate(params, init, limits(1e-3))
         fine_min = np.asarray(trace.vel).min()
         rel = abs(np.asarray(coarse.vel).min() - fine_min) / fine_min
         assert rel < 0.005
@@ -163,7 +168,7 @@ class TestSimulate:
         gc.collect()
         gc.callbacks.append(count)
         try:
-            trace = simulate(params, init, 1e-4, max_time=10.0)
+            trace = simulate(params, init, limits())
         finally:
             gc.callbacks.remove(count)
         assert len(trace.times) > 3000
@@ -174,23 +179,23 @@ class TestSimulate:
         from dataclasses import replace
         tight = replace(params, spring=replace(params.spring, max_travel=0.05))
         init = initial_state(default_sizing_config(), tight.winch)
-        trace = simulate(tight, init, 1e-4, max_time=10.0)
+        trace = simulate(tight, init, limits())
         spring_pos = np.asarray(trace.spring_pos)
         assert spring_pos.min() >= 0.0
         assert spring_pos.max() <= 0.05
 
     def test_no_deficit_times_out_without_force(self):
         params = default_system_params()
-        init = initial_state(SizingConfig(20.0, 10.0, 0.0), params.winch)
-        trace = simulate(params, init, 1e-4, max_time=0.5)
-        assert trace.timed_out
+        sizing = SizingConfig(20.0, 10.0, 0.0, max_time=0.5)
+        trace = simulate(params, initial_state(sizing, params.winch), sizing)
+        assert trace.result.timed_out
         assert np.asarray(trace.force).max() < 1e-9
 
     def test_short_window_tags_timeout(self):
         params = default_system_params()
         init = initial_state(default_sizing_config(), params.winch)
-        trace = simulate(params, init, 1e-4, max_time=0.05)
-        assert trace.timed_out
+        trace = simulate(params, init, limits(1e-4, max_time=0.05))
+        assert trace.result.timed_out
         assert trace.times[-1] == pytest.approx(0.05, abs=1e-4)
 
     def test_bit_identical_across_runs_and_threads(self):
@@ -198,7 +203,7 @@ class TestSimulate:
         init = initial_state(default_sizing_config(), params.winch)
 
         def run(_):
-            return simulate(params, init, 1e-4, max_time=10.0)
+            return simulate(params, init, limits())
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             first, second = pool.map(run, range(2))
@@ -250,13 +255,13 @@ class TestSimulateMatchesReference:
 
     @staticmethod
     def assert_same(params, init, dt, max_time):
-        trace = simulate(params, init, dt, max_time)
+        trace = simulate(params, init, limits(dt, max_time))
         states, force, length, timed_out = reference_simulate(
             params, init, dt, max_time)
         assert np.array_equal(np.asarray(trace.states), states)
         assert np.array_equal(np.asarray(trace.force), force)
         assert np.array_equal(np.asarray(trace.length), length)
-        assert trace.timed_out == timed_out
+        assert trace.result.timed_out == timed_out
         assert trace.loaded == bool((force > DEFAULT_FORCE_TOL).any())
         return trace
 
@@ -290,7 +295,7 @@ class TestSimulateMatchesReference:
             params.spring, endstop_gain=1e300, free_friction=1e10))
         init = initial_state(default_sizing_config(), params.winch)
         with pytest.raises(IntegrationError) as flat:
-            simulate(params, init, 1e-4, 10.0)
+            simulate(params, init, limits())
         with pytest.raises(IntegrationError) as generic:
             reference_simulate(params, init, 1e-4, 10.0)
         assert str(flat.value) == str(generic.value)

@@ -2,6 +2,7 @@
 derivatives, and the structural coupling between the elements."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -315,8 +316,8 @@ class TestInitialState:
 
     def test_no_deficit_no_force(self, params):
         ic = SizingConfig(20.0, 10.0, 0.0)
-        trace = simulate(params, initial_state(ic, params.winch), 1e-4,
-                         max_time=1.0)
+        trace = simulate(params, initial_state(ic, params.winch),
+                         replace(ic, max_time=1.0))
         assert np.asarray(trace.force).max() < 1e-9
 
 

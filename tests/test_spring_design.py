@@ -19,8 +19,6 @@ from tetherlaunch.spring_design import (
     assess_trace,
     count_compression_cycles,
     evaluate_spring,
-    initial_state,
-    simulate,
     simulate_design,
     step_count,
     sweep,
@@ -118,13 +116,16 @@ def benchmark_grid():
 
 
 class TestOnlineVerdict:
-    """evaluate_spring reduces the run as it steps; assess_trace reduces
-    the kept trace. Both give the same result, bit for bit."""
+    """evaluate_spring reduces the run as it steps and keeps no step;
+    simulate_design keeps every step and attaches the same reduction as
+    the trace's result; assess_trace reduces the kept columns. All three
+    give the same result, bit for bit and with types."""
 
     def assert_same(self, params, sizing):
         online = evaluate_spring(params, sizing)
-        kept = assess_trace(simulate_design(params, sizing), params)
-        assert exact(online) == exact(kept)
+        trace = simulate_design(params, sizing)
+        assert exact(trace.result) == exact(online)
+        assert exact(assess_trace(trace, params)) == exact(online)
         return online
 
     def test_benchmark_grid(self, config):
@@ -188,18 +189,14 @@ class TestStepBudget:
     @pytest.mark.parametrize("dt, max_time, got", [
         (1e-320, 10.0, "inf"), (1e-12, 10.0, "1e+13"), (1e-4, 1e9, "1e+13"),
     ], ids=["denormal", "tiny-step", "long-run"])
-    def test_record_and_raw_run_reject_alike(self, config, dt, max_time,
-                                             got):
+    def test_record_rejects(self, config, dt, max_time, got):
         message = f"max_time / dt must be <= 2000000 steps (got {got})"
         with pytest.raises(ValueError, match=re.escape(message)):
             replace(config.sizing, dt=dt, max_time=max_time)
-        init = initial_state(config.sizing, config.system.winch)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            simulate(config.system, init, dt, max_time)
 
     def test_budget_is_inclusive(self, config):
         sizing = replace(config.sizing, dt=1e-4, max_time=200.0)
-        assert step_count(sizing.dt, sizing.max_time) == MAX_STEPS
+        assert step_count(sizing) == MAX_STEPS
 
 
 class TestSweep:

@@ -51,6 +51,42 @@ class TestDefaultRun:
         assert result.liftoff_distance == pytest.approx(1.7211, abs=2e-2)
         assert result.liftoff_distance <= default_takeoff_config().slide_travel
 
+    def test_liftoff_matches_closed_form(self, takeoff_default, config):
+        # On the slide the drive holds its torque limit and the line stays
+        # slack, so the train obeys M v' = A - b v - c v^2: the drive and
+        # the thrust, the drum friction and the drag. The right-hand side
+        # is c (v1 - v) (v - v2) with roots v1 > 0 > v2, so separating
+        # the variables gives the time t* and the distance d* to the
+        # take-off speed in closed form. The run detects lift-off at the
+        # end of the first substep past t*.
+        result, _ = takeoff_default
+        trace = arrays(result.trace)
+        on_slide = trace.phase == "on_slide"
+        torque_limit = config.control.slide.torque_limit
+        assert (trace.slide_torque[on_slide] == torque_limit).all()
+        assert (trace.tether_force[on_slide] == 0.0).all()
+
+        system, takeoff = config.system, config.takeoff
+        slide, aircraft = system.slide, system.aircraft
+        mass = slide.equivalent_mass
+        drive = torque_limit / slide.drum_radius + aircraft.max_thrust
+        friction = slide.rot_friction / slide.drum_radius ** 2
+        drag = (0.5 * system.ambient.air_density * aircraft.drag_coeff
+                * aircraft.effective_area)
+        root = math.sqrt(friction ** 2 + 4.0 * drive * drag)
+        v1 = (root - friction) / (2.0 * drag)
+        v2 = -(root + friction) / (2.0 * drag)
+        k = mass / (drag * (v1 - v2))
+        v = takeoff.takeoff_speed
+        t_star = k * math.log((v - v2) * v1 / ((v1 - v) * -v2))
+        d_star = k * (v2 * math.log((v - v2) / -v2)
+                      - v1 * math.log((v1 - v) / v1))
+        assert t_star == pytest.approx(0.3800515, abs=1e-7)
+        assert d_star == pytest.approx(1.7206909, abs=1e-7)
+        assert t_star <= result.liftoff_time <= t_star + takeoff.dt
+        assert (d_star <= result.liftoff_distance
+                <= d_star + v * takeoff.dt)
+
     def test_phase_transition_is_monotone(self, takeoff_default):
         result, _ = takeoff_default
         phase = arrays(result.trace).phase
@@ -172,6 +208,25 @@ class TestVariants:
         assert entry in str(info.value)
         # The path states are named only once the aircraft flies.
         assert ("'path_pos'" in str(info.value)) == (phase == "airborne")
+
+    def test_columns_are_read_only_doubles(self, config):
+        # Also in the trace a failed run attaches, and with an integer
+        # torque limit, which the saturated rows hold as a float.
+        slide = config.control.slide
+        control = replace(config.control, slide=replace(
+            slide, torque_limit=int(slide.torque_limit)))
+        cfg = replace(config.takeoff, duration=0.2)
+        with pytest.raises(TakeoffError, match="not reached") as info:
+            run_takeoff(cfg, config.system, control)
+        trace = info.value.trace
+        for field in fields(trace):
+            column = getattr(trace, field.name)
+            if field.name in ("zone", "phase"):
+                assert type(column) is tuple and len(column) == 200
+            else:
+                assert column.format == "d" and column.readonly
+                assert column.nbytes == 8 * 200
+        assert set(map(type, trace.slide_torque)) == {float}
 
     def test_too_short_duration_errors(self, config):
         cfg = replace(config.takeoff, duration=0.2)
