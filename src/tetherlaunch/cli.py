@@ -161,6 +161,10 @@ def cmd_spring_compare(args) -> int:
     summary_path = out / "spring_compare_summary.csv"
     _create(*(out / name for name in named), summary_path)
     points = []
+    # The runs share their start until the shorter travel's stop engages,
+    # so each trace reuses the text of the previous trace's shared steps;
+    # that text, not the previous trace, is kept while the next travel runs.
+    texts = None
     for name, spring in named.items():
         travel = spring.max_travel
         params = replace(config.system, spring=spring)
@@ -168,7 +172,8 @@ def cmd_spring_compare(args) -> int:
         result = trace.result
         path = out / name
         with _creating(path):
-            write_design_trace(trace, path)
+            texts = write_design_trace(trace, path, texts)
+        del trace
         points.append(SweepPoint(travel, spring.stiffness, result))
         if not args.quiet:
             t_star = "timeout" if result.t_star is None else f"{result.t_star:.4f} s"

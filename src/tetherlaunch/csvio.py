@@ -29,6 +29,8 @@ SWEEP_HEADER = [
     "timed_out", "compression_cycles", "error",
 ]
 
+BLOCK = 1024  # rows written, and float text kept, per string
+
 
 def _quote(text: str) -> str:
     """`text` as csv.writer's minimal quoting writes it."""
@@ -49,24 +51,73 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def write_rows(path: str | Path, header: list[str], columns) -> None:
-    """Write one CSV file from its columns, header row first. A column
-    that is a memoryview of doubles is written with repr, the text _cell
-    gives a float, without a call per cell."""
-    cells = [map(repr, c.tolist())
-             if isinstance(c, memoryview) and c.format == "d"
-             else map(_cell, c) for c in columns]
+def _shared(old: bytes, new: bytes) -> int:
+    """How many leading doubles of `new` equal those of `old` bit for bit."""
+    lo, hi = 0, min(len(old), len(new)) // 8
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if old[:8 * mid] == new[:8 * mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _float_text(column: memoryview, old) -> tuple[bytes, list[str]]:
+    """The bytes of a column of doubles and the repr of its values, one
+    newline-joined string per BLOCK rows. The text of the leading values
+    that equal those of `old`, the same pair for a previous column, is
+    reused."""
+    data = column.tobytes()
+    blocks, start = [], 0
+    if old is not None:
+        shared = _shared(old[0], data)
+        whole, part = divmod(shared, BLOCK)
+        blocks, start = old[1][:whole], whole * BLOCK
+        if part:
+            head = old[1][whole].split("\n", part)[:part]
+            blocks.append("\n".join(head + list(map(
+                repr, column[start + part:start + BLOCK].tolist()))))
+            start += BLOCK
+    blocks += ["\n".join(map(repr, column[s:s + BLOCK].tolist()))
+               for s in range(start, len(column), BLOCK)]
+    return data, blocks
+
+
+def write_rows(path: str | Path, header: list[str], columns,
+               previous: list | None = None) -> list:
+    """Write one CSV file from its columns, header row first, BLOCK rows at
+    a time, and return the texts to pass as `previous` to the next call.
+
+    A column that is a memoryview of doubles is written with repr, the
+    text _cell gives a float, without a call per cell; its text is reused
+    for the leading values that equal, bit for bit, those of the same
+    column in the call that returned `previous`. The bytes written do not
+    depend on `previous`.
+    """
+    rows = min(map(len, columns), default=0)
+    previous = previous or []
+    texts = [_float_text(c[:rows], previous[j] if j < len(previous) else None)
+             if isinstance(c, memoryview) and c.format == "d" else None
+             for j, c in enumerate(columns)]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(map(_quote, header)) + "\r\n")
-        for row in zip(*cells):
-            handle.write(",".join(row) + "\r\n")
+        for b, s in enumerate(range(0, rows, BLOCK)):
+            cells = [list(map(_cell, c[s:s + BLOCK])) if text is None
+                     else text[1][b].split("\n")
+                     for c, text in zip(columns, texts)]
+            handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+    return texts
 
 
-def write_design_trace(trace: Trace, path: str | Path) -> None:
-    """Serialize a sizing-study trace, one row per integration step."""
-    write_rows(path, DESIGN_TRACE_HEADER,
-               [trace.times, *map(trace.column, range(6)), trace.force,
-                trace.length])
+def write_design_trace(trace: Trace, path: str | Path,
+                       previous: list | None = None) -> list:
+    """Serialize a sizing-study trace, one row per integration step, and
+    return write_rows' texts; pass the previous trace's texts as
+    `previous` to reuse the text of the steps the two runs share."""
+    return write_rows(path, DESIGN_TRACE_HEADER,
+                      [trace.times, *map(trace.column, range(6)),
+                       trace.force, trace.length], previous)
 
 
 def write_takeoff_trace(trace: TakeoffTrace, path: str | Path) -> None:

@@ -2,6 +2,7 @@
 reproducible byte for byte, and errors exit nonzero with a machine
 readable stderr line."""
 
+import builtins
 import csv
 import errno
 import hashlib
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tetherlaunch
-from tetherlaunch import cli, spring_design
+from tetherlaunch import cli, csvio, spring_design
 from tetherlaunch.cli import main
 from tetherlaunch.config import _section_defaults, default_app_config
 
@@ -108,6 +109,47 @@ class TestSpringCompareCommand:
                 calls.append(args) or run(*args)))
         assert main(["spring-compare", "--out", str(tmp_path), "--quiet"]) == 0
         assert calls == []
+
+    def test_traces_match_single_travel_runs(self, tmp_path):
+        # A trace reuses the text of the steps it shares with the previous
+        # travel's; the bytes are those of a run of its travel alone.
+        travels = ["0.05", "0.2", "0.35"]
+        assert main(["spring-compare", "--out", str(tmp_path / "all"),
+                     "--quiet", "--travels", ",".join(travels)]) == 0
+        for travel in travels:
+            alone = tmp_path / travel
+            assert main(["spring-compare", "--out", str(alone), "--quiet",
+                         "--travels", travel]) == 0
+            name = cli._trace_name(float(travel))
+            assert ((tmp_path / "all" / name).read_bytes()
+                    == (alone / name).read_bytes())
+
+    def test_reuses_shared_float_text(self, tmp_path, monkeypatch):
+        # The benchmark's ten seed-0 travels: of the 217,449 float cells
+        # their traces write, 137,068 repeat the previous trace's text in
+        # the same column's leading steps, and only the rest call repr.
+        travels = [round(0.05 + i * 0.3 / 9, 6) for i in range(10)]
+        calls, writing = [0], [False]
+
+        def counted(value):
+            calls[0] += writing[0]
+            return builtins.repr(value)
+
+        def write_design_trace(*args):
+            writing[0] = True
+            try:
+                return csvio.write_design_trace(*args)
+            finally:
+                writing[0] = False
+
+        monkeypatch.setattr(csvio, "repr", counted, raising=False)
+        monkeypatch.setattr(cli, "write_design_trace", write_design_trace)
+        assert main(["spring-compare", "--out", str(tmp_path), "--quiet",
+                     "--travels", ",".join(map(repr, travels))]) == 0
+        rows = sum(len(read_csv(tmp_path / cli._trace_name(t)))
+                   for t in travels)
+        assert 9 * rows == 217_449
+        assert calls[0] == 217_449 - 137_068
 
     def test_dt_override_changes_grid(self, tmp_path):
         fine, coarse = tmp_path / "fine", tmp_path / "coarse"

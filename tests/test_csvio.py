@@ -1,9 +1,12 @@
 """CSV serialization: the cell text, csv.writer's bytes from the
-column-wise writer, the sweep's error column read back, and one
-`write_rows` call per file."""
+column-wise writer, the same bytes when the previous file's text is
+reused, the sweep's error column read back, and one `write_rows` call
+per file."""
 
+import builtins
 import csv
 import math
+import struct
 from array import array
 from dataclasses import replace
 
@@ -97,8 +100,8 @@ OBJECT = st.one_of(st.none(), st.booleans(), st.integers(), FLOAT64,
                    FLOAT64.map(np.float64), TEXT)
 
 
-def columns(rows: int):
-    floats = st.lists(FLOAT64, min_size=rows, max_size=rows)
+def columns(rows: int, values=FLOAT64):
+    floats = st.lists(values, min_size=rows, max_size=rows)
     return st.one_of(
         floats.map(lambda v: memoryview(array("d", v))),  # as a Trace's
         floats.map(tuple),  # as the take-off's float columns
@@ -110,13 +113,13 @@ def columns(rows: int):
 
 
 @st.composite
-def tables(draw):
+def tables(draw, values=FLOAT64):
     # At least two columns: csv.writer writes a row of one empty cell as
     # '""', and every table this package writes has nine or more columns.
     width = draw(st.integers(2, 5))
     rows = draw(st.integers(0, 12))
     header = draw(st.lists(TEXT, min_size=width, max_size=width))
-    return header, [draw(columns(rows)) for _ in range(width)]
+    return header, [draw(columns(rows, values)) for _ in range(width)]
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -128,6 +131,117 @@ def test_write_rows_matches_csv_writer(tmp_path_factory, table):
     reference_write_rows(folder / "reference.csv", header, cols)
     assert ((folder / "columns.csv").read_bytes()
             == (folder / "reference.csv").read_bytes())
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def from_bits(word: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", word))[0]
+
+
+# NaNs of distinct payloads and signs; each is written as "nan".
+NANS = [from_bits(word) for word in (0x7FF8000000000000, 0x7FF8000000000001,
+                                     0xFFF8000000000000, 0x7FF0000000000001)]
+# FLOAT64 with zeros and NaNs drawn often: the values that have a twin
+# differing from them in its bits alone.
+DOUBLES = FLOAT64 | st.sampled_from([0.0, -0.0, *NANS])
+
+
+def twin(value: float) -> float:
+    """A value that differs from `value` in its bits alone where one
+    exists (-0.0 for 0.0, a NaN of another payload for a NaN), else the
+    next float up."""
+    if math.isnan(value):
+        return next(n for n in NANS if bits(n) != bits(value))
+    if value == 0.0:
+        return -value
+    return math.nextafter(value, math.inf)
+
+
+def float_values(column) -> list[float]:
+    """The values of a column of floats alone, else no values."""
+    values = list(column)
+    return values if all(type(v) is float for v in values) else []
+
+
+def is_double_view(column) -> bool:
+    return isinstance(column, memoryview) and column.format == "d"
+
+
+@st.composite
+def table_pairs(draw):
+    """A table, and a second one whose float columns share a drawn prefix
+    with the same column of the first, then differ; the first table may
+    have fewer or more columns and rows."""
+    first = draw(tables(DOUBLES))
+    width = draw(st.integers(2, 5))
+    rows = draw(st.integers(0, 12))
+    header = draw(st.lists(TEXT, min_size=width, max_size=width))
+    cols = []
+    for j in range(width):
+        if draw(st.integers(0, 4)) == 0:
+            cols.append(draw(columns(rows)))
+            continue
+        base = float_values(first[1][j]) if j < len(first[1]) else []
+        shared = draw(st.integers(0, min(len(base), rows)))
+        tail = draw(st.lists(DOUBLES,
+                             min_size=rows - shared, max_size=rows - shared))
+        if tail and shared < len(base) and draw(st.booleans()):
+            tail[0] = twin(base[shared])
+        values = base[:shared] + tail
+        cols.append(memoryview(array("d", values))
+                    if draw(st.integers(0, 3)) else tuple(values))
+    return first, (header, cols)
+
+
+def shared_cells(previous_cols, cols) -> int:
+    """Cells of double views whose leading values equal, bit for bit, the
+    same column of the previous table when that is a double view too."""
+    count = 0
+    for old, new in zip(previous_cols, cols):
+        if is_double_view(old) and is_double_view(new):
+            for a, b in zip(old, new):
+                if bits(a) != bits(b):
+                    break
+                count += 1
+    return count
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(pair=table_pairs(), block=st.sampled_from([1, 2, 5, csvio.BLOCK]))
+def test_reused_text_writes_fresh_bytes(tmp_path_factory, pair, block):
+    """write_rows(b, previous=write_rows(a)) writes what a fresh
+    write_rows(b) and csv.writer write, at any block size, and calls repr
+    once less for each leading double of b's views that a's same view
+    shares bit for bit; any other column reuses no text."""
+    (header_a, cols_a), (header, cols) = pair
+    folder = tmp_path_factory.mktemp("pair")
+    calls = [0]
+
+    def counted(value):
+        calls[0] += 1
+        return builtins.repr(value)
+
+    def reprs(name, *previous):
+        """The texts write_rows returns for b, and its calls of repr."""
+        start = calls[0]
+        texts = write_rows(folder / name, header, cols, *previous)
+        return texts, calls[0] - start
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csvio, "BLOCK", block)
+        patch.setattr(csvio, "repr", counted, raising=False)
+        previous = write_rows(folder / "a.csv", header_a, cols_a)
+        chained, chained_calls = reprs("chained.csv", previous)
+        fresh, fresh_calls = reprs("fresh.csv")
+    reference_write_rows(folder / "reference.csv", header, cols)
+    written = (folder / "chained.csv").read_bytes()
+    assert written == (folder / "fresh.csv").read_bytes()
+    assert written == (folder / "reference.csv").read_bytes()
+    assert chained == fresh
+    assert fresh_calls - chained_calls == shared_cells(cols_a, cols)
 
 
 def test_strided_float_columns_match_csv_writer(tmp_path):
@@ -171,9 +285,9 @@ def write_rows_calls(monkeypatch):
     """Count the calls of csvio.write_rows, still writing each file."""
     calls = []
 
-    def counted(path, header, columns):
+    def counted(path, header, columns, previous=None):
         calls.append(path)
-        write_rows(path, header, columns)
+        return write_rows(path, header, columns, previous)
 
     monkeypatch.setattr(csvio, "write_rows", counted)
     return calls
