@@ -90,7 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stiffness", type=_float_list, default=None,
                    help="comma-separated spring stiffness values [N/m]")
     p.add_argument("--workers", type=_worker_count, default=1,
-                   help="worker processes for the grid (results identical)")
+                   help="worker processes, at most one per stiffness "
+                   "column; a column's smaller travels resume from its "
+                   "largest travel's run, which travel enters only through "
+                   "the upper stop band and the clamp (results identical)")
     p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("takeoff", help="run one closed-loop take-off maneuver")

@@ -4,9 +4,13 @@ A spring design (travel, stiffness) is feasible when the aircraft speed
 never drops below the minimum cruise speed during the tension transient,
 i.e. on the window from the start until the tether force first returns to
 zero with the winch at least matching the aircraft speed. Sweeps evaluate
-a grid of designs independently; every point is a pure computation, so the
-grid can be farmed out to worker processes with results identical to a
-serial run. The sizing run steps the airborne plant of `model` with the
+a grid one stiffness column at a time. Travel enters a sizing run only
+through the upper stop band (travel - endstop_margin) and the clamp, so
+the column's smaller travels resume, bit for bit, from where the largest
+travel's run was as its compression neared their bands; any other use of
+`max_travel` in the run would break that. Columns are pure computations,
+so they can be farmed out to worker processes with results identical to
+a serial run. The sizing run steps the airborne plant of `model` with the
 flat RK4 of `integrator` and judges the design while it steps.
 `simulate` keeps every step in a Trace of read-only memoryviews of C
 doubles, for spring-compare and validate's trace-bounds check, and attaches
@@ -133,8 +137,26 @@ class Trace:
         return self.column(5)
 
 
+class _Crossing(Exception):
+    """A stage compression above the level of a _watched plant; its one
+    argument is that compression."""
+
+
+def _watched(derivs, level: float):
+    """`derivs`, raising _Crossing instead of evaluating a stage whose
+    compression is above `level`."""
+    def watched(pos, vel, spring_pos, spring_vel, winch_angle, winch_speed):
+        if spring_pos > level:
+            raise _Crossing(spring_pos)
+        return derivs(pos, vel, spring_pos, spring_vel, winch_angle,
+                      winch_speed)
+
+    return watched
+
+
 def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
-                states: list | None = None, forces: list | None = None):
+                states: list | None = None, forces: list | None = None,
+                start: tuple | None = None, holds: dict | None = None):
     """Step from `init` until the release or the time limit (see simulate)
     and judge the design over the start and every step taken.
 
@@ -143,6 +165,20 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
     if given. Keeping floats alone, a kept run leaves no object that the
     cyclic garbage collector tracks: each tuple that carries a step's
     values is freed at once, so the run triggers no collection.
+
+    The loop state is the steps taken, the six states, whether the force
+    was seen and the release fired, the minimum speed and its step, and
+    the cycle counter's trend, extreme and count. An unkept run resumes
+    from the loop state `start` instead of from `init`. `holds` is a dict
+    keyed by travels below this design's: the run sets each to the loop
+    state from which the same design at that travel resumes bit for bit,
+    or to None where it must start afresh. Travel enters the run only
+    through the upper stop band (travel - endstop_margin) and the clamp.
+    So the two runs take the same steps until a stage compression rises
+    above the smaller travel's band, and the loop state before that step
+    is its hold; unless the compression already exceeds the smaller
+    travel, whose clamp would have fired on the step before. A run that
+    ends first holds its final state, under the same proviso.
     """
     dt = sizing.dt
     steps = step_count(sizing)
@@ -155,43 +191,71 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
     limit = params.spring.max_travel
     margin = params.spring.endstop_margin
 
-    pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = init
-    force = dynamics(pos, winch_angle, spring_pos, spring_vel, torque,
-                     winch_speed)[0]
-    if states is not None:
-        states += init
-        forces.append(force)
-    force_seen = force > force_tol
-    fired = False
-    min_speed, i_min = vel, 0
-    trend, extreme, cycles = 0, spring_pos, 0
-    n = 0
-
-    for n in range(1, steps + 1):
-        pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = rk4_step6(
-            derivs, dt, pos, vel, spring_pos, spring_vel, winch_angle,
-            winch_speed)
-        if not math.isfinite(pos + vel + spring_pos + spring_vel
-                             + winch_angle + winch_speed):
-            check_finite(DesignState(pos, vel, spring_pos, spring_vel,
-                                     winch_angle, winch_speed))
-        if spring_pos < 0.0 or spring_pos > limit:
-            spring_pos, spring_vel = clamp_spring_travel(spring_pos,
-                                                         spring_vel, limit)
+    if start is None:
+        pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = init
         force = dynamics(pos, winch_angle, spring_pos, spring_vel, torque,
                          winch_speed)[0]
         if states is not None:
-            states += (pos, vel, spring_pos, spring_vel, winch_angle,
-                       winch_speed)
+            states += init
             forces.append(force)
-        if vel < min_speed:  # the first minimum, as argmin picks
-            min_speed, i_min = vel, n
-        trend, extreme, cycles = _cycle_step(spring_pos, margin, trend,
-                                             extreme, cycles)
-        if force > force_tol:
-            force_seen = True
-        elif force_seen and radius * winch_speed >= vel:
-            fired = True
+        force_seen = force > force_tol
+        fired = False
+        min_speed, i_min = vel, 0
+        trend, extreme, cycles = 0, spring_pos, 0
+        n = 0
+    else:
+        (n, (pos, vel, spring_pos, spring_vel, winch_angle, winch_speed),
+         force_seen, fired, min_speed, i_min, trend, extreme, cycles) = start
+        if fired:
+            steps = n  # released: no step is left
+    # Descending: the compression rises from zero, so the next band a
+    # stage may cross is the smallest travel's, pending[-1]'s.
+    pending = sorted(holds or (), reverse=True)
+
+    while True:
+        plant = _watched(derivs, pending[-1] - margin) if pending else derivs
+        try:
+            for n in range(n + 1, steps + 1):
+                pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = (
+                    rk4_step6(plant, dt, pos, vel, spring_pos, spring_vel,
+                              winch_angle, winch_speed))
+                if not math.isfinite(pos + vel + spring_pos + spring_vel
+                                     + winch_angle + winch_speed):
+                    check_finite(DesignState(pos, vel, spring_pos,
+                                             spring_vel, winch_angle,
+                                             winch_speed))
+                if spring_pos < 0.0 or spring_pos > limit:
+                    spring_pos, spring_vel = clamp_spring_travel(
+                        spring_pos, spring_vel, limit)
+                force = dynamics(pos, winch_angle, spring_pos, spring_vel,
+                                 torque, winch_speed)[0]
+                if states is not None:
+                    states += (pos, vel, spring_pos, spring_vel, winch_angle,
+                               winch_speed)
+                    forces.append(force)
+                if vel < min_speed:  # the first minimum, as argmin picks
+                    min_speed, i_min = vel, n
+                trend, extreme, cycles = _cycle_step(spring_pos, margin,
+                                                     trend, extreme, cycles)
+                if force > force_tol:
+                    force_seen = True
+                elif force_seen and radius * winch_speed >= vel:
+                    fired = True
+                    break
+            reached = None  # the run has ended
+        except _Crossing as crossing:
+            n -= 1  # step n was not taken: the state is the one before it
+            (reached,) = crossing.args
+        if pending:
+            hold = (n, (pos, vel, spring_pos, spring_vel, winch_angle,
+                        winch_speed),
+                    force_seen, fired, min_speed, i_min, trend, extreme,
+                    cycles)
+            while pending and (reached is None
+                               or pending[-1] - margin < reached):
+                travel = pending.pop()
+                holds[travel] = hold if spring_pos <= travel else None
+        if reached is None:
             break
 
     return _verdict(params, float(min_speed), float(i_min * dt),
@@ -310,12 +374,15 @@ def assess_trace(trace: Trace, params: SystemParams) -> FeasibilityResult:
                     trace.loaded, trace.result.timed_out, cycles)
 
 
-def evaluate_spring(params: SystemParams,
-                    sizing: SizingConfig) -> FeasibilityResult:
+def evaluate_spring(params: SystemParams, sizing: SizingConfig,
+                    start: tuple | None = None,
+                    holds: dict | None = None) -> FeasibilityResult:
     """Run the sizing test for one parameter set and judge feasibility:
-    simulate_design(params, sizing).result, without keeping a step."""
-    return _run_sizing(params, initial_state(sizing, params.winch),
-                       sizing)[0]
+    simulate_design(params, sizing).result, without keeping a step.
+    `start` resumes the run from a loop state, and `holds` collects loop
+    states for smaller travels (see _run_sizing)."""
+    return _run_sizing(params, initial_state(sizing, params.winch), sizing,
+                       start=start, holds=holds)[0]
 
 
 def simulate_design(params: SystemParams, sizing: SizingConfig) -> Trace:
@@ -323,25 +390,58 @@ def simulate_design(params: SystemParams, sizing: SizingConfig) -> Trace:
     return simulate(params, initial_state(sizing, params.winch), sizing)
 
 
-def _evaluate_point(args) -> SweepPoint:
-    params, sizing, travel, stiffness = args
+def _evaluate_point(design: SystemParams, sizing: SizingConfig,
+                    **resume) -> SweepPoint:
+    spring = design.spring
     try:
-        spring = replace(params.spring, max_travel=travel,
-                         stiffness=stiffness)
-        result = evaluate_spring(replace(params, spring=spring), sizing)
-        return SweepPoint(travel, stiffness, result)
+        result = evaluate_spring(design, sizing, **resume)
     except (ValueError, RuntimeError) as exc:
-        return SweepPoint(travel, stiffness, None, error=str(exc))
+        return SweepPoint(spring.max_travel, spring.stiffness, None,
+                          error=str(exc))
+    return SweepPoint(spring.max_travel, spring.stiffness, result)
+
+
+def _evaluate_column(args) -> list[SweepPoint]:
+    """The points of one stiffness column. The largest valid travel runs
+    first and holds for each smaller travel the loop state that its run
+    resumes from; if it fails, they run from the start."""
+    params, sizing, travels, stiffness = args
+    points = []
+    designs = []
+    for travel in sorted(travels, reverse=True):
+        try:
+            spring = replace(params.spring, max_travel=travel,
+                             stiffness=stiffness)
+        except ValueError as exc:
+            points.append(SweepPoint(travel, stiffness, None, error=str(exc)))
+        else:
+            designs.append(replace(params, spring=spring))
+    if designs:
+        first, *rest = designs
+        holds = dict.fromkeys(design.spring.max_travel for design in rest)
+        points.append(_evaluate_point(first, sizing, holds=holds))
+        if points[-1].error is not None:
+            holds = {}
+        points += [_evaluate_point(design, sizing,
+                                   start=holds.get(design.spring.max_travel))
+                   for design in rest]
+    return points
 
 
 def sweep(params: SystemParams, sizing: SizingConfig, travels, stiffness,
           workers: int = 1) -> dict[tuple[float, float], SweepPoint]:
     """Evaluate every grid point; failures are recorded, not raised.
 
-    Points are independent, so with workers > 1 they are distributed over
-    a process pool of at most one process per point; the result map is
-    keyed and ordered by grid position either way, and its contents do
-    not depend on the worker count.
+    The grid runs one stiffness column at a time, reusing steps: travel
+    enters a sizing run only through the upper stop band (travel -
+    endstop_margin) and the clamp, so at one stiffness a smaller travel
+    takes the larger travel's steps, bit for bit, until the compression
+    nears its own band, and resumes from there (see _run_sizing). A
+    sizing run that used `max_travel` anywhere else would break that
+    reuse. Columns are independent, so with workers > 1 they are
+    distributed over a process pool of at most one process per column;
+    the result map is keyed and ordered by grid position either way, and
+    its contents do not depend on the worker count.
     """
     if not travels or not stiffness:
         raise ValueError("sweep grid must not be empty")
@@ -349,18 +449,19 @@ def sweep(params: SystemParams, sizing: SizingConfig, travels, stiffness,
         if not v > 0.0:
             raise ValueError(f"grid values must be > 0 (got {v})")
     # A repeated value is run once: the map has one entry per point.
-    jobs = [
-        (params, sizing, travel, k)
-        for travel in dict.fromkeys(travels)
-        for k in dict.fromkeys(stiffness)
-    ]
+    travels = list(dict.fromkeys(travels))
+    stiffness = list(dict.fromkeys(stiffness))
+    columns = [(params, sizing, travels, k) for k in stiffness]
     if workers > 1:
         # Imported here: the pool machinery costs every other run its
         # import time.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            points = list(pool.map(_evaluate_point, jobs))
+        with ProcessPoolExecutor(
+                max_workers=min(workers, len(columns))) as pool:
+            done = list(pool.map(_evaluate_column, columns))
     else:
-        points = [_evaluate_point(job) for job in jobs]
-    return {(p.travel, p.stiffness): p for p in points}
+        done = [_evaluate_column(column) for column in columns]
+    points = {(p.travel, p.stiffness): p for column in done for p in column}
+    return {(travel, k): points[travel, k]
+            for travel in travels for k in stiffness}

@@ -1,15 +1,19 @@
 """Spring sizing tests: feasibility verdicts, cycle counting, and the
-sweep machinery including parallel execution."""
+sweep machinery including its step reuse and parallel execution."""
 
 import concurrent.futures
+import importlib.util
 import json
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetherlaunch import spring_design
 from tetherlaunch.integrator import MAX_STEPS
@@ -106,13 +110,20 @@ def exact(result):
             for v in astuple(result)]
 
 
-def benchmark_grid():
-    """The travels and stiffness values of the benchmark's seed-0 sweep."""
-    golden = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
-                         / "goldens.json").read_text(encoding="utf-8"))
-    argv = golden["sweep-10x10"]["argv"]
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def grid_of(argv):
+    """The travels and stiffness values of sweep arguments `argv`."""
     return [[float(v) for v in argv[argv.index(flag) + 1].split(",")]
             for flag in ("--travels", "--stiffness")]
+
+
+def benchmark_grid():
+    """The travels and stiffness values of the benchmark's seed-0 sweep."""
+    golden = json.loads((PERFBENCH / "goldens.json").read_text(
+        encoding="utf-8"))
+    return grid_of(golden["sweep-10x10"]["argv"])
 
 
 class TestOnlineVerdict:
@@ -224,14 +235,15 @@ class TestSweep:
         distinct = sweep(config.system, config.sizing, (0.2, 0.35), (70.0,))
         calls = []
 
-        def counting(params, *args):
+        def counting(params, *args, **kwargs):
             calls.append((params.spring.max_travel, params.spring.stiffness))
-            return evaluate_spring(params, *args)
+            return evaluate_spring(params, *args, **kwargs)
 
         monkeypatch.setattr(spring_design, "evaluate_spring", counting)
         points = sweep(config.system, config.sizing, (0.2, 0.2, 0.35),
                        (70.0, 70.0))
-        assert calls == [(0.2, 70.0), (0.35, 70.0)]
+        # The largest travel of a column runs first.
+        assert sorted(calls) == [(0.2, 70.0), (0.35, 70.0)]
         assert list(points) == list(distinct)
         assert points == distinct
 
@@ -251,9 +263,13 @@ class TestSweep:
         assert list(serial) == list(parallel)
         assert serial == parallel
 
-    @pytest.mark.parametrize("travels", [(0.35,), (0.05, 0.2, 0.35)],
-                             ids=["one-point", "three-points"])
-    def test_pool_capped_at_grid_size(self, config, monkeypatch, travels):
+    @pytest.mark.parametrize("travels, stiffness", [
+        ((0.35,), (70.0,)), ((0.35,), (60.0, 70.0, 80.0)),
+        ((0.05, 0.2, 0.35), (70.0,)),
+    ], ids=["one-point", "three-points", "three-travels"])
+    def test_pool_capped_at_grid_size(self, config, monkeypatch, travels,
+                                      stiffness):
+        # A process per stiffness column at most: a column is one job.
         # The pool class is looked up when the pool is built, so the fake
         # below replaces it and no process is started.
         assert not hasattr(spring_design, "ProcessPoolExecutor")
@@ -276,9 +292,9 @@ class TestSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             FakePool)
-        grid = (config.system, config.sizing, travels, (70.0,))
+        grid = (config.system, config.sizing, travels, stiffness)
         assert sweep(*grid, workers=100_000_000) == sweep(*grid)
-        assert started == [len(travels)]
+        assert started == [len(stiffness)]
 
     def test_points_carry_grid_coordinates(self, config):
         points = sweep(config.system, config.sizing, (0.2,), (55.0,))
@@ -286,3 +302,150 @@ class TestSweep:
         assert isinstance(point, SweepPoint)
         assert point.travel == 0.2 and point.stiffness == 55.0
         assert point.result.feasible in (True, False)
+
+
+def perfbench_sweep_grid(monkeypatch, seed):
+    """The travels and stiffness values of the benchmark's sweep at `seed`,
+    from perfbench/run.py's workload inputs."""
+    modules = {}
+    for name in ("worker", "run"):
+        spec = importlib.util.spec_from_file_location(
+            f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        if name == "run":
+            # perfbench/run.py imports the worker under the name `worker`.
+            monkeypatch.setitem(sys.modules, "worker", modules["worker"])
+        spec.loader.exec_module(modules[name])
+    inputs = modules["run"].workload_inputs("sweep-10x10", seed, False,
+                                            PERFBENCH)
+    return grid_of(inputs["argv"])
+
+
+def plain_point(params, sizing, travel, stiffness):
+    """A grid point as one plain evaluate_spring call from the start
+    gives it: (exact result or None, error text or None)."""
+    try:
+        design = with_design(params, travel, stiffness)
+        return exact(evaluate_spring(design, sizing)), None
+    except (ValueError, RuntimeError) as exc:
+        return None, str(exc)
+
+
+class TestSweepReuse:
+    """A column's smaller travels resume from the largest travel's run.
+    That is exact only while travel enters the sizing run through the
+    upper stop band and the clamp alone: every point must equal a plain
+    evaluate_spring call from the start, bit for bit and with types, and
+    a failed point its error text."""
+
+    def assert_plain(self, params, sizing, travels, stiffness):
+        points = sweep(params, sizing, travels, stiffness)
+        assert list(points) == [(t, k) for t in dict.fromkeys(travels)
+                                for k in dict.fromkeys(stiffness)]
+        for (travel, k), point in points.items():
+            assert (point.travel, point.stiffness) == (travel, k)
+            got = (None if point.result is None else exact(point.result),
+                   point.error)
+            assert got == plain_point(params, sizing, travel, k)
+        return points
+
+    def test_benchmark_grid(self, config):
+        self.assert_plain(config.system, config.sizing, *benchmark_grid())
+
+    def test_held_out_benchmark_grid(self, config, monkeypatch):
+        travels, stiffness = perfbench_sweep_grid(monkeypatch, 401)
+        assert len(travels) == len(stiffness) == 10
+        self.assert_plain(config.system, config.sizing, travels, stiffness)
+
+    def test_unsorted_travels_with_repeats(self, config):
+        self.assert_plain(config.system, config.sizing,
+                          (0.2, 0.05, 0.35, 0.2, 0.1, 0.05), (70.0, 55.0))
+
+    def test_travels_never_reached(self, config):
+        # The spring stops short of 0.5 m at 70 N/m: both resume from the
+        # 1.0 m run's final state.
+        points = self.assert_plain(config.system, config.sizing,
+                                   (0.35, 0.5, 1.0), (70.0,))
+        assert (points[(0.5, 70.0)].result
+                == points[(1.0, 70.0)].result)
+
+    def test_invalid_travel(self, config):
+        points = self.assert_plain(config.system, config.sizing,
+                                   (0.0015, 0.35, 0.2), (70.0,))
+        assert "endstop_margin" in points[(0.0015, 70.0)].error
+
+    def test_failing_reference_run(self, config):
+        sizing = replace(config.sizing, dt=0.05)
+        points = self.assert_plain(config.system, sizing,
+                                   (0.05, 0.2, 0.35), (1e4,))
+        errors = {p.error for p in points.values()}
+        assert len(errors) == 3
+        assert all(e.startswith("tether length must be > 0") for e in errors)
+
+    def test_integration_error(self, config):
+        sizing = replace(config.sizing, dt=0.1)
+        points = self.assert_plain(config.system, sizing,
+                                   (0.05, 0.2, 0.35), (70.0,))
+        assert all(p.error.startswith("non-finite state component")
+                   for p in points.values())
+
+    def test_clamp_on_the_step_before_the_band(self, config):
+        # At this coarse step one step takes the 0.464 m run from below
+        # 0.272 m to above 0.273 m: a 0.273 m run clamps there, so it
+        # cannot resume from the state after that step.
+        sizing = replace(config.sizing, dt=0.02, max_time=1.0,
+                         speed_deficit=8.0)
+        points = self.assert_plain(config.system, sizing, (0.273, 0.464),
+                                   (3000.0,))
+        assert (points[(0.273, 3000.0)].result.min_speed
+                != points[(0.464, 3000.0)].result.min_speed)
+
+    def test_timeout(self, config):
+        points = self.assert_plain(config.system,
+                                   replace(config.sizing, max_time=0.05),
+                                   (0.05, 0.2, 0.35), (70.0,))
+        assert all(p.result.timed_out for p in points.values())
+
+    def test_no_deficit(self, config):
+        sizing = SizingConfig(20.0, 10.0, 0.0, max_time=1.0)
+        points = self.assert_plain(config.system, sizing,
+                                   (0.05, 0.2, 0.35), (70.0,))
+        assert all(p.result.feasible for p in points.values())
+
+    @settings(max_examples=40, derandomize=True, database=None,
+              deadline=None)
+    @given(travels=st.lists(st.floats(0.001, 0.6), min_size=1, max_size=5),
+           stiffness=st.floats(10.0, 5e3),
+           dt=st.sampled_from([1e-4, 1e-3, 4e-3, 0.02, 0.05]),
+           deficit=st.sampled_from([0.0, 4.0, 8.0]))
+    def test_property(self, config, travels, stiffness, dt, deficit):
+        sizing = replace(config.sizing, dt=dt, max_time=0.5,
+                         speed_deficit=deficit)
+        self.assert_plain(config.system, sizing, travels, (stiffness,))
+
+    @pytest.mark.parametrize("grid, parent, steps", [
+        (benchmark_grid(), 235_768, 162_816),
+        (((0.05, 0.2, 0.35), (70.0,)), 6_770, 5_655),
+    ], ids=["benchmark-grid", "reference-travels"])
+    def test_steps_saved(self, config, monkeypatch, grid, parent, steps):
+        """RK4 steps of one sweep: `parent` when every point runs from the
+        start, `steps` as the sweep runs them. A resumed point takes only
+        the steps after its hold; each hold costs the reference run one
+        more call, for the step it broke off and runs again."""
+        calls = [0]
+        step = spring_design.rk4_step6
+
+        def counting(*args):
+            calls[0] += 1
+            return step(*args)
+
+        monkeypatch.setattr(spring_design, "rk4_step6", counting)
+        travels, stiffness = grid
+        for travel in travels:
+            for k in stiffness:
+                evaluate_spring(with_design(config.system, travel, k),
+                                config.sizing)
+        assert calls[0] == parent
+        calls[0] = 0
+        sweep(config.system, config.sizing, travels, stiffness)
+        assert calls[0] == steps
