@@ -165,18 +165,19 @@ def cmd_spring_compare(args) -> int:
     _create(*(out / name for name in named), summary_path)
     points = []
     # The runs share their start until the shorter travel's stop engages,
-    # so each trace reuses the text of the previous trace's shared steps;
-    # that text, not the previous trace, is kept while the next travel runs.
-    texts = None
+    # so each travel resumes from the previous travel's run where that is
+    # the shorter one, and each trace reuses the text of the previous
+    # trace's shared steps; the previous trace and its text are kept while
+    # the next travel runs.
+    trace = texts = None
     for name, spring in named.items():
         travel = spring.max_travel
         params = replace(config.system, spring=spring)
-        trace = simulate_design(params, config.sizing)
+        trace = simulate_design(params, config.sizing, after=trace)
         result = trace.result
         path = out / name
         with _creating(path):
             texts = write_design_trace(trace, path, texts)
-        del trace
         points.append(SweepPoint(travel, spring.stiffness, result))
         if not args.quiet:
             t_star = "timeout" if result.t_star is None else f"{result.t_star:.4f} s"

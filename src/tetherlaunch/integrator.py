@@ -20,10 +20,13 @@ DEFAULT_STEP = 1e-4  # [s]
 # duration / dt for a take-off. A sizing run that keeps its steps
 # (spring-compare, validate's trace-bounds check) appends seven plain
 # floats a step to two lists and peaks at 315 B a step while it packs them
-# into the trace. spring-compare also keeps the previous travel's float
-# text, 187 B a step, while the next travel runs, so two travels peak at
-# 504 B a step (tracemalloc, 100,001 steps each), near 1.0 GB at the
-# budget; evaluate_spring and sweep keep no step.
+# into the trace. spring-compare also keeps the previous travel's trace,
+# 72 B a step, and its float text, 187 B a step, while the next travel
+# runs, so two travels peak at 574 B a step where the second cannot resume
+# from the first (tracemalloc, 100,001 steps each, descending travels),
+# near 1.15 GB at the budget; a resumed travel appends floats only for its
+# own steps (348 B a step where the second resumes at the first's last
+# step). evaluate_spring and sweep keep no step.
 # The defaults take 1e5 and 3e4 steps.
 MAX_STEPS = 2_000_000
 

@@ -218,10 +218,12 @@ def check_trace_bounds(config: AppConfig) -> PropertyCheck:
     """Tether force stays nonnegative and the spring inside its travel."""
     ok = True
     details = []
+    trace = None
     for travel in REFERENCE_TRAVELS:
         spring = replace(config.system.spring, max_travel=travel)
         params = replace(config.system, spring=spring)
-        trace = simulate_design(params, config.sizing)
+        # Each travel resumes from the shorter previous one's run.
+        trace = simulate_design(params, config.sizing, after=trace)
         force = trace.force.tolist()
         f_lo, f_hi = min(force), max(force)
         compression = trace.spring_pos.tolist()

@@ -15,7 +15,10 @@ flat RK4 of `integrator` and judges the design while it steps.
 `simulate` keeps every step in a Trace of read-only memoryviews of C
 doubles, for spring-compare and validate's trace-bounds check, and attaches
 the verdict as its `result`; `evaluate_spring`, and so `sweep`, returns the
-verdict and keeps no step.
+verdict and keeps no step. A kept run also holds the loop state where its
+compression neared its own band, so that the kept run of the same design
+at a larger travel, given its trace as `after`, takes its rows up to there
+as bytes and resumes from it.
 """
 
 from __future__ import annotations
@@ -98,10 +101,11 @@ def initial_state(sizing: SizingConfig, winch: WinchParams) -> DesignState:
     )
 
 
-def _doubles(count: int, values) -> memoryview:
-    """A read-only one-dimensional view of `count` floats packed as C
-    doubles."""
-    return memoryview(struct.pack(f"{count}d", *values)).cast("d")
+def _doubles(count: int, values, head=b"") -> memoryview:
+    """A read-only one-dimensional view of the bytes `head` followed by
+    `count` floats packed as C doubles."""
+    return memoryview(b"".join((head, struct.pack(f"{count}d", *values)))
+                      ).cast("d")
 
 
 @dataclass
@@ -109,7 +113,10 @@ class Trace:
     """Uniform-grid log of a sizing run, and the run's verdict.
 
     The columns are read-only memoryviews of C doubles, 8 bytes a value;
-    numpy.asarray(column) gives the array without a copy.
+    numpy.asarray(column) gives the array without a copy. `parting` is
+    (params, init, sizing, loop state): the run's hold for its own travel
+    (see _run_sizing), from which a run of the same design at a larger
+    travel resumes; None where such a run must start afresh.
     """
 
     times: memoryview    # [s], strictly increasing, uniform step
@@ -118,6 +125,7 @@ class Trace:
     length: memoryview   # deployed tether length per step [m]
     loaded: bool         # the force rose above the release threshold
     result: FeasibilityResult  # the verdict judged while the run stepped
+    parting: tuple | None
 
     def column(self, j: int) -> memoryview:
         """State `j` in DesignState field order at every step: a strided
@@ -168,17 +176,19 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
 
     The loop state is the steps taken, the six states, whether the force
     was seen and the release fired, the minimum speed and its step, and
-    the cycle counter's trend, extreme and count. An unkept run resumes
-    from the loop state `start` instead of from `init`. `holds` is a dict
-    keyed by travels below this design's: the run sets each to the loop
-    state from which the same design at that travel resumes bit for bit,
-    or to None where it must start afresh. Travel enters the run only
-    through the upper stop band (travel - endstop_margin) and the clamp.
-    So the two runs take the same steps until a stage compression rises
-    above the smaller travel's band, and the loop state before that step
-    is its hold; unless the compression already exceeds the smaller
-    travel, whose clamp would have fired on the step before. A run that
-    ends first holds its final state, under the same proviso.
+    the cycle counter's trend, extreme and count. A run resumes from the
+    loop state `start` instead of from `init`, and a kept one appends only
+    the steps after it. `holds` is a dict keyed by travels up to this
+    design's: the run sets each to the loop state from which the same
+    design at any larger travel resumes bit for bit, or to None where it
+    must start afresh. Travel enters the run only through the upper stop
+    band (travel - endstop_margin) and the clamp. So two runs take the
+    same steps until a stage compression rises above the smaller travel's
+    band, and the loop state before that step is its hold; unless, on the
+    last step taken, the compression already exceeds the smaller travel
+    or this run's upper clamp fired: the smaller travel's clamp fired
+    there and the larger's did not. A run that ends first holds its final
+    state, under the same proviso.
     """
     dt = sizing.dt
     steps = step_count(sizing)
@@ -208,6 +218,7 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
          force_seen, fired, min_speed, i_min, trend, extreme, cycles) = start
         if fired:
             steps = n  # released: no step is left
+    clamped = -1  # the last step on which the upper clamp fired
     # Descending: the compression rises from zero, so the next band a
     # stage may cross is the smallest travel's, pending[-1]'s.
     pending = sorted(holds or (), reverse=True)
@@ -225,6 +236,8 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
                                              spring_vel, winch_angle,
                                              winch_speed))
                 if spring_pos < 0.0 or spring_pos > limit:
+                    if spring_pos > limit:
+                        clamped = n
                     spring_pos, spring_vel = clamp_spring_travel(
                         spring_pos, spring_vel, limit)
                 force = dynamics(pos, winch_angle, spring_pos, spring_vel,
@@ -254,7 +267,8 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
             while pending and (reached is None
                                or pending[-1] - margin < reached):
                 travel = pending.pop()
-                holds[travel] = hold if spring_pos <= travel else None
+                holds[travel] = (hold if spring_pos <= travel
+                                 and clamped != n else None)
         if reached is None:
             break
 
@@ -262,8 +276,32 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
                     float(n * dt), force_seen, not fired, cycles), force_seen
 
 
+def _resume_after(after: Trace | None, params: SystemParams,
+                  init: DesignState, sizing: SizingConfig) -> tuple | None:
+    """The loop state from which the kept run of `params` from `init`
+    resumes after the kept run `after`, or None where it must start
+    afresh: `after` must hold a parting and differ from the run in a
+    smaller travel alone."""
+    if after is None or after.parting is None:
+        return None
+    before, before_init, before_sizing, hold = after.parting
+    travel = before.spring.max_travel
+    if not travel < params.spring.max_travel:
+        return None
+    try:
+        shorter = replace(params, spring=replace(params.spring,
+                                                 max_travel=travel))
+    except ValueError:  # the springs differ beyond the travel
+        return None
+    # repr, not ==: it tells -0.0 from 0.0, which a run may step apart.
+    if repr((shorter, init, sizing)) != repr((before, before_init,
+                                             before_sizing)):
+        return None
+    return hold
+
+
 def simulate(params: SystemParams, init: DesignState,
-             sizing: SizingConfig) -> Trace:
+             sizing: SizingConfig, after: Trace | None = None) -> Trace:
     """Integrate the sizing model from `init` until the tether force is
     released, with the step, time limit and release threshold of `sizing`.
 
@@ -274,22 +312,42 @@ def simulate(params: SystemParams, init: DesignState,
     never happens within the time limit the verdict is a timeout.
     Records the state and tether force at every step, including the step
     on which the release fires, the deployed length from the states, and
-    the verdict judged while stepping. A pure function of its arguments:
-    identical inputs give bit-identical traces.
+    the verdict judged while stepping, and its parting (see Trace). A
+    pure function of its arguments: identical inputs give bit-identical
+    traces, and `after` changes none of them.
+
+    `after` may be the trace of the same design from `init` at a smaller
+    travel: the run then takes its rows up to its parting, as bytes, and
+    steps on from there. Any other `after` is ignored.
     """
+    travel = params.spring.max_travel
+    start = _resume_after(after, params, init, sizing)
+    if start is None:
+        shared, heads = 0, [b""] * 4
+    else:  # after's rows up to its parting, as bytes
+        shared = start[0] + 1
+        heads = [column.cast("B")[:column.strides[0] * shared]
+                 for column in (after.times, after.states, after.force,
+                                after.length)]
     states: list[float] = []
     forces: list[float] = []
-    result, loaded = _run_sizing(params, init, sizing, states, forces)
-    n = len(forces)
+    holds = {travel: None}
+    result, loaded = _run_sizing(params, init, sizing, states, forces,
+                                 start, holds)
+    m = len(forces)
+    n = shared + m
     dt = sizing.dt
     line = line_model(params.tether, params.spring, params.winch)
     return Trace(
-        times=_doubles(n, [i * dt for i in range(n)]),
-        states=_doubles(6 * n, states).cast("B").cast("d", (n, 6)),
-        force=_doubles(n, forces),
-        length=_doubles(n, map(line.length, states[4::6], states[2::6])),
+        times=_doubles(m, [i * dt for i in range(shared, n)], heads[0]),
+        states=_doubles(6 * m, states, heads[1]).cast("B").cast("d", (n, 6)),
+        force=_doubles(m, forces, heads[2]),
+        length=_doubles(m, map(line.length, states[4::6], states[2::6]),
+                        heads[3]),
         loaded=loaded,
         result=result,
+        parting=(None if holds[travel] is None
+                 else (params, init, sizing, holds[travel])),
     )
 
 
@@ -385,9 +443,13 @@ def evaluate_spring(params: SystemParams, sizing: SizingConfig,
                        start=start, holds=holds)[0]
 
 
-def simulate_design(params: SystemParams, sizing: SizingConfig) -> Trace:
-    """Integrate the sizing transient up to the force-release instant."""
-    return simulate(params, initial_state(sizing, params.winch), sizing)
+def simulate_design(params: SystemParams, sizing: SizingConfig,
+                    after: Trace | None = None) -> Trace:
+    """Integrate the sizing transient up to the force-release instant;
+    `after`, the trace of the same design at a smaller travel, lets the
+    run resume from it (see simulate)."""
+    return simulate(params, initial_state(sizing, params.winch), sizing,
+                    after)
 
 
 def _evaluate_point(design: SystemParams, sizing: SizingConfig,
@@ -404,7 +466,9 @@ def _evaluate_point(design: SystemParams, sizing: SizingConfig,
 def _evaluate_column(args) -> list[SweepPoint]:
     """The points of one stiffness column. The largest valid travel runs
     first and holds for each smaller travel the loop state that its run
-    resumes from; if it fails, they run from the start."""
+    resumes from. If it fails, the holds it took before the failure are
+    exact still, and the smaller travels it held none for run from the
+    start."""
     params, sizing, travels, stiffness = args
     points = []
     designs = []
@@ -420,8 +484,6 @@ def _evaluate_column(args) -> list[SweepPoint]:
         first, *rest = designs
         holds = dict.fromkeys(design.spring.max_travel for design in rest)
         points.append(_evaluate_point(first, sizing, holds=holds))
-        if points[-1].error is not None:
-            holds = {}
         points += [_evaluate_point(design, sizing,
                                    start=holds.get(design.spring.max_travel))
                    for design in rest]

@@ -111,18 +111,22 @@ class TestSpringCompareCommand:
         assert calls == []
 
     def test_traces_match_single_travel_runs(self, tmp_path):
-        # A trace reuses the text of the steps it shares with the previous
-        # travel's; the bytes are those of a run of its travel alone.
+        # A run resumes from the previous travel's where that is shorter,
+        # and a trace reuses the text of the steps it shares with the
+        # previous travel's; in any order of the travels, the bytes are
+        # those of a run of its travel alone.
         travels = ["0.05", "0.2", "0.35"]
-        assert main(["spring-compare", "--out", str(tmp_path / "all"),
-                     "--quiet", "--travels", ",".join(travels)]) == 0
         for travel in travels:
-            alone = tmp_path / travel
-            assert main(["spring-compare", "--out", str(alone), "--quiet",
-                         "--travels", travel]) == 0
-            name = cli._trace_name(float(travel))
-            assert ((tmp_path / "all" / name).read_bytes()
-                    == (alone / name).read_bytes())
+            assert main(["spring-compare", "--out", str(tmp_path / travel),
+                         "--quiet", "--travels", travel]) == 0
+        for order in (travels, travels[::-1], ["0.2", "0.05", "0.35"]):
+            out = tmp_path / "-".join(order)
+            assert main(["spring-compare", "--out", str(out), "--quiet",
+                         "--travels", ",".join(order)]) == 0
+            for travel in travels:
+                name = cli._trace_name(float(travel))
+                assert ((out / name).read_bytes()
+                        == (tmp_path / travel / name).read_bytes())
 
     def test_reuses_shared_float_text(self, tmp_path, monkeypatch):
         # The benchmark's ten seed-0 travels: of the 217,449 float cells

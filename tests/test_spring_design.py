@@ -113,10 +113,11 @@ def exact(result):
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def grid_of(argv):
-    """The travels and stiffness values of sweep arguments `argv`."""
+def grid_of(argv, flags=("--travels", "--stiffness")):
+    """The travels and stiffness values of sweep arguments `argv`, or the
+    values of the other `flags`."""
     return [[float(v) for v in argv[argv.index(flag) + 1].split(",")]
-            for flag in ("--travels", "--stiffness")]
+            for flag in flags]
 
 
 def benchmark_grid():
@@ -304,9 +305,9 @@ class TestSweep:
         assert point.result.feasible in (True, False)
 
 
-def perfbench_sweep_grid(monkeypatch, seed):
-    """The travels and stiffness values of the benchmark's sweep at `seed`,
-    from perfbench/run.py's workload inputs."""
+def perfbench_argv(monkeypatch, workload, seed):
+    """The CLI arguments of the benchmark's `workload` at `seed`, from
+    perfbench/run.py's workload inputs."""
     modules = {}
     for name in ("worker", "run"):
         spec = importlib.util.spec_from_file_location(
@@ -316,9 +317,35 @@ def perfbench_sweep_grid(monkeypatch, seed):
             # perfbench/run.py imports the worker under the name `worker`.
             monkeypatch.setitem(sys.modules, "worker", modules["worker"])
         spec.loader.exec_module(modules[name])
-    inputs = modules["run"].workload_inputs("sweep-10x10", seed, False,
-                                            PERFBENCH)
-    return grid_of(inputs["argv"])
+    return modules["run"].workload_inputs(workload, seed, False,
+                                          PERFBENCH)["argv"]
+
+
+def perfbench_sweep_grid(monkeypatch, seed):
+    """The travels and stiffness values of the benchmark's sweep at
+    `seed`."""
+    return grid_of(perfbench_argv(monkeypatch, "sweep-10x10", seed))
+
+
+def perfbench_travels(monkeypatch, seed):
+    """The travels of the benchmark's spring-compare at `seed`."""
+    (travels,) = grid_of(perfbench_argv(monkeypatch, "spring-compare-10",
+                                        seed), ("--travels",))
+    return travels
+
+
+@pytest.fixture
+def rk4_calls(monkeypatch):
+    """A one-item list counting the RK4 steps the sizing runs take."""
+    calls = [0]
+    step = spring_design.rk4_step6
+
+    def counting(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(spring_design, "rk4_step6", counting)
+    return calls
 
 
 def plain_point(params, sizing, travel, stiffness):
@@ -427,25 +454,198 @@ class TestSweepReuse:
         (benchmark_grid(), 235_768, 162_816),
         (((0.05, 0.2, 0.35), (70.0,)), 6_770, 5_655),
     ], ids=["benchmark-grid", "reference-travels"])
-    def test_steps_saved(self, config, monkeypatch, grid, parent, steps):
+    def test_steps_saved(self, config, rk4_calls, grid, parent, steps):
         """RK4 steps of one sweep: `parent` when every point runs from the
         start, `steps` as the sweep runs them. A resumed point takes only
         the steps after its hold; each hold costs the reference run one
         more call, for the step it broke off and runs again."""
-        calls = [0]
-        step = spring_design.rk4_step6
-
-        def counting(*args):
-            calls[0] += 1
-            return step(*args)
-
-        monkeypatch.setattr(spring_design, "rk4_step6", counting)
         travels, stiffness = grid
         for travel in travels:
             for k in stiffness:
                 evaluate_spring(with_design(config.system, travel, k),
                                 config.sizing)
-        assert calls[0] == parent
-        calls[0] = 0
+        assert rk4_calls[0] == parent
+        rk4_calls[0] = 0
         sweep(config.system, config.sizing, travels, stiffness)
-        assert calls[0] == steps
+        assert rk4_calls[0] == steps
+
+
+def kept(trace):
+    """What a kept run gives: the bytes of every column, `loaded`, the
+    exact result and the parting, floats by repr."""
+    return ([getattr(trace, name).tobytes()
+             for name in ("times", "states", "force", "length")],
+            trace.loaded, exact(trace.result), repr(trace.parting))
+
+
+def kept_run(design, sizing, after=None):
+    """(trace, what it gives), or (None, its error's type and text)."""
+    try:
+        trace = simulate_design(design, sizing, after=after)
+    except (ValueError, RuntimeError) as exc:
+        return None, (type(exc), str(exc))
+    return trace, kept(trace)
+
+
+class TestKeptReuse:
+    """spring-compare and validate's trace-bounds check pass each travel's
+    kept run the previous travel's trace as `after`; a run at a larger
+    travel resumes from that trace's parting and packs only its own
+    steps. Every trace of such a chain must equal a run of its travel
+    alone: the same bytes in every column, the same `loaded`, an exact
+    result and the same parting."""
+
+    def assert_fresh(self, params, sizing, travels, stiffness=70.0):
+        """Each travel's run after the previous one's, which is None if
+        that run failed; a failing run must fail alike."""
+        traces = []
+        trace = None
+        for travel in travels:
+            design = with_design(params, travel, stiffness)
+            trace, got = kept_run(design, sizing, trace)
+            assert got == kept_run(design, sizing)[1]
+            traces.append(trace)
+        return traces
+
+    @pytest.mark.parametrize("seed", [0, 403])
+    def test_benchmark_travels(self, config, monkeypatch, seed):
+        travels = perfbench_travels(monkeypatch, seed)
+        assert len(travels) == 10 and travels == sorted(travels)
+        self.assert_fresh(config.system, config.sizing, travels)
+
+    @pytest.mark.parametrize("travels", [
+        (0.35, 0.2, 0.05), (0.2, 0.05, 0.35, 0.1, 0.3, 0.3)],
+        ids=["descending", "unsorted"])
+    def test_travel_order(self, config, travels):
+        self.assert_fresh(config.system, config.sizing, travels)
+
+    def test_travels_never_reached(self, config):
+        # The spring stops short of 0.5 m at 70 N/m: the 0.5 m run parts
+        # at its final state, and the 1.0 m run resumes there and takes
+        # no step of its own.
+        short, middle, long = self.assert_fresh(config.system, config.sizing,
+                                                (0.35, 0.5, 1.0))
+        assert middle.parting[3][0] == len(middle.force) - 1
+        assert long.result == middle.result
+
+    def test_clamp_on_the_parting_step(self, config):
+        # At this coarse step one step takes the compression from below
+        # 0.272 m to above 0.273 m: the 0.273 m run clamps there and its
+        # next step's first stage is above its band, so it parts on a
+        # clamped step, where the 0.464 m run did not clamp.
+        sizing = replace(config.sizing, dt=0.02, max_time=1.0,
+                         speed_deficit=8.0)
+        short, long = self.assert_fresh(config.system, sizing,
+                                        (0.273, 0.464), 3000.0)
+        assert short.parting is None
+        assert short.result.min_speed != long.result.min_speed
+
+    def test_timeout(self, config):
+        traces = self.assert_fresh(config.system,
+                                   replace(config.sizing, max_time=0.05),
+                                   (0.05, 0.2, 0.35))
+        assert all(trace.result.timed_out for trace in traces)
+
+    def test_no_deficit(self, config):
+        traces = self.assert_fresh(
+            config.system, SizingConfig(20.0, 10.0, 0.0, max_time=1.0),
+            (0.05, 0.2, 0.35))
+        assert all(trace.result.feasible for trace in traces)
+
+    @pytest.mark.parametrize("change", [
+        lambda p, s: (with_design(p, 0.2, 55.0), s),
+        lambda p, s: (p, replace(s, speed_deficit=3.0)),
+        lambda p, s: (p, replace(s, max_time=5.0)),
+        lambda p, s: (replace(p, aircraft=replace(p.aircraft, mass=1.3)), s),
+        lambda p, s: (with_design(p, 0.35), s),
+        lambda p, s: (with_design(p, 0.5), s),
+        lambda p, s: (replace(p, spring=replace(p.spring,
+                                                 free_friction=-0.0)), s),
+    ], ids=["stiffness", "deficit", "max-time", "mass", "same-travel",
+            "larger-travel", "signed-zero"])
+    def test_unusable_after_runs_fresh(self, config, rk4_calls, change):
+        """An `after` of another design or sizing, or of a travel that is
+        not smaller, costs no byte: the run starts afresh. The params
+        compare by repr, so -0.0 is not taken for 0.0."""
+        system = replace(config.system, spring=replace(config.system.spring,
+                                                       free_friction=0.0))
+        design = with_design(system, 0.35)
+        fresh = simulate_design(design, config.sizing)
+        steps = rk4_calls[0]
+        params, sizing = change(with_design(system, 0.2), config.sizing)
+        after = simulate_design(params, sizing)
+        assert after.parting is not None
+        rk4_calls[0] = 0
+        trace = simulate_design(design, config.sizing, after=after)
+        assert rk4_calls[0] == steps
+        assert kept(trace) == kept(fresh)
+
+    def test_unusable_start(self, config, rk4_calls):
+        # The same design and sizing from another start state.
+        design = with_design(config.system, 0.35)
+        fresh = simulate_design(design, config.sizing)
+        steps = rk4_calls[0]
+        short = with_design(config.system, 0.2)
+        init = spring_design.initial_state(config.sizing, short.winch)
+        after = spring_design.simulate(short, init._replace(vel=9.0),
+                                       config.sizing)
+        rk4_calls[0] = 0
+        trace = simulate_design(design, config.sizing, after=after)
+        assert rk4_calls[0] == steps
+        assert kept(trace) == kept(fresh)
+
+    @settings(max_examples=40, derandomize=True, database=None,
+              deadline=None)
+    @given(travels=st.lists(st.floats(0.0021, 0.6), min_size=1,
+                            max_size=5),
+           stiffness=st.floats(10.0, 5e3),
+           dt=st.sampled_from([1e-4, 1e-3, 4e-3, 0.02, 0.05]),
+           deficit=st.sampled_from([0.0, 4.0, 8.0]))
+    def test_property(self, config, travels, stiffness, dt, deficit):
+        sizing = replace(config.sizing, dt=dt, max_time=0.5,
+                         speed_deficit=deficit)
+        self.assert_fresh(config.system, sizing, travels, stiffness)
+
+    def test_failing_run(self, config):
+        # Every travel fails alike: the chain starts afresh after each.
+        sizing = replace(config.sizing, dt=0.05)
+        traces = self.assert_fresh(config.system, sizing, (0.05, 0.2, 0.35),
+                                   1e4)
+        assert traces == [None] * 3
+
+    def test_steps_saved(self, config, monkeypatch, rk4_calls):
+        """RK4 steps of the seed-0 spring-compare travels: 24,151 as
+        evaluate_spring runs each from the start; one more per run kept
+        alone, for the step it breaks off at its parting and runs again;
+        7,183 fewer chained, where each resumes from the previous one."""
+        travels = perfbench_travels(monkeypatch, 0)
+        designs = [with_design(config.system, travel) for travel in travels]
+        for design in designs:
+            evaluate_spring(design, config.sizing)
+        assert rk4_calls[0] == 24_151
+        rk4_calls[0] = 0
+        for design in designs:
+            simulate_design(design, config.sizing)
+        assert rk4_calls[0] == 24_151 + 10
+        rk4_calls[0] = 0
+        trace = None
+        for design in designs:
+            trace = simulate_design(design, config.sizing, after=trace)
+        assert rk4_calls[0] == 24_151 - 7_183 + 10
+
+    def test_resumed_run_peaks_lower(self, config):
+        # The 0.35 m run shares 1,560 of its 3,323 rows with the 0.3 m
+        # run; resumed, it appends floats for the other rows alone.
+        design = with_design(config.system, 0.35)
+        after = simulate_design(with_design(config.system, 0.3),
+                                config.sizing)
+        peaks = []
+        for given_after in (None, after):
+            tracemalloc.start()
+            try:
+                simulate_design(design, config.sizing, after=given_after)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        fresh, resumed = peaks
+        assert resumed < fresh
