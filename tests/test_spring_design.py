@@ -1,5 +1,6 @@
-"""Spring sizing tests: feasibility verdicts, cycle counting, and the
-sweep machinery including its step reuse and parallel execution."""
+"""Spring sizing tests: feasibility verdicts, cycle counting, the sweep
+machinery including its step reuse and parallel execution, and the step
+reuse of kept runs."""
 
 import concurrent.futures
 import importlib.util
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetherlaunch import spring_design
+from tetherlaunch import properties, spring_design
 from tetherlaunch.integrator import MAX_STEPS
 from tetherlaunch.spring_design import (
     SizingConfig,
@@ -523,8 +524,8 @@ class TestKeptReuse:
         # The spring stops short of 0.5 m at 70 N/m: the 0.5 m run parts
         # at its final state, and the 1.0 m run resumes there and takes
         # no step of its own.
-        short, middle, long = self.assert_fresh(config.system, config.sizing,
-                                                (0.35, 0.5, 1.0))
+        _, middle, long = self.assert_fresh(config.system, config.sizing,
+                                            (0.35, 0.5, 1.0))
         assert middle.parting[3][0] == len(middle.force) - 1
         assert long.result == middle.result
 
@@ -633,8 +634,14 @@ class TestKeptReuse:
             trace = simulate_design(design, config.sizing, after=trace)
         assert rk4_calls[0] == 24_151 - 7_183 + 10
 
+    def test_trace_bounds_steps(self, config, rk4_calls):
+        """validate's trace-bounds check chains the reference travels,
+        which take 6,770 steps run apart (TestSweepReuse)."""
+        assert properties.check_trace_bounds(config).passed
+        assert rk4_calls[0] == 5_656
+
     def test_resumed_run_peaks_lower(self, config):
-        # The 0.35 m run shares 1,560 of its 3,323 rows with the 0.3 m
+        # The 0.35 m run shares 1,296 of its 3,323 rows with the 0.3 m
         # run; resumed, it appends floats for the other rows alone.
         design = with_design(config.system, 0.35)
         after = simulate_design(with_design(config.system, 0.3),
