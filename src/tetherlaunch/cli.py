@@ -167,13 +167,17 @@ def cmd_spring_compare(args) -> int:
     # The runs share their start until the shorter travel's stop engages,
     # so each travel resumes from the previous travel's run where that is
     # the shorter one, and each trace reuses the text of the previous
-    # trace's shared steps; the previous trace and its text are kept while
-    # the next travel runs.
+    # trace's shared steps. The previous text is kept while the next
+    # travel runs, and the previous trace only if that travel is longer.
     trace = texts = None
+    last = math.inf  # the previous travel
     for name, spring in named.items():
         travel = spring.max_travel
         params = replace(config.system, spring=spring)
+        if not last < travel:
+            trace = None
         trace = simulate_design(params, config.sizing, after=trace)
+        last = travel
         result = trace.result
         path = out / name
         with _creating(path):

@@ -5,7 +5,9 @@ A small fixed step handles the stiffness of the taut tether (around
 keeps runs reproducible bit for bit. The default step is 1e-4 s; it
 resolves both the tether-mass and the spring-mass periods with two orders
 of magnitude to spare. The steppers know nothing of the model: states are
-tuples of floats and derivatives come from the caller.
+tuples of floats and derivatives come from the caller, and so does the
+flat stepper's first stage: the evaluation that gives a step's outputs
+opens the next step.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ DEFAULT_STEP = 1e-4  # [s]
 # duration / dt for a take-off. A sizing run that keeps its steps
 # (spring-compare, validate's trace-bounds check) appends seven plain
 # floats a step to two lists and peaks at 315 B a step while it packs them
-# into the trace. spring-compare also keeps the previous travel's trace,
-# 72 B a step, and its float text, 187 B a step, while the next travel
-# runs, so two travels peak at 574 B a step where the second cannot resume
-# from the first (tracemalloc, 100,001 steps each, descending travels),
-# near 1.15 GB at the budget; a resumed travel appends floats only for its
-# own steps (348 B a step where the second resumes at the first's last
-# step). evaluate_spring and sweep keep no step.
+# into the trace. spring-compare also keeps the previous travel's float
+# text, 187 B a step, while the next travel runs, and its trace, 72 B a
+# step, only if the next travel is longer, so two travels peak at 502 B a
+# step where the second cannot resume (tracemalloc, 100,001 steps each,
+# descending travels), near 1 GB at the budget; a resumed travel appends
+# floats only for its own steps (348 B a step where the second resumes at
+# the first's last step). evaluate_spring and sweep keep no step.
 # The defaults take 1e5 and 3e4 steps.
 MAX_STEPS = 2_000_000
 
@@ -65,18 +67,19 @@ def rk4_step(derivs, state, dt: float):
 
 
 def rk4_step6(f, dt: float, y0: float, y1: float, y2: float, y3: float,
-              y4: float, y5: float) -> tuple:
+              y4: float, y5: float, k1: tuple) -> tuple:
     """rk4_step unrolled for six plain floats, with f(y0, ..., y5) giving
-    the six derivatives; the same operations in the same order, so the
-    result is bit-identical. The caller checks for non-finite values."""
+    the six derivatives and one value the stepper passes over, and `k1`
+    the caller's f(y0, ..., y5); the same operations in the same order, so
+    the result is bit-identical. The caller checks for non-finite values."""
     h = 0.5 * dt
-    a0, a1, a2, a3, a4, a5 = f(y0, y1, y2, y3, y4, y5)
-    b0, b1, b2, b3, b4, b5 = f(y0 + h * a0, y1 + h * a1, y2 + h * a2,
-                               y3 + h * a3, y4 + h * a4, y5 + h * a5)
-    c0, c1, c2, c3, c4, c5 = f(y0 + h * b0, y1 + h * b1, y2 + h * b2,
-                               y3 + h * b3, y4 + h * b4, y5 + h * b5)
-    d0, d1, d2, d3, d4, d5 = f(y0 + dt * c0, y1 + dt * c1, y2 + dt * c2,
-                               y3 + dt * c3, y4 + dt * c4, y5 + dt * c5)
+    a0, a1, a2, a3, a4, a5, _ = k1
+    b0, b1, b2, b3, b4, b5, _ = f(y0 + h * a0, y1 + h * a1, y2 + h * a2,
+                                  y3 + h * a3, y4 + h * a4, y5 + h * a5)
+    c0, c1, c2, c3, c4, c5, _ = f(y0 + h * b0, y1 + h * b1, y2 + h * b2,
+                                  y3 + h * b3, y4 + h * b4, y5 + h * b5)
+    d0, d1, d2, d3, d4, d5, _ = f(y0 + dt * c0, y1 + dt * c1, y2 + dt * c2,
+                                  y3 + dt * c3, y4 + dt * c4, y5 + dt * c5)
     w = dt / 6.0
     return (y0 + w * (a0 + 2.0 * (b0 + c0) + d0),
             y1 + w * (a1 + 2.0 * (b1 + c1) + d1),

@@ -9,7 +9,8 @@ size the buffer spring: start the aircraft with the winch lagging by a
 known speed deficit, let the resulting tension transient play out, and
 check whether the aircraft stays above its minimum cruise speed. The same
 airborne plant flies the take-off after lift-off, on a slack line and a
-climb ray under the controlled winch torque.
+climb ray under the controlled winch torque, and gives its slide phase
+the line, carriage and winch: airborne_plant holds the line equations.
 
 All parameter containers are immutable and validated on construction; all
 functions here are pure, so they can be evaluated from any number of
@@ -195,98 +196,53 @@ def spring_friction(spring: SpringParams, spring_pos: float,
     return spring.free_friction
 
 
-class LineModel(NamedTuple):
-    """The tether, pulley carriage and winch drum as closures over floats.
-
-    dynamics(distance, winch_angle, spring_pos, spring_vel, torque,
-    winch_speed) gives (force [N], carriage_accel [m/s^2], winch_accel
-    [rad/s^2]) for the aircraft `distance` from the ground station and
-    the drum motor holding `torque`;
-    tension(distance, winch_angle, spring_pos), its force alone [N];
-    length(winch_angle, spring_pos) [m], the deployed line, on floats or
-    numpy columns alike.
-    """
-
-    dynamics: Callable[[float, float, float, float, float, float], tuple]
-    tension: Callable[[float, float, float], float]
-    length: Callable[[float, float], float]
-
-
-def line_model(tether: TetherParams, spring: SpringParams,
-               winch: WinchParams, slack: float = 0.0) -> LineModel:
-    """Equations of the line, carriage and winch, shared by every plant.
-
-    The parameters are read once here, so a run's derivative evaluations
-    touch plain floats only. The deployed line is the `slack` left before
-    the start, plus the drum payout, plus twice the carriage travel: the
-    tether runs around the moving pulley on the spring carriage, so each
-    metre of compression releases two metres of line. The tether pulls
-    with the stiffness of tether_stiffness and never pushes. The moving
-    pulley doubles the tension on the carriage, which feels the friction
-    of spring_friction, and the same tension helps the motor torque spin
-    the drum out.
-    """
-    breaking_load = tether.breaking_load
-    breaking_elongation = tether.breaking_elongation
-    stiffness = spring.stiffness
-    carriage_mass = spring.carriage_mass
-    free_friction = spring.free_friction
-    stop_friction = spring.endstop_gain * spring.free_friction
-    lower_band = spring.endstop_margin
-    upper_band = spring.max_travel - spring.endstop_margin
+def line_length(winch: WinchParams, slack: float = 0.0) -> Callable:
+    """length(winch_angle, spring_pos) [m], the deployed line on floats or
+    numpy columns alike: the `slack` left before the start, plus the drum
+    payout, plus twice the carriage travel (see airborne_plant)."""
     radius = winch.radius
-    rot_friction = winch.rot_friction
-    inertia = winch.inertia
 
     def length(winch_angle, spring_pos):
         return slack + radius * winch_angle + 2.0 * spring_pos
 
-    def dynamics(distance: float, winch_angle: float, spring_pos: float,
-                 spring_vel: float, torque: float,
-                 winch_speed: float) -> tuple:
-        # length(winch_angle, spring_pos), inlined: the extra call per
-        # plant evaluation made a sizing sweep about 8% slower.
-        deployed = slack + radius * winch_angle + 2.0 * spring_pos
-        if deployed <= 0.0:
-            raise ValueError(f"tether length must be > 0 (got {deployed})")
-        force = (breaking_load / (breaking_elongation * deployed)
-                 * (distance - deployed))
-        force = force if force > 0.0 else 0.0  # max(0.0, force), minus a call
-        if ((spring_pos <= lower_band and spring_vel < 0.0)
-                or (spring_pos > upper_band and spring_vel > 0.0)):
-            friction = stop_friction
-        else:
-            friction = free_friction
-        return (force,
-                (2.0 * force - friction * spring_vel
-                 - stiffness * spring_pos) / carriage_mass,
-                (torque + radius * force - rot_friction * winch_speed)
-                / inertia)
-
-    def tension(distance: float, winch_angle: float,
-                spring_pos: float) -> float:
-        return dynamics(distance, winch_angle, spring_pos, 0.0, 0.0, 0.0)[0]
-
-    return LineModel(dynamics, tension, length)
+    return length
 
 
 def airborne_plant(params: SystemParams, slack: float = 0.0,
                    climb_angle_deg: float = 0.0) -> Callable[[float], Callable]:
     """The tethered aircraft in flight, under a winch torque to be given.
 
-    Returns `under(torque)`, which gives the derivatives of the six
-    DesignState floats with the drum motor holding `torque`; building it
-    is cheap, so a controlled run builds one per held torque. The
+    Returns `under(torque)`, which gives derivs(pos, vel, spring_pos,
+    spring_vel, winch_angle, winch_speed): the derivatives of the six
+    DesignState floats with the drum motor holding `torque`, then the
+    tether force [N]. Building it is cheap, so a controlled run builds one
+    per held torque; the take-off's slide plant evaluates it too. The
     propeller holds peak thrust, and the tether and gravity pull exactly
-    against the flight path, which climbs at `climb_angle_deg`. The same
-    tension value decelerates the aircraft, drives the carriage and helps
-    spin the winch out.
+    against the flight path, which climbs at `climb_angle_deg`.
+
+    These are the only line equations, on floats read once here. The line
+    runs around the moving pulley on the spring carriage, so each metre of
+    compression releases two metres (see line_length). It pulls with the
+    stiffness of tether_stiffness, never pushes, and its force depends on
+    the position and the deployed line alone. The pulley doubles the
+    tension on the carriage, which feels the friction of spring_friction;
+    the same tension slows the aircraft and helps the torque spin the drum.
 
     The sizing study flies level on a line without slack, under the peak
     reel-out torque: airborne_plant(params)(params.winch.max_torque).
     """
-    dynamics = line_model(params.tether, params.spring, params.winch,
-                          slack).dynamics
+    breaking_load = params.tether.breaking_load
+    breaking_elongation = params.tether.breaking_elongation
+    spring = params.spring
+    stiffness = spring.stiffness
+    carriage_mass = spring.carriage_mass
+    free_friction = spring.free_friction
+    stop_friction = spring.endstop_gain * spring.free_friction
+    lower_band = spring.endstop_margin
+    upper_band = spring.max_travel - spring.endstop_margin
+    radius = params.winch.radius
+    rot_friction = params.winch.rot_friction
+    inertia = params.winch.inertia
     aircraft = params.aircraft
     thrust = aircraft.max_thrust
     drag_factor = (0.5 * params.ambient.air_density * aircraft.drag_coeff
@@ -297,11 +253,28 @@ def airborne_plant(params: SystemParams, slack: float = 0.0,
     def under(torque: float) -> Callable[..., tuple]:
         def derivs(pos, vel, spring_pos, spring_vel, winch_angle,
                    winch_speed):
-            force, spring_accel, winch_accel = dynamics(
-                pos, winch_angle, spring_pos, spring_vel, torque, winch_speed)
+            # line_length, inlined: the extra call per plant evaluation
+            # made a sizing sweep about 8% slower.
+            deployed = slack + radius * winch_angle + 2.0 * spring_pos
+            if deployed <= 0.0:
+                raise ValueError(f"tether length must be > 0 (got {deployed})")
+            force = (breaking_load / (breaking_elongation * deployed)
+                     * (pos - deployed))
+            force = force if force > 0.0 else 0.0  # max(0.0, force), minus a call
+            if ((spring_pos <= lower_band and spring_vel < 0.0)
+                    or (spring_pos > upper_band and spring_vel > 0.0)):
+                friction = stop_friction
+            else:
+                friction = free_friction
             return (vel,
                     (thrust - drag_factor * vel * vel - force - gravity) / mass,
-                    spring_vel, spring_accel, winch_speed, winch_accel)
+                    spring_vel,
+                    (2.0 * force - friction * spring_vel
+                     - stiffness * spring_pos) / carriage_mass,
+                    winch_speed,
+                    (torque + radius * force - rot_friction * winch_speed)
+                    / inertia,
+                    force)
 
         return derivs
 
@@ -311,7 +284,7 @@ def airborne_plant(params: SystemParams, slack: float = 0.0,
 def design_derivatives(state: DesignState, params: SystemParams) -> tuple:
     """Time derivatives of the six model states in the sizing study (see
     airborne_plant)."""
-    return airborne_plant(params)(params.winch.max_torque)(*state)
+    return airborne_plant(params)(params.winch.max_torque)(*state)[:6]
 
 
 def clamp_spring_travel(spring_pos: float, spring_vel: float,

@@ -49,13 +49,13 @@ def _harmonic_period_error(steps: int) -> tuple[float, bool]:
         return (s.vel, -s.pos, 0.0, 0.0, 0.0, 0.0)
 
     def flat(pos, vel, *_):
-        return (vel, -pos, 0.0, 0.0, 0.0, 0.0)
+        return (vel, -pos, 0.0, 0.0, 0.0, 0.0, None)
 
     state = DesignState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     flat_state = tuple(state)
     for _ in range(steps):
         state = rk4_step(derivs, state, dt)
-        flat_state = rk4_step6(flat, dt, *flat_state)
+        flat_state = rk4_step6(flat, dt, *flat_state, flat(*flat_state))
     same = list(map(float.hex, flat_state)) == list(map(float.hex, state))
     return abs(state.pos - 1.0), same
 
@@ -219,11 +219,16 @@ def check_trace_bounds(config: AppConfig) -> PropertyCheck:
     ok = True
     details = []
     trace = None
+    last = math.inf  # the previous travel
     for travel in REFERENCE_TRAVELS:
         spring = replace(config.system.spring, max_travel=travel)
         params = replace(config.system, spring=spring)
-        # Each travel resumes from the shorter previous one's run.
+        # A travel resumes from the previous travel's run if that travel is
+        # shorter; any other previous trace is dropped before the run.
+        if not last < travel:
+            trace = None
         trace = simulate_design(params, config.sizing, after=trace)
+        last = travel
         force = trace.force.tolist()
         f_lo, f_hi = min(force), max(force)
         compression = trace.spring_pos.tolist()

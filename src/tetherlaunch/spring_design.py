@@ -5,13 +5,15 @@ never drops below the minimum cruise speed during the tension transient,
 i.e. on the window from the start until the tether force first returns to
 zero with the winch at least matching the aircraft speed. Sweeps evaluate
 a grid one stiffness column at a time. Travel enters a sizing run only
-through the upper stop band (travel - endstop_margin) and the clamp, so
-the column's smaller travels resume, bit for bit, from where the largest
-travel's run was as its compression neared their bands; any other use of
-`max_travel` in the run would break that. Columns are pure computations,
-so they can be farmed out to worker processes with results identical to
-a serial run. The sizing run steps the airborne plant of `model` with the
-flat RK4 of `integrator` and judges the design while it steps.
+through the upper stop band of `model.airborne_plant` (travel -
+endstop_margin) and the clamp, so the column's smaller travels resume,
+bit for bit, from where the largest travel's run was as its compression
+neared their bands; any other use of `max_travel` in the run would break
+that. Columns are pure computations, so they can be farmed out to worker
+processes with results identical to a serial run. The sizing run steps
+that plant with the flat RK4 of `integrator`, one plant evaluation per
+stage: the one that gives a step's tether force is the next step's first
+stage. It judges the design while it steps.
 `simulate` keeps every step in a Trace of read-only memoryviews of C
 doubles, for spring-compare and validate's trace-bounds check, and attaches
 the verdict as its `result`; `evaluate_spring`, and so `sweep`, returns the
@@ -35,7 +37,7 @@ from .model import (
     _require_positive,
     airborne_plant,
     clamp_spring_travel,
-    line_model,
+    line_length,
 )
 
 DEFAULT_FORCE_TOL = 1e-6  # tension below this counts as released [N]
@@ -152,7 +154,8 @@ class _Crossing(Exception):
 
 def _watched(derivs, level: float):
     """`derivs`, raising _Crossing instead of evaluating a stage whose
-    compression is above `level`."""
+    compression is above `level`: the stepper's stages 2-4, since
+    _run_sizing checks each step's first stage itself."""
     def watched(pos, vel, spring_pos, spring_vel, winch_angle, winch_speed):
         if spring_pos > level:
             raise _Crossing(spring_pos)
@@ -193,18 +196,15 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
     dt = sizing.dt
     steps = step_count(sizing)
     force_tol = sizing.force_tolerance
-    torque = params.winch.max_torque
-    derivs = airborne_plant(params)(torque)
-    # The force from dynamics itself: tension would add a call per step.
-    dynamics = line_model(params.tether, params.spring, params.winch).dynamics
+    derivs = airborne_plant(params)(params.winch.max_torque)
     radius = params.winch.radius
     limit = params.spring.max_travel
     margin = params.spring.endstop_margin
 
     if start is None:
         pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = init
-        force = dynamics(pos, winch_angle, spring_pos, spring_vel, torque,
-                         winch_speed)[0]
+        k1 = derivs(*init)  # the first step's first stage, then the force
+        force = k1[6]
         if states is not None:
             states += init
             forces.append(force)
@@ -216,6 +216,9 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
     else:
         (n, (pos, vel, spring_pos, spring_vel, winch_angle, winch_speed),
          force_seen, fired, min_speed, i_min, trend, extreme, cycles) = start
+        # The holding run's first stage, bit for bit: the hold lies below
+        # this travel's band, or no step is left.
+        k1 = derivs(*start[1])
         if fired:
             steps = n  # released: no step is left
     clamped = -1  # the last step on which the upper clamp fired
@@ -224,12 +227,15 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
     pending = sorted(holds or (), reverse=True)
 
     while True:
-        plant = _watched(derivs, pending[-1] - margin) if pending else derivs
+        level = pending[-1] - margin if pending else math.inf
+        plant = _watched(derivs, level) if pending else derivs
         try:
             for n in range(n + 1, steps + 1):
+                if spring_pos > level:  # the first stage is k1's state
+                    raise _Crossing(spring_pos)
                 pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = (
                     rk4_step6(plant, dt, pos, vel, spring_pos, spring_vel,
-                              winch_angle, winch_speed))
+                              winch_angle, winch_speed, k1))
                 if not math.isfinite(pos + vel + spring_pos + spring_vel
                                      + winch_angle + winch_speed):
                     check_finite(DesignState(pos, vel, spring_pos,
@@ -240,8 +246,10 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
                         clamped = n
                     spring_pos, spring_vel = clamp_spring_travel(
                         spring_pos, spring_vel, limit)
-                force = dynamics(pos, winch_angle, spring_pos, spring_vel,
-                                 torque, winch_speed)[0]
+                # The step's force, and the next step's first stage.
+                k1 = derivs(pos, vel, spring_pos, spring_vel, winch_angle,
+                            winch_speed)
+                force = k1[6]
                 if states is not None:
                     states += (pos, vel, spring_pos, spring_vel, winch_angle,
                                winch_speed)
@@ -337,12 +345,12 @@ def simulate(params: SystemParams, init: DesignState,
     m = len(forces)
     n = shared + m
     dt = sizing.dt
-    line = line_model(params.tether, params.spring, params.winch)
+    length = line_length(params.winch)
     return Trace(
         times=_doubles(m, [i * dt for i in range(shared, n)], heads[0]),
         states=_doubles(6 * m, states, heads[1]).cast("B").cast("d", (n, 6)),
         force=_doubles(m, forces, heads[2]),
-        length=_doubles(m, map(line.length, states[4::6], states[2::6]),
+        length=_doubles(m, map(length, states[4::6], states[2::6]),
                         heads[3]),
         loaded=loaded,
         result=result,

@@ -34,7 +34,7 @@ from .model import (
     _require_positive,
     airborne_plant,
     clamp_spring_travel,
-    line_model,
+    line_length,
 )
 # No longer called here; perfbench/worker.py still looks them up in this
 # module.
@@ -234,28 +234,27 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     slide_drive = slide_law(control.slide)
     winch_drive = winch_law(control.winch)
     fbck_step = outer_law(outer)
-    line_dynamics, tension, line_length = line_model(
-        system.tether, spring, winch, cfg.initial_slack)
+    deployed = line_length(winch, cfg.initial_slack)
     # After lift-off: the aircraft on its climb ray, one plant per held
     # winch torque.
     airborne = airborne_plant(system, cfg.initial_slack, cfg.climb_angle_deg)
-    # Zero-order-hold torques of the current control step, read by the
-    # slide plant below.
-    u_slide = u_winch = 0.0
+    u_slide = 0.0  # the control step's held torque, read by the slide plants
 
     def on_slide(slide_angle, slide_speed, winch_angle, winch_speed,
                  spring_pos, spring_vel):
         speed = drum_radius * slide_speed
-        force, spring_accel, winch_accel = line_dynamics(
-            drum_radius * slide_angle, winch_angle, spring_pos, spring_vel,
-            u_winch, winch_speed)
+        # The line, carriage and winch of the control step's airborne
+        # plant, whose aircraft acceleration the slide replaces.
+        _, _, _, spring_accel, _, winch_accel, force = in_flight(
+            drum_radius * slide_angle, speed, spring_pos, spring_vel,
+            winch_angle, winch_speed)
         # Thrust, drag and tether pull all act on the combined
         # slide+aircraft train through the equivalent mass.
         train_force = (u_slide / drum_radius + thrust
                        - drag_coeff * speed * speed - force
                        - slide_friction * slide_speed / drum_radius)
         return (slide_speed, train_force * drum_radius / slide_inertia_full,
-                winch_speed, winch_accel, spring_vel, spring_accel)
+                winch_speed, winch_accel, spring_vel, spring_accel, force)
 
     def empty_slide(slide_angle, slide_speed):
         """RK4 step of the slide after lift-off, when no longer coupled to
@@ -299,27 +298,34 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
         u_winch = winch_drive(speed_ref, winch_speed)
         # Built at every latch, so it also serves a lift-off mid-step.
         in_flight = airborne(u_winch)
+        length = deployed(winch_angle, spring_pos)
 
-        length = line_length(winch_angle, spring_pos)
-        force = tension(distance, winch_angle, spring_pos)
-        rows.append((
-            k * sample_period, slide_angle, slide_speed, winch_angle,
-            winch_speed, spring_pos, distance, speed, length, force, u_slide,
-            u_winch, u_slide * slide_speed, u_winch * winch_speed,
-            zone, phase, ffwd, fbck, speed_ref))
-
-        # Plant substeps under zero-order-hold torques.
+        # Plant substeps under zero-order-hold torques, each from its
+        # first stage.
         for j in range(substeps):
+            if liftoff_time is None:
+                k1 = on_slide(slide_angle, slide_speed, winch_angle,
+                              winch_speed, spring_pos, spring_vel)
+            else:
+                k1 = in_flight(path_pos, path_vel, spring_pos, spring_vel,
+                               winch_angle, winch_speed)
+            if not j:  # the step's row: the first stage gives its force
+                rows.append((
+                    k * sample_period, slide_angle, slide_speed, winch_angle,
+                    winch_speed, spring_pos, distance, speed, length, k1[6],
+                    u_slide, u_winch, u_slide * slide_speed,
+                    u_winch * winch_speed, zone, phase, ffwd, fbck,
+                    speed_ref))
             if liftoff_time is None:
                 (slide_angle, slide_speed, winch_angle, winch_speed,
                  spring_pos, spring_vel) = rk4_step6(
                     on_slide, dt, slide_angle, slide_speed, winch_angle,
-                    winch_speed, spring_pos, spring_vel)
+                    winch_speed, spring_pos, spring_vel, k1)
             else:
                 (path_pos, path_vel, spring_pos, spring_vel,
                  winch_angle, winch_speed) = rk4_step6(
                     in_flight, dt, path_pos, path_vel, spring_pos,
-                    spring_vel, winch_angle, winch_speed)
+                    spring_vel, winch_angle, winch_speed, k1)
                 slide_angle, slide_speed = empty_slide(slide_angle,
                                                        slide_speed)
             # The path states stay 0.0 until lift-off.

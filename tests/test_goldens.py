@@ -62,6 +62,45 @@ def test_outputs_match_goldens(tmp_path, monkeypatch, workload):
     assert calls == dict.fromkeys(inputs["points"], inputs["ops"])
 
 
+@pytest.mark.parametrize("workload, evaluations", [
+    ("sweep-10x10", 651_092), ("takeoff", 120_000),
+], ids=["sweep-10x10", "takeoff"])
+def test_plant_evaluations(tmp_path, monkeypatch, workload, evaluations):
+    """Plant evaluations of the seed-0 workload, counted on the closures
+    that airborne_plant returns: one per RK4 stage. A sizing run's step
+    reuses the evaluation that gave the previous step's tether force as
+    its first stage, and each run adds one at its start or resume state
+    (162,816 steps over 100 runs on the sweep); each take-off substep
+    evaluates its own first stage (30,000 substeps)."""
+    from tetherlaunch import spring_design, takeoff
+
+    count = [0]
+
+    def counting(plant):
+        def counted_plant(*args):
+            under = plant(*args)
+
+            def counted_under(torque):
+                derivs = under(torque)
+
+                def counted(*state):
+                    count[0] += 1
+                    return derivs(*state)
+
+                return counted
+
+            return counted_under
+
+        return counted_plant
+
+    for module in (spring_design, takeoff):
+        monkeypatch.setattr(module, "airborne_plant",
+                            counting(module.airborne_plant))
+    golden = GOLDENS[workload]
+    assert main(golden["argv"] + ["--out", str(tmp_path), "--quiet"]) == 0
+    assert count[0] == evaluations
+
+
 def test_instrumented_names_resolve():
     """perfbench/worker.py replaces each (module, attribute) it instruments
     by getattr and setattr; a missing name crashes every traced pass."""

@@ -19,7 +19,7 @@ from tetherlaunch.model import (
     clamp_spring_travel,
     default_system_params,
     design_derivatives,
-    line_model,
+    line_length,
     spring_friction,
     tether_stiffness,
 )
@@ -37,14 +37,21 @@ def params():
 
 
 @pytest.fixture
-def line(params):
-    return line_model(params.tether, params.spring, params.winch)
+def plant(params):
+    """The airborne plant of the sizing study, under a torque to be given:
+    its seventh value is the tether force."""
+    return airborne_plant(params)
 
 
-def tension_on(line, distance, length):
+@pytest.fixture
+def length(params):
+    return line_length(params.winch)
+
+
+def tension_on(plant, distance, length):
     """The line's tension with `length` deployed, all of it by the
     carriage (halving is exact, so the length is too)."""
-    return line.dynamics(distance, 0.0, length / 2.0, 0.0, 0.0, 0.0)[0]
+    return plant(0.0)(distance, 0.0, length / 2.0, 0.0, 0.0, 0.0)[6]
 
 
 class TestValidation:
@@ -114,92 +121,99 @@ class TestTetherStiffness:
 
 
 class TestTetherForce:
-    def test_slack_line_cannot_push(self, line):
-        assert tension_on(line, 19.0, 20.0) == 0.0
+    def test_slack_line_cannot_push(self, plant):
+        assert tension_on(plant, 19.0, 20.0) == 0.0
 
-    def test_zero_elongation(self, line):
-        assert tension_on(line, 20.0, 20.0) == 0.0
+    def test_zero_elongation(self, plant):
+        assert tension_on(plant, 20.0, 20.0) == 0.0
 
-    def test_taut_line(self, line):
+    def test_taut_line(self, plant):
         # 4500 / (0.02 * 20) * 0.1 = 1125 N
-        force = tension_on(line, 20.1, 20.0)
+        force = tension_on(plant, 20.1, 20.0)
         assert force == pytest.approx(1125.0, rel=1e-12)
 
-    def test_never_negative(self, line):
+    def test_never_negative(self, plant):
         for pos in np.linspace(0.1, 40.0, 50):
-            assert tension_on(line, pos, 20.0) >= 0.0
+            assert tension_on(plant, pos, 20.0) >= 0.0
 
 
 class TestLineModel:
-    """The line model agrees bit for bit with the element laws."""
+    """The plant's line, carriage and winch agree bit for bit with the
+    element laws: its force at [6], carriage and drum accelerations at
+    [3] and [5]."""
 
-    def test_tension_is_stiffness_times_elongation(self, params, line):
+    def test_tension_is_stiffness_times_elongation(self, params, plant):
         for length in (0.5, 20.0, 20.7, 150.0):
             for distance in np.linspace(0.1, 1.01 * length, 25):
                 stiffness = tether_stiffness(params.tether, length)
-                assert tension_on(line, distance, length) == max(
+                assert tension_on(plant, distance, length) == max(
                     0.0, stiffness * (distance - length))
 
-    def test_tension_is_the_force_of_dynamics(self, line):
+    def test_tension_is_the_force_of_dynamics(self, plant):
+        # The tension a take-off logs, with no torque and at rest, is the
+        # force of the evaluation it steps with.
         for spring_pos in (0.0, 0.1, 0.35):
             for distance in (19.0, 20.5, 20.75):
-                force = line.dynamics(distance, 200.0, spring_pos, 0.5,
-                                      13.0, 60.0)[0]
-                assert line.tension(distance, 200.0, spring_pos) == force
+                force = plant(13.0)(distance, 8.0, spring_pos, 0.5, 200.0,
+                                    60.0)[6]
+                assert plant(0.0)(distance, 0.0, spring_pos, 0.0, 200.0,
+                                  0.0)[6] == force
 
     @pytest.mark.parametrize("length", [0.0, -1.0])
-    def test_degenerate_length(self, line, length):
+    def test_degenerate_length(self, plant, length):
         with pytest.raises(ValueError, match="tether length"):
-            tension_on(line, 20.0, length)
+            tension_on(plant, 20.0, length)
         with pytest.raises(ValueError, match="tether length"):
-            line.tension(20.0, 0.0, length / 2.0)
+            plant(13.0)(20.0, 8.0, length / 2.0, 0.5, 0.0, 60.0)
 
-    def test_carriage_uses_spring_friction(self, params, line):
+    def test_carriage_uses_spring_friction(self, params, plant):
         spring = params.spring
         for spring_pos in (0.0, 0.0005, 0.001, 0.1, 0.349, 0.3495, 0.35):
             for spring_vel in (-0.5, -0.0, 0.0, 0.5):
                 friction = spring_friction(spring, spring_pos, spring_vel)
-                force, carriage_accel, _ = line.dynamics(
-                    20.75, 200.0, spring_pos, spring_vel, 13.0, 60.0)
+                d = plant(13.0)(20.75, 8.0, spring_pos, spring_vel, 200.0,
+                                60.0)
+                force, carriage_accel = d[6], d[3]
                 assert force > 0.0
                 assert carriage_accel == (
                     (2.0 * force - friction * spring_vel
                      - spring.stiffness * spring_pos) / spring.carriage_mass)
 
-    def test_winch_torque_and_pull_add(self, line):
-        force, _, winch_accel = line.dynamics(20.75, 200.0, 0.1, 0.0, 13.0,
-                                              60.0)
+    def test_winch_torque_and_pull_add(self, plant):
+        d = plant(13.0)(20.75, 8.0, 0.1, 0.0, 200.0, 60.0)
+        force, winch_accel = d[6], d[5]
         assert force > 0.0
         assert winch_accel == (13.0 + 0.1 * force - 0.01 * 60.0) / 0.1
-        assert line.dynamics(19.0, 200.0, 0.0, 0.0, -13.0, 0.0)[::2] == (
-            0.0, -130.0)
+        d = plant(-13.0)(19.0, 8.0, 0.0, 0.0, 200.0, 0.0)
+        assert (d[6], d[5]) == (0.0, -130.0)
 
 
 class TestEffectiveLength:
     """The deployed length: slack, drum payout and twice the compression."""
 
-    def test_spring_at_rest(self, line):
-        assert line.length(200.0, 0.0) == pytest.approx(20.0)
+    def test_spring_at_rest(self, length):
+        assert length(200.0, 0.0) == pytest.approx(20.0)
 
-    def test_compression_doubles(self, line):
-        assert line.length(200.0, 0.35) == pytest.approx(20.7)
+    def test_compression_doubles(self, length):
+        assert length(200.0, 0.35) == pytest.approx(20.7)
 
-    def test_zero(self, line):
-        assert line.length(0.0, 0.0) == 0.0
+    def test_zero(self, length):
+        assert length(0.0, 0.0) == 0.0
 
     def test_slack_adds(self, params):
-        slack = line_model(params.tether, params.spring, params.winch, 1.0)
-        assert slack.length(200.0, 0.35) == pytest.approx(21.7)
-        assert slack.tension(21.7, 200.0, 0.35) == pytest.approx(0.0,
-                                                                 abs=1e-9)
+        assert line_length(params.winch, 1.0)(200.0, 0.35) == pytest.approx(
+            21.7)
+        slack = airborne_plant(params, 1.0)(0.0)
+        assert slack(21.7, 0.0, 0.35, 0.0, 200.0, 0.0)[6] == pytest.approx(
+            0.0, abs=1e-9)
 
     def test_numpy_columns_match_floats(self, params):
         slack = 0.7
-        line = line_model(params.tether, params.spring, params.winch, slack)
+        length = line_length(params.winch, slack)
         rng = np.random.default_rng(7)
         winch_angle = rng.uniform(-10.0, 400.0, 1000)
         spring_pos = rng.uniform(0.0, 0.35, 1000)
-        column = line.length(winch_angle, spring_pos)
+        column = length(winch_angle, spring_pos)
         floats = [slack + params.winch.radius * a + 2.0 * x
                   for a, x in zip(winch_angle.tolist(), spring_pos.tolist())]
         assert column.tobytes() == np.array(floats).tobytes()
@@ -269,7 +283,7 @@ class TestAirbornePlant:
 
     def test_sizing_case_is_design_derivatives(self, params):
         sizing = airborne_plant(params)(params.winch.max_torque)
-        assert sizing(*self.STATE) == design_derivatives(
+        assert sizing(*self.STATE)[:6] == design_derivatives(
             DesignState(*self.STATE), params)
 
     def test_torque_only_moves_the_drum(self, params):
@@ -308,11 +322,10 @@ class TestInitialState:
         SizingConfig(5.0, 8.0, 0.0),
         SizingConfig(33.3, 12.5, -2.0),
     ])
-    def test_initial_force_is_zero(self, params, line, ic):
+    def test_initial_force_is_zero(self, params, plant, ic):
         state = initial_state(ic, params.winch)
         # exact in real arithmetic; float roundoff leaves < 1e-9 N
-        assert line.tension(state.pos, state.winch_angle,
-                            state.spring_pos) < 1e-9
+        assert plant(params.winch.max_torque)(*state)[6] < 1e-9
 
     def test_no_deficit_no_force(self, params):
         ic = SizingConfig(20.0, 10.0, 0.0)

@@ -17,6 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetherlaunch import properties, spring_design
+from tetherlaunch.cli import main
+from tetherlaunch.config import load_config
+from tetherlaunch.csvio import write_design_trace
 from tetherlaunch.integrator import MAX_STEPS
 from tetherlaunch.spring_design import (
     SizingConfig,
@@ -656,3 +659,36 @@ class TestKeptReuse:
                 tracemalloc.stop()
         fresh, resumed = peaks
         assert resumed < fresh
+
+    def test_descending_travels_peak_as_fresh_runs(self, tmp_path):
+        """A travel after a longer one cannot resume, so spring-compare
+        drops the longer travel's trace, 72 B a step, before the run: the
+        comparison peaks no higher than two fresh runs that keep only the
+        float text between them (8,001 steps each, no deficit)."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"simulation": {
+            "speed_deficit": 0.0, "max_time": 0.8}}), encoding="utf-8")
+        config = load_config(str(path))
+        argv = ["spring-compare", "--config", str(path), "--quiet",
+                "--out", str(tmp_path), "--travels"]
+        # A short run first: traced cold, the loop ran up to 5x slower.
+        assert main(argv + ["0.01"]) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv + ["0.35,0.3"]) == 0
+            compare = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            texts = None
+            for travel in (0.35, 0.3):
+                trace = simulate_design(with_design(config.system, travel),
+                                        config.sizing)
+                texts = write_design_trace(trace, tmp_path / "fresh.csv",
+                                           texts)
+                del trace
+            fresh = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # The command's own objects (parser, config) take about 40 kB; the
+        # kept trace took 576 kB more.
+        assert compare <= fresh + 100_000
