@@ -24,7 +24,8 @@ from .csvio import write_design_trace, write_sweep_csv, write_takeoff_trace
 from .integrator import IntegrationError
 from .model import SpringParams
 from .properties import run_property_suite
-from .spring_design import REFERENCE_TRAVELS, SweepPoint, simulate_design, sweep
+from .spring_design import (REFERENCE_TRAVELS, SweepPoint, column_runs,
+                            simulate_design, sweep)
 # No longer called here; perfbench/worker.py still looks it up in this module.
 from .spring_design import assess_trace  # noqa: F401
 from .takeoff import TakeoffError, check_takeoff, run_takeoff
@@ -164,20 +165,18 @@ def cmd_spring_compare(args) -> int:
     summary_path = out / "spring_compare_summary.csv"
     _create(*(out / name for name in named), summary_path)
     points = []
-    # The runs share their start until the shorter travel's stop engages,
-    # so each travel resumes from the previous travel's run where that is
-    # the shorter one, and each trace reuses the text of the previous
-    # trace's shared steps. The previous text is kept while the next
-    # travel runs, and the previous trace only if that travel is longer.
-    trace = texts = None
-    last = math.inf  # the previous travel
-    for name, spring in named.items():
+    # The runs share their start until the shorter travel's stop engages:
+    # the largest travel runs first, and each other travel, in the given
+    # order, resumes from where that run neared its band. Each trace
+    # reuses the text of the previous trace's shared steps, which is kept
+    # while the next travel runs.
+    texts = None
+    runs = column_runs(simulate_design,
+                       [replace(config.system, spring=spring)
+                        for spring in named.values()],
+                       config.sizing)
+    for (name, spring), trace in zip(named.items(), runs):
         travel = spring.max_travel
-        params = replace(config.system, spring=spring)
-        if not last < travel:
-            trace = None
-        trace = simulate_design(params, config.sizing, after=trace)
-        last = travel
         result = trace.result
         path = out / name
         with _creating(path):

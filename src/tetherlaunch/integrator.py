@@ -22,13 +22,13 @@ DEFAULT_STEP = 1e-4  # [s]
 # duration / dt for a take-off. A sizing run that keeps its steps
 # (spring-compare, validate's trace-bounds check) appends seven plain
 # floats a step to two lists and peaks at 315 B a step while it packs them
-# into the trace. spring-compare also keeps the previous travel's float
-# text, 187 B a step, while the next travel runs, and its trace, 72 B a
-# step, only if the next travel is longer, so two travels peak at 502 B a
-# step where the second cannot resume (tracemalloc, 100,001 steps each,
-# descending travels), near 1 GB at the budget; a resumed travel appends
-# floats only for its own steps (348 B a step where the second resumes at
-# the first's last step). evaluate_spring and sweep keep no step.
+# into the trace. spring-compare also keeps the largest travel's trace,
+# 72 B a step, while a smaller travel needs its rows, and the previous
+# travel's float text, 187 B a step, while the next travel runs. Two
+# travels peak at 348 B a step, ascending or descending, where they share
+# every step (no deficit), and at 451 B ascending and 574 B descending
+# where the smaller one parts early (tracemalloc, 100,001 steps each):
+# near 1.15 GB at the budget. evaluate_spring and sweep keep no step.
 # The defaults take 1e5 and 3e4 steps.
 MAX_STEPS = 2_000_000
 

@@ -26,7 +26,8 @@ from .controller import combine_refs, outer_law, slide_law, winch_law
 from .controller import slide_torque, winch_fbck, winch_torque  # noqa: F401
 from .integrator import rk4_step, rk4_step6
 from .model import DesignState
-from .spring_design import REFERENCE_TRAVELS, evaluate_spring, simulate_design
+from .spring_design import (REFERENCE_TRAVELS, column_runs, evaluate_spring,
+                            simulate_design)
 
 _SEED = 20260810
 
@@ -218,21 +219,14 @@ def check_trace_bounds(config: AppConfig) -> PropertyCheck:
     """Tether force stays nonnegative and the spring inside its travel."""
     ok = True
     details = []
-    trace = None
-    last = math.inf  # the previous travel
-    for travel in REFERENCE_TRAVELS:
-        spring = replace(config.system.spring, max_travel=travel)
-        params = replace(config.system, spring=spring)
-        # A travel resumes from the previous travel's run if that travel is
-        # shorter; any other previous trace is dropped before the run.
-        if not last < travel:
-            trace = None
-        trace = simulate_design(params, config.sizing, after=trace)
-        last = travel
-        force = trace.force.tolist()
-        f_lo, f_hi = min(force), max(force)
-        compression = trace.spring_pos.tolist()
-        x_lo, x_hi = min(compression), max(compression)
+    system = config.system
+    designs = [replace(system, spring=replace(system.spring, max_travel=t))
+               for t in REFERENCE_TRAVELS]
+    # Each travel resumes from the largest travel's run (see column_runs).
+    runs = column_runs(simulate_design, designs, config.sizing)
+    for travel, trace in zip(REFERENCE_TRAVELS, runs):
+        f_lo, f_hi = min(trace.force), max(trace.force)
+        x_lo, x_hi = min(trace.spring_pos), max(trace.spring_pos)
         if f_lo < 0.0 or x_lo < 0.0 or x_hi > travel:
             ok = False
         details.append(f"{travel}: F in [{f_lo:.2g}, {f_hi:.3g}] N, "

@@ -3,30 +3,29 @@
 A spring design (travel, stiffness) is feasible when the aircraft speed
 never drops below the minimum cruise speed during the tension transient,
 i.e. on the window from the start until the tether force first returns to
-zero with the winch at least matching the aircraft speed. Sweeps evaluate
-a grid one stiffness column at a time. Travel enters a sizing run only
-through the upper stop band of `model.airborne_plant` (travel -
-endstop_margin) and the clamp, so the column's smaller travels resume,
-bit for bit, from where the largest travel's run was as its compression
-neared their bands; any other use of `max_travel` in the run would break
-that. Columns are pure computations, so they can be farmed out to worker
-processes with results identical to a serial run. The sizing run steps
-that plant with the flat RK4 of `integrator`, one plant evaluation per
-stage: the one that gives a step's tether force is the next step's first
-stage. It judges the design while it steps.
-`simulate` keeps every step in a Trace of read-only memoryviews of C
-doubles, for spring-compare and validate's trace-bounds check, and attaches
-the verdict as its `result`; `evaluate_spring`, and so `sweep`, returns the
-verdict and keeps no step. A kept run also holds the loop state where its
-compression neared its own band, so that the kept run of the same design
-at a larger travel, given its trace as `after`, takes its rows up to there
-as bytes and resumes from it.
+zero with the winch at least matching the aircraft speed. The sizing run
+steps the plant of `model.airborne_plant` with the flat RK4 of
+`integrator`, one plant evaluation per stage: the one that gives a step's
+tether force is the next step's first stage. It judges the design while
+it steps. `simulate` keeps every step in a Trace of read-only memoryviews
+of C doubles, for spring-compare and validate's trace-bounds check, and
+attaches the verdict as its `result`; `evaluate_spring`, and so `sweep`,
+returns the verdict and keeps no step.
+
+Designs that differ in travel alone form a column, which `column_runs`
+runs. Travel enters a sizing run only through the upper stop band of
+`model.airborne_plant` (travel - endstop_margin) and the clamp, so the
+smaller travels resume, bit for bit, from the largest travel's run (see
+_run_sizing); any other use of `max_travel` in the run would break that.
+Columns are pure computations, so a sweep can farm them out to worker
+processes with results identical to a serial run.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import traceback
 from dataclasses import dataclass, replace
 
 from .integrator import DEFAULT_STEP, MAX_STEPS, check_finite, rk4_step6
@@ -115,10 +114,9 @@ class Trace:
     """Uniform-grid log of a sizing run, and the run's verdict.
 
     The columns are read-only memoryviews of C doubles, 8 bytes a value;
-    numpy.asarray(column) gives the array without a copy. `parting` is
-    (params, init, sizing, loop state): the run's hold for its own travel
-    (see _run_sizing), from which a run of the same design at a larger
-    travel resumes; None where such a run must start afresh.
+    numpy.asarray(column) gives the array without a copy. A run of the
+    same design at a smaller travel copies the leading rows it shares
+    (see simulate).
     """
 
     times: memoryview    # [s], strictly increasing, uniform step
@@ -127,7 +125,6 @@ class Trace:
     length: memoryview   # deployed tether length per step [m]
     loaded: bool         # the force rose above the release threshold
     result: FeasibilityResult  # the verdict judged while the run stepped
-    parting: tuple | None
 
     def column(self, j: int) -> memoryview:
         """State `j` in DesignState field order at every step: a strided
@@ -181,17 +178,17 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
     was seen and the release fired, the minimum speed and its step, and
     the cycle counter's trend, extreme and count. A run resumes from the
     loop state `start` instead of from `init`, and a kept one appends only
-    the steps after it. `holds` is a dict keyed by travels up to this
-    design's: the run sets each to the loop state from which the same
-    design at any larger travel resumes bit for bit, or to None where it
-    must start afresh. Travel enters the run only through the upper stop
-    band (travel - endstop_margin) and the clamp. So two runs take the
-    same steps until a stage compression rises above the smaller travel's
-    band, and the loop state before that step is its hold; unless, on the
-    last step taken, the compression already exceeds the smaller travel
-    or this run's upper clamp fired: the smaller travel's clamp fired
-    there and the larger's did not. A run that ends first holds its final
-    state, under the same proviso.
+    the steps after it. `holds` is a dict keyed by travels strictly
+    smaller than this design's: the run sets each to the loop state from
+    which the same design at that travel resumes bit for bit, or to None
+    where it must start afresh. Travel enters the run only through the
+    upper stop band (travel - endstop_margin) and the clamp. So two runs
+    take the same steps until a stage compression rises above the smaller
+    travel's band, and the loop state before that step is its hold;
+    unless the compression there already exceeds the smaller travel,
+    whose clamp fired where this run's did not. A clamp at this run's own
+    travel leaves the compression above every smaller travel. A run that
+    ends first holds its final state, under the same proviso.
     """
     dt = sizing.dt
     steps = step_count(sizing)
@@ -221,7 +218,6 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
         k1 = derivs(*start[1])
         if fired:
             steps = n  # released: no step is left
-    clamped = -1  # the last step on which the upper clamp fired
     # Descending: the compression rises from zero, so the next band a
     # stage may cross is the smallest travel's, pending[-1]'s.
     pending = sorted(holds or (), reverse=True)
@@ -242,8 +238,6 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
                                              spring_vel, winch_angle,
                                              winch_speed))
                 if spring_pos < 0.0 or spring_pos > limit:
-                    if spring_pos > limit:
-                        clamped = n
                     spring_pos, spring_vel = clamp_spring_travel(
                         spring_pos, spring_vel, limit)
                 # The step's force, and the next step's first stage.
@@ -275,8 +269,7 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
             while pending and (reached is None
                                or pending[-1] - margin < reached):
                 travel = pending.pop()
-                holds[travel] = (hold if spring_pos <= travel
-                                 and clamped != n else None)
+                holds[travel] = hold if spring_pos <= travel else None
         if reached is None:
             break
 
@@ -284,32 +277,9 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
                     float(n * dt), force_seen, not fired, cycles), force_seen
 
 
-def _resume_after(after: Trace | None, params: SystemParams,
-                  init: DesignState, sizing: SizingConfig) -> tuple | None:
-    """The loop state from which the kept run of `params` from `init`
-    resumes after the kept run `after`, or None where it must start
-    afresh: `after` must hold a parting and differ from the run in a
-    smaller travel alone."""
-    if after is None or after.parting is None:
-        return None
-    before, before_init, before_sizing, hold = after.parting
-    travel = before.spring.max_travel
-    if not travel < params.spring.max_travel:
-        return None
-    try:
-        shorter = replace(params, spring=replace(params.spring,
-                                                 max_travel=travel))
-    except ValueError:  # the springs differ beyond the travel
-        return None
-    # repr, not ==: it tells -0.0 from 0.0, which a run may step apart.
-    if repr((shorter, init, sizing)) != repr((before, before_init,
-                                             before_sizing)):
-        return None
-    return hold
-
-
 def simulate(params: SystemParams, init: DesignState,
-             sizing: SizingConfig, after: Trace | None = None) -> Trace:
+             sizing: SizingConfig, start: tuple | None = None,
+             holds: dict | None = None) -> Trace:
     """Integrate the sizing model from `init` until the tether force is
     released, with the step, time limit and release threshold of `sizing`.
 
@@ -320,28 +290,28 @@ def simulate(params: SystemParams, init: DesignState,
     never happens within the time limit the verdict is a timeout.
     Records the state and tether force at every step, including the step
     on which the release fires, the deployed length from the states, and
-    the verdict judged while stepping, and its parting (see Trace). A
-    pure function of its arguments: identical inputs give bit-identical
-    traces, and `after` changes none of them.
+    the verdict judged while stepping. A pure function of its arguments:
+    identical inputs give bit-identical traces, and neither `start` nor
+    `holds` changes them.
 
-    `after` may be the trace of the same design from `init` at a smaller
-    travel: the run then takes its rows up to its parting, as bytes, and
-    steps on from there. Any other `after` is ignored.
+    `start` is (trace, hold): the kept run of the same design from `init`
+    at a larger travel, and the loop state it held for this travel (see
+    _run_sizing). The run then takes that trace's rows up to the hold as
+    bytes and steps on from there. `holds` collects loop states for
+    smaller travels.
     """
-    travel = params.spring.max_travel
-    start = _resume_after(after, params, init, sizing)
     if start is None:
-        shared, heads = 0, [b""] * 4
-    else:  # after's rows up to its parting, as bytes
-        shared = start[0] + 1
+        shared, heads, hold = 0, [b""] * 4, None
+    else:  # the larger trace's rows up to the hold, as bytes
+        larger, hold = start
+        shared = hold[0] + 1
         heads = [column.cast("B")[:column.strides[0] * shared]
-                 for column in (after.times, after.states, after.force,
-                                after.length)]
+                 for column in (larger.times, larger.states, larger.force,
+                                larger.length)]
     states: list[float] = []
     forces: list[float] = []
-    holds = {travel: None}
     result, loaded = _run_sizing(params, init, sizing, states, forces,
-                                 start, holds)
+                                 hold, holds)
     m = len(forces)
     n = shared + m
     dt = sizing.dt
@@ -354,8 +324,6 @@ def simulate(params: SystemParams, init: DesignState,
                         heads[3]),
         loaded=loaded,
         result=result,
-        parting=(None if holds[travel] is None
-                 else (params, init, sizing, holds[travel])),
     )
 
 
@@ -452,35 +420,72 @@ def evaluate_spring(params: SystemParams, sizing: SizingConfig,
 
 
 def simulate_design(params: SystemParams, sizing: SizingConfig,
-                    after: Trace | None = None) -> Trace:
-    """Integrate the sizing transient up to the force-release instant;
-    `after`, the trace of the same design at a smaller travel, lets the
-    run resume from it (see simulate)."""
+                    start: tuple | None = None,
+                    holds: dict | None = None) -> Trace:
+    """Integrate the sizing transient up to the force-release instant.
+    `start` resumes the run from a larger travel's trace and hold, and
+    `holds` collects loop states for smaller travels (see simulate)."""
     return simulate(params, initial_state(sizing, params.winch), sizing,
-                    after)
+                    start, holds)
 
 
 def _evaluate_point(design: SystemParams, sizing: SizingConfig,
-                    **resume) -> SweepPoint:
+                    start: tuple | None = None,
+                    holds: dict | None = None) -> SweepPoint:
+    """evaluate_spring's verdict for one grid point, or its error, run as
+    column_runs runs it: the sweep keeps no trace, so `start` gives it
+    the hold alone."""
     spring = design.spring
     try:
-        result = evaluate_spring(design, sizing, **resume)
+        result = evaluate_spring(design, sizing,
+                                 None if start is None else start[1], holds)
     except (ValueError, RuntimeError) as exc:
         return SweepPoint(spring.max_travel, spring.stiffness, None,
                           error=str(exc))
     return SweepPoint(spring.max_travel, spring.stiffness, result)
 
 
+def column_runs(run, designs, sizing: SizingConfig):
+    """Yield run(design, sizing, ...) for each of `designs`, in the given
+    order: designs of one column, which differ in travel alone. The
+    largest travel runs first, with `holds` for every smaller travel.
+    Each smaller travel then runs with `start` the pair (the largest
+    run's result, its hold), as simulate_design takes it, or None where
+    it has no hold or the largest run raised. A repeated travel runs
+    again from the start. An exception of the largest run is raised at
+    its turn, and until then it keeps no local of that run."""
+    largest = max(designs, key=lambda design: design.spring.max_travel)
+    top = largest.spring.max_travel
+    holds = {design.spring.max_travel: None for design in designs
+             if design.spring.max_travel < top}
+    try:
+        first = run(largest, sizing, holds=holds)
+    except Exception as exc:
+        traceback.clear_frames(exc.__traceback__)
+        first = exc
+    failed = isinstance(first, Exception)
+    starts = {travel: None if hold is None or failed else (first, hold)
+              for travel, hold in holds.items()}
+    for design in designs:
+        if design is not largest:
+            travel = design.spring.max_travel
+            yield run(design, sizing, start=starts.pop(travel, None))
+        elif failed:
+            raise first
+        else:
+            yield first
+            first = None  # the starts keep it while a travel needs it
+
+
 def _evaluate_column(args) -> list[SweepPoint]:
-    """The points of one stiffness column. The largest valid travel runs
-    first and holds for each smaller travel the loop state that its run
-    resumes from. If it fails, the holds it took before the failure are
+    """The points of one stiffness column (see column_runs). If its
+    largest valid travel fails, the holds it took before the failure are
     exact still, and the smaller travels it held none for run from the
     start."""
     params, sizing, travels, stiffness = args
     points = []
     designs = []
-    for travel in sorted(travels, reverse=True):
+    for travel in travels:
         try:
             spring = replace(params.spring, max_travel=travel,
                              stiffness=stiffness)
@@ -489,12 +494,7 @@ def _evaluate_column(args) -> list[SweepPoint]:
         else:
             designs.append(replace(params, spring=spring))
     if designs:
-        first, *rest = designs
-        holds = dict.fromkeys(design.spring.max_travel for design in rest)
-        points.append(_evaluate_point(first, sizing, holds=holds))
-        points += [_evaluate_point(design, sizing,
-                                   start=holds.get(design.spring.max_travel))
-                   for design in rest]
+        points += column_runs(_evaluate_point, designs, sizing)
     return points
 
 
@@ -502,13 +502,9 @@ def sweep(params: SystemParams, sizing: SizingConfig, travels, stiffness,
           workers: int = 1) -> dict[tuple[float, float], SweepPoint]:
     """Evaluate every grid point; failures are recorded, not raised.
 
-    The grid runs one stiffness column at a time, reusing steps: travel
-    enters a sizing run only through the upper stop band (travel -
-    endstop_margin) and the clamp, so at one stiffness a smaller travel
-    takes the larger travel's steps, bit for bit, until the compression
-    nears its own band, and resumes from there (see _run_sizing). A
-    sizing run that used `max_travel` anywhere else would break that
-    reuse. Columns are independent, so with workers > 1 they are
+    The grid runs one stiffness column at a time, and a column's smaller
+    travels resume from its largest travel's run (see column_runs).
+    Columns are independent, so with workers > 1 they are
     distributed over a process pool of at most one process per column;
     the result map is keyed and ordered by grid position either way, and
     its contents do not depend on the worker count.

@@ -111,10 +111,10 @@ class TestSpringCompareCommand:
         assert calls == []
 
     def test_traces_match_single_travel_runs(self, tmp_path):
-        # A run resumes from the previous travel's where that is shorter,
-        # and a trace reuses the text of the steps it shares with the
-        # previous travel's; in any order of the travels, the bytes are
-        # those of a run of its travel alone.
+        # A run resumes from the largest travel's, and a trace reuses the
+        # text of the steps it shares with the previous travel's; in any
+        # order of the travels, the bytes are those of a run of its travel
+        # alone.
         travels = ["0.05", "0.2", "0.35"]
         for travel in travels:
             assert main(["spring-compare", "--out", str(tmp_path / travel),
@@ -154,6 +154,30 @@ class TestSpringCompareCommand:
                    for t in travels)
         assert 9 * rows == 217_449
         assert calls[0] == 217_449 - 137_068
+
+    @pytest.mark.parametrize("travels, got", [
+        ("0.05,0.2,0.35", "-6.0227738264635065"),
+        ("0.35,0.2,0.05", "-0.08629986307498427"),
+    ], ids=["ascending", "descending"])
+    def test_reports_the_first_failing_travel(self, tmp_path, capsys,
+                                              travels, got):
+        # Every travel's run fails at this stiffness and step; the error
+        # is that of the first travel in the given order, although the
+        # largest travel runs first.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"spring": {"stiffness": 10000.0}}),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["spring-compare", "--config", str(config), "--dt",
+                     "0.05", "--out", str(out), "--travels", travels])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: simulation: tether length must be > 0 (got {got})\n")
+        assert {path.name: path.stat().st_size for path in out.iterdir()} == {
+            "spring_compare_summary.csv": 0,
+            "spring_compare_travel_0p05.csv": 0,
+            "spring_compare_travel_0p2.csv": 0,
+            "spring_compare_travel_0p35.csv": 0}
 
     def test_dt_override_changes_grid(self, tmp_path):
         fine, coarse = tmp_path / "fine", tmp_path / "coarse"

@@ -141,3 +141,18 @@ def test_unused_imports_are_instrumented():
         if extra:
             unused[path.stem] = sorted(extra)
     assert unused == {}
+
+
+def test_no_module_imports_numpy():
+    """numpy is a test dependency alone: pyproject.toml lists it only in
+    the `test` extra, so no module under src/ may import it, not even
+    inside a function (test_cli.py checks each command's run too)."""
+    importing = sorted(
+        path.name for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import)
+        and any(alias.name.partition(".")[0] == "numpy"
+                for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").partition(".")[0] == "numpy")
+    assert importing == []

@@ -1,6 +1,6 @@
 """Spring sizing tests: feasibility verdicts, cycle counting, the sweep
-machinery including its step reuse and parallel execution, and the step
-reuse of kept runs."""
+machinery including its step reuse and parallel execution, the step
+reuse of kept runs, and the rule that reuse rests on."""
 
 import concurrent.futures
 import importlib.util
@@ -9,7 +9,7 @@ import math
 import re
 import sys
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,7 @@ from tetherlaunch.cli import main
 from tetherlaunch.config import load_config
 from tetherlaunch.csvio import write_design_trace
 from tetherlaunch.integrator import MAX_STEPS
+from tetherlaunch.model import SpringParams
 from tetherlaunch.spring_design import (
     SizingConfig,
     SweepPoint,
@@ -475,40 +476,52 @@ class TestSweepReuse:
 
 
 def kept(trace):
-    """What a kept run gives: the bytes of every column, `loaded`, the
-    exact result and the parting, floats by repr."""
+    """What a kept run gives: the bytes of every column, `loaded` and the
+    exact result."""
     return ([getattr(trace, name).tobytes()
              for name in ("times", "states", "force", "length")],
-            trace.loaded, exact(trace.result), repr(trace.parting))
+            trace.loaded, exact(trace.result))
 
 
-def kept_run(design, sizing, after=None):
-    """(trace, what it gives), or (None, its error's type and text)."""
+def kept_alone(design, sizing):
+    """What a kept run of `design` alone gives, or its error's type and
+    text."""
     try:
-        trace = simulate_design(design, sizing, after=after)
+        return kept(simulate_design(design, sizing))
     except (ValueError, RuntimeError) as exc:
-        return None, (type(exc), str(exc))
-    return trace, kept(trace)
+        return type(exc), str(exc)
+
+
+def kept_column(designs, sizing):
+    """Run the kept runs of one column as spring-compare does."""
+    return spring_design.column_runs(simulate_design, designs, sizing)
 
 
 class TestKeptReuse:
-    """spring-compare and validate's trace-bounds check pass each travel's
-    kept run the previous travel's trace as `after`; a run at a larger
-    travel resumes from that trace's parting and packs only its own
-    steps. Every trace of such a chain must equal a run of its travel
-    alone: the same bytes in every column, the same `loaded`, an exact
-    result and the same parting."""
+    """spring-compare and validate's trace-bounds check run their travels
+    through column_runs: the largest travel's kept run first, holding the
+    loop state for every smaller travel, and then each smaller travel, in
+    the given order, copies the largest trace's rows up to its hold as
+    bytes and resumes from it. Every trace must equal a run of its travel
+    alone: the same bytes in every column, the same `loaded` and an exact
+    result; a failing run must fail alike."""
 
     def assert_fresh(self, params, sizing, travels, stiffness=70.0):
-        """Each travel's run after the previous one's, which is None if
-        that run failed; a failing run must fail alike."""
+        """The traces in the given order, None for a failed run. A failure
+        ends the runner, which then starts anew on the travels after it."""
+        designs = [with_design(params, travel, stiffness)
+                   for travel in travels]
         traces = []
-        trace = None
-        for travel in travels:
-            design = with_design(params, travel, stiffness)
-            trace, got = kept_run(design, sizing, trace)
-            assert got == kept_run(design, sizing)[1]
-            traces.append(trace)
+        while len(traces) < len(designs):
+            rest = designs[len(traces):]
+            try:
+                for design, trace in zip(rest, kept_column(rest, sizing)):
+                    assert kept(trace) == kept_alone(design, sizing)
+                    traces.append(trace)
+            except (ValueError, RuntimeError) as exc:
+                assert ((type(exc), str(exc))
+                        == kept_alone(designs[len(traces)], sizing))
+                traces.append(None)
         return traces
 
     @pytest.mark.parametrize("seed", [0, 403])
@@ -521,27 +534,26 @@ class TestKeptReuse:
         (0.35, 0.2, 0.05), (0.2, 0.05, 0.35, 0.1, 0.3, 0.3)],
         ids=["descending", "unsorted"])
     def test_travel_order(self, config, travels):
+        # A repeated travel runs again from the start.
         self.assert_fresh(config.system, config.sizing, travels)
 
     def test_travels_never_reached(self, config):
-        # The spring stops short of 0.5 m at 70 N/m: the 0.5 m run parts
-        # at its final state, and the 1.0 m run resumes there and takes
-        # no step of its own.
+        # The spring stops short of 0.5 m at 70 N/m: the 1.0 m run holds
+        # its final state for the 0.5 m run, which takes no step of its
+        # own.
         _, middle, long = self.assert_fresh(config.system, config.sizing,
                                             (0.35, 0.5, 1.0))
-        assert middle.parting[3][0] == len(middle.force) - 1
-        assert long.result == middle.result
+        assert middle.result == long.result
+        assert len(middle.force) == len(long.force)
 
     def test_clamp_on_the_parting_step(self, config):
-        # At this coarse step one step takes the compression from below
-        # 0.272 m to above 0.273 m: the 0.273 m run clamps there and its
-        # next step's first stage is above its band, so it parts on a
-        # clamped step, where the 0.464 m run did not clamp.
+        # At this coarse step one step takes the 0.464 m run from below
+        # 0.272 m to above 0.273 m, where the two runs part: the 0.273 m
+        # run clamps there, so it resumes from the state before that step.
         sizing = replace(config.sizing, dt=0.02, max_time=1.0,
                          speed_deficit=8.0)
         short, long = self.assert_fresh(config.system, sizing,
                                         (0.273, 0.464), 3000.0)
-        assert short.parting is None
         assert short.result.min_speed != long.result.min_speed
 
     def test_timeout(self, config):
@@ -556,48 +568,6 @@ class TestKeptReuse:
             (0.05, 0.2, 0.35))
         assert all(trace.result.feasible for trace in traces)
 
-    @pytest.mark.parametrize("change", [
-        lambda p, s: (with_design(p, 0.2, 55.0), s),
-        lambda p, s: (p, replace(s, speed_deficit=3.0)),
-        lambda p, s: (p, replace(s, max_time=5.0)),
-        lambda p, s: (replace(p, aircraft=replace(p.aircraft, mass=1.3)), s),
-        lambda p, s: (with_design(p, 0.35), s),
-        lambda p, s: (with_design(p, 0.5), s),
-        lambda p, s: (replace(p, spring=replace(p.spring,
-                                                 free_friction=-0.0)), s),
-    ], ids=["stiffness", "deficit", "max-time", "mass", "same-travel",
-            "larger-travel", "signed-zero"])
-    def test_unusable_after_runs_fresh(self, config, rk4_calls, change):
-        """An `after` of another design or sizing, or of a travel that is
-        not smaller, costs no byte: the run starts afresh. The params
-        compare by repr, so -0.0 is not taken for 0.0."""
-        system = replace(config.system, spring=replace(config.system.spring,
-                                                       free_friction=0.0))
-        design = with_design(system, 0.35)
-        fresh = simulate_design(design, config.sizing)
-        steps = rk4_calls[0]
-        params, sizing = change(with_design(system, 0.2), config.sizing)
-        after = simulate_design(params, sizing)
-        assert after.parting is not None
-        rk4_calls[0] = 0
-        trace = simulate_design(design, config.sizing, after=after)
-        assert rk4_calls[0] == steps
-        assert kept(trace) == kept(fresh)
-
-    def test_unusable_start(self, config, rk4_calls):
-        # The same design and sizing from another start state.
-        design = with_design(config.system, 0.35)
-        fresh = simulate_design(design, config.sizing)
-        steps = rk4_calls[0]
-        short = with_design(config.system, 0.2)
-        init = spring_design.initial_state(config.sizing, short.winch)
-        after = spring_design.simulate(short, init._replace(vel=9.0),
-                                       config.sizing)
-        rk4_calls[0] = 0
-        trace = simulate_design(design, config.sizing, after=after)
-        assert rk4_calls[0] == steps
-        assert kept(trace) == kept(fresh)
-
     @settings(max_examples=40, derandomize=True, database=None,
               deadline=None)
     @given(travels=st.lists(st.floats(0.0021, 0.6), min_size=1,
@@ -611,49 +581,54 @@ class TestKeptReuse:
         self.assert_fresh(config.system, sizing, travels, stiffness)
 
     def test_failing_run(self, config):
-        # Every travel fails alike: the chain starts afresh after each.
+        # Every travel fails alike; the 0.35 m run's failure, found
+        # first, is raised at its turn, and the smaller travels run from
+        # the start, since no trace holds their rows.
         sizing = replace(config.sizing, dt=0.05)
         traces = self.assert_fresh(config.system, sizing, (0.05, 0.2, 0.35),
                                    1e4)
         assert traces == [None] * 3
 
     def test_steps_saved(self, config, monkeypatch, rk4_calls):
-        """RK4 steps of the seed-0 spring-compare travels: 24,151 as
-        evaluate_spring runs each from the start; one more per run kept
-        alone, for the step it breaks off at its parting and runs again;
-        7,183 fewer chained, where each resumes from the previous one."""
+        """RK4 steps of the seed-0 spring-compare travels: 24,151 as each
+        runs from the start, kept or not, and 16,977 through column_runs
+        in ascending, descending and unsorted order. A resumed run takes
+        only the steps after its hold; each hold costs the largest
+        travel's run one more call, for the step it broke off and runs
+        again."""
         travels = perfbench_travels(monkeypatch, 0)
         designs = [with_design(config.system, travel) for travel in travels]
-        for design in designs:
-            evaluate_spring(design, config.sizing)
-        assert rk4_calls[0] == 24_151
-        rk4_calls[0] = 0
-        for design in designs:
-            simulate_design(design, config.sizing)
-        assert rk4_calls[0] == 24_151 + 10
-        rk4_calls[0] = 0
-        trace = None
-        for design in designs:
-            trace = simulate_design(design, config.sizing, after=trace)
-        assert rk4_calls[0] == 24_151 - 7_183 + 10
+        for run in (evaluate_spring, simulate_design):
+            rk4_calls[0] = 0
+            for design in designs:
+                run(design, config.sizing)
+            assert rk4_calls[0] == 24_151
+        for order in (designs, designs[::-1], designs[1::2] + designs[::2]):
+            rk4_calls[0] = 0
+            for _ in kept_column(order, config.sizing):
+                pass
+            assert rk4_calls[0] == 16_977
 
     def test_trace_bounds_steps(self, config, rk4_calls):
-        """validate's trace-bounds check chains the reference travels,
-        which take 6,770 steps run apart (TestSweepReuse)."""
+        """validate's trace-bounds check runs the reference travels as one
+        column, in the sweep's 5,655 steps; run apart they take 6,770
+        (TestSweepReuse)."""
         assert properties.check_trace_bounds(config).passed
-        assert rk4_calls[0] == 5_656
+        assert rk4_calls[0] == 5_655
 
     def test_resumed_run_peaks_lower(self, config):
-        # The 0.35 m run shares 1,296 of its 3,323 rows with the 0.3 m
-        # run; resumed, it appends floats for the other rows alone.
-        design = with_design(config.system, 0.35)
-        after = simulate_design(with_design(config.system, 0.3),
-                                config.sizing)
+        # The 0.3 m run shares 1,296 of its 3,366 rows with the 0.35 m
+        # run; resumed from that run's hold, it appends floats for the
+        # other rows alone.
+        design = with_design(config.system, 0.3)
+        holds = {0.3: None}
+        larger = simulate_design(with_design(config.system, 0.35),
+                                 config.sizing, holds=holds)
         peaks = []
-        for given_after in (None, after):
+        for start in (None, (larger, holds[0.3])):
             tracemalloc.start()
             try:
-                simulate_design(design, config.sizing, after=given_after)
+                simulate_design(design, config.sizing, start=start)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -661,10 +636,11 @@ class TestKeptReuse:
         assert resumed < fresh
 
     def test_descending_travels_peak_as_fresh_runs(self, tmp_path):
-        """A travel after a longer one cannot resume, so spring-compare
-        drops the longer travel's trace, 72 B a step, before the run: the
-        comparison peaks no higher than two fresh runs that keep only the
-        float text between them (8,001 steps each, no deficit)."""
+        """A travel after a longer one resumes from the longer travel's
+        run, whose trace, 72 B a step, spring-compare keeps only while a
+        travel still needs it: the comparison peaks no higher than two
+        fresh runs that keep only the float text between them (8,001
+        steps each, no deficit)."""
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"simulation": {
             "speed_deficit": 0.0, "max_time": 0.8}}), encoding="utf-8")
@@ -689,6 +665,41 @@ class TestKeptReuse:
             fresh = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        # The command's own objects (parser, config) take about 40 kB; the
-        # kept trace took 576 kB more.
+        # The command's own objects (parser, config) take about 40 kB; a
+        # trace kept past its last use takes 576 kB more.
         assert compare <= fresh + 100_000
+
+
+class RecordingSpring(SpringParams):
+    """SpringParams that adds to `reads`, while it is a set, the module
+    and function of each read of `max_travel`."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        if name == "max_travel" and RecordingSpring.reads is not None:
+            caller = sys._getframe(1)
+            RecordingSpring.reads.add((caller.f_globals["__name__"],
+                                       caller.f_code.co_name))
+        return super().__getattribute__(name)
+
+
+def test_travel_enters_through_band_and_clamp_alone(config, monkeypatch):
+    """Step reuse rests on one rule: travel enters a sizing run only
+    through the upper stop band, which airborne_plant sets, and the clamp
+    limit, which _run_sizing reads. Every read of max_travel in a kept or
+    unkept run, fresh or resumed, must come from those two."""
+    spring = asdict(config.system.spring)
+    large, small = (replace(config.system, spring=RecordingSpring(
+        **{**spring, "max_travel": travel})) for travel in (0.35, 0.2))
+    reads = set()
+    monkeypatch.setattr(RecordingSpring, "reads", reads)
+    holds = {0.2: None}
+    trace = simulate_design(large, config.sizing, holds=holds)
+    simulate_design(small, config.sizing, start=(trace, holds[0.2]))
+    unkept = {0.2: None}
+    evaluate_spring(large, config.sizing, holds=unkept)
+    evaluate_spring(small, config.sizing, start=unkept[0.2])
+    assert holds[0.2] is not None and unkept[0.2] is not None
+    assert reads == {("tetherlaunch.model", "airborne_plant"),
+                     ("tetherlaunch.spring_design", "_run_sizing")}
