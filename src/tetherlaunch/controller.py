@@ -217,7 +217,10 @@ def combine_refs(ffwd: float, fbck: float, slide_speed: float) -> float:
     it asks for more speed than the feedback.
     """
     if slide_speed > 0.0:
-        return max(ffwd, fbck)
+        # max(ffwd, fbck) without the builtin call: max keeps its first
+        # argument unless a later one compares greater, so ties (signed
+        # zeros included) and a NaN in either place give the same result.
+        return fbck if fbck > ffwd else ffwd
     return fbck
 
 

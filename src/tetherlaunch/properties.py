@@ -8,9 +8,12 @@ detail string; the suite passes only if every check does.
 The checks drive the same closures that `run_takeoff` runs, built once
 per check by `outer_law`, `slide_law` and `winch_law`. Each draw
 `rng.uniform(a, b)` is written out as CPython defines it,
-`a + (b - a) * rng.random()`, with the same operands in the same order,
-and each `rng.choice` of two values as its index draw: the numbers drawn
-are the same, without a method call per draw.
+`a + (b - a) * rng.random()`, with the same operand values in the same
+order, and each `rng.choice` of two values as its index draw: the numbers
+drawn are the same, without a method call per draw. Integer bounds are
+written as floats (`-500.0`, not `-500`): they convert exactly, so every
+draw is the same double, and the arithmetic stays on CPython's
+float-float fast path.
 """
 
 from __future__ import annotations
@@ -79,6 +82,12 @@ def check_fbck_reference_bounded(outer, n: int = 1_000_000) -> PropertyCheck:
             compression = compression if compression > 0.0 else 0.0
             compression = compression if compression < travel else travel
         ref, _ = step(ref, compression)
+        # [lo, hi] starts at 0.0 and only ever holds references that
+        # passed the bound test below, and ref_min < 0 < ref_max, so a
+        # reference inside it is in bounds. A new extreme or a NaN falls
+        # through to the explicit test.
+        if lo <= ref <= hi:
+            continue
         if ref < lo:
             lo = ref
         elif ref > hi:
@@ -125,12 +134,13 @@ def check_zone_entry_resaturation(outer, n: int = 10000) -> PropertyCheck:
     for _ in range(n):
         positive = 1e-9 + (ref_max - 1e-9) * random()
         ref, _ = step(positive, 0.0 + (below_low - 0.0) * random())
-        if ref > 0.0:
+        # Written negated so that a NaN reference fails.
+        if not ref <= 0.0:
             ok = False
             break
         negative = ref_min + (-1e-9 - ref_min) * random()
         ref, _ = step(negative, zone_high + (travel - zone_high) * random())
-        if ref < 0.0:
+        if not ref >= 0.0:
             ok = False
             break
     return PropertyCheck(
@@ -176,12 +186,14 @@ def check_torque_saturation(slide_gains, winch_gains,
     winch_limit = winch_gains.torque_limit
     ok = True
     for _ in range(n):
-        u_s = slide(-500 + (500 - -500) * random(),
-                    -500 + (500 - -500) * random(),
-                    -300 + (300 - -300) * random())
-        u_w = winch(-300 + (300 - -300) * random(),
-                    -300 + (300 - -300) * random())
-        if abs(u_s) > slide_limit or abs(u_w) > winch_limit:
+        u_s = slide(-500.0 + (500.0 - -500.0) * random(),
+                    -500.0 + (500.0 - -500.0) * random(),
+                    -300.0 + (300.0 - -300.0) * random())
+        u_w = winch(-300.0 + (300.0 - -300.0) * random(),
+                    -300.0 + (300.0 - -300.0) * random())
+        # Chained, not abs(): no builtin call, and a NaN command fails.
+        if not (-slide_limit <= u_s <= slide_limit
+                and -winch_limit <= u_w <= winch_limit):
             ok = False
             break
     return PropertyCheck(

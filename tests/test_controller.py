@@ -148,6 +148,16 @@ class TestCombine:
     def test_standstill_uses_feedback(self):
         assert combine_refs(42.0, -3.0, 0.0) == -3.0
 
+    @pytest.mark.parametrize("ffwd, fbck", [
+        (0.0, -0.0), (-0.0, 0.0), (math.nan, 1.0), (1.0, math.nan),
+        (7.5, 7.5), (-0.0, -0.0)])
+    def test_forward_motion_is_max_bit_for_bit(self, ffwd, fbck):
+        # Ties keep the first argument and a NaN keeps its place, as in
+        # max: compare signs of zero and NaN-ness, not just ==.
+        got, want = combine_refs(ffwd, fbck, 90.0), max(ffwd, fbck)
+        assert float.hex(got) == float.hex(want)
+        assert math.isnan(got) == math.isnan(want)
+
 
 def speed_reference(prev_fbck, compression, slide_speed, outer):
     """One outer-loop update composed as run_takeoff does it: feedback
