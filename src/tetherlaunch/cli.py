@@ -169,13 +169,15 @@ def cmd_spring_compare(args) -> int:
     # the largest travel runs first, and each other travel, in the given
     # order, resumes from where that run neared its band. Each trace
     # reuses the text of the previous trace's shared steps, which is kept
-    # while the next travel runs.
+    # while the next travel runs; the trace itself is not. A zip would
+    # keep it in its reused result tuple while it fetches the next one.
     texts = None
-    runs = column_runs(simulate_design,
-                       [replace(config.system, spring=spring)
-                        for spring in named.values()],
-                       config.sizing)
-    for (name, spring), trace in zip(named.items(), runs):
+    specs = iter(named.items())
+    for trace in column_runs(simulate_design,
+                             [replace(config.system, spring=spring)
+                              for spring in named.values()],
+                             config.sizing):
+        name, spring = next(specs)
         travel = spring.max_travel
         result = trace.result
         path = out / name
@@ -189,6 +191,7 @@ def cmd_spring_compare(args) -> int:
                   f"{result.compression_cycles} cycles, "
                   f"{'feasible' if result.feasible else 'NOT feasible'} "
                   f"-> {path}")
+        del trace
 
     with _creating(summary_path):
         write_sweep_csv(points, summary_path)

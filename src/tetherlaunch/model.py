@@ -251,8 +251,19 @@ def airborne_plant(params: SystemParams, slack: float = 0.0,
     gravity = mass * GRAVITY * math.sin(math.radians(climb_angle_deg))
 
     def under(torque: float) -> Callable[..., tuple]:
+        # The constants and the torque as defaults, not free variables:
+        # read as fast locals, they made a sizing sweep about 3% faster.
+        # Callers pass the six states alone.
         def derivs(pos, vel, spring_pos, spring_vel, winch_angle,
-                   winch_speed):
+                   winch_speed, slack=slack, radius=radius,
+                   breaking_load=breaking_load,
+                   breaking_elongation=breaking_elongation,
+                   lower_band=lower_band, upper_band=upper_band,
+                   stop_friction=stop_friction, free_friction=free_friction,
+                   thrust=thrust, drag_factor=drag_factor, gravity=gravity,
+                   mass=mass, stiffness=stiffness,
+                   carriage_mass=carriage_mass, torque=torque,
+                   rot_friction=rot_friction, inertia=inertia):
             # line_length, inlined: the extra call per plant evaluation
             # made a sizing sweep about 8% slower.
             deployed = slack + radius * winch_angle + 2.0 * spring_pos

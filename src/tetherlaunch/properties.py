@@ -27,7 +27,7 @@ from .controller import combine_refs, outer_law, slide_law, winch_law
 # No longer called here; perfbench/worker.py still looks them up in this
 # module.
 from .controller import slide_torque, winch_fbck, winch_torque  # noqa: F401
-from .integrator import rk4_step, rk4_step6
+from .integrator import rk4_step, rk4_stepper
 from .model import DesignState
 from .spring_design import (REFERENCE_TRAVELS, column_runs, evaluate_spring,
                             simulate_design)
@@ -44,8 +44,8 @@ class PropertyCheck:
 
 def _harmonic_period_error(steps: int) -> tuple[float, bool]:
     """Position error after one period of the unit harmonic oscillator,
-    and whether rk4_step6, the stepper the plants run, ends on the state
-    of the generic rk4_step bit for bit."""
+    and whether a stepper of rk4_stepper, as the plants run it, ends on
+    the state of the generic rk4_step bit for bit."""
     period = 2.0 * math.pi
     dt = period / steps
 
@@ -55,11 +55,12 @@ def _harmonic_period_error(steps: int) -> tuple[float, bool]:
     def flat(pos, vel, *_):
         return (vel, -pos, 0.0, 0.0, 0.0, 0.0, None)
 
+    flat_step = rk4_stepper(flat, dt)
     state = DesignState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     flat_state = tuple(state)
     for _ in range(steps):
         state = rk4_step(derivs, state, dt)
-        flat_state = rk4_step6(flat, dt, *flat_state, flat(*flat_state))
+        flat_state = flat_step(*flat_state, flat(*flat_state))
     same = list(map(float.hex, flat_state)) == list(map(float.hex, state))
     return abs(state.pos - 1.0), same
 

@@ -4,10 +4,10 @@ A spring design (travel, stiffness) is feasible when the aircraft speed
 never drops below the minimum cruise speed during the tension transient,
 i.e. on the window from the start until the tether force first returns to
 zero with the winch at least matching the aircraft speed. The sizing run
-steps the plant of `model.airborne_plant` with the flat RK4 of
-`integrator`, one plant evaluation per stage: the one that gives a step's
-tether force is the next step's first stage. It judges the design while
-it steps. `simulate` keeps every step in a Trace of read-only memoryviews
+steps the plant of `model.airborne_plant` with a stepper that
+`integrator.rk4_stepper` binds to it, one plant evaluation per stage: the
+one that gives a step's tether force is the next step's first stage. It
+judges the design while it steps. `simulate` keeps every step in a Trace of read-only memoryviews
 of C doubles, for spring-compare and validate's trace-bounds check, and
 attaches the verdict as its `result`; `evaluate_spring`, and so `sweep`,
 returns the verdict and keeps no step.
@@ -28,7 +28,7 @@ import struct
 import traceback
 from dataclasses import dataclass, replace
 
-from .integrator import DEFAULT_STEP, MAX_STEPS, check_finite, rk4_step6
+from .integrator import DEFAULT_STEP, MAX_STEPS, check_finite, rk4_stepper
 from .model import (
     DesignState,
     SystemParams,
@@ -102,6 +102,11 @@ def initial_state(sizing: SizingConfig, winch: WinchParams) -> DesignState:
     )
 
 
+def _rows(column: memoryview, rows: int) -> memoryview:
+    """The bytes of the first `rows` rows of a Trace column."""
+    return column.cast("B")[:column.strides[0] * rows]
+
+
 def _doubles(count: int, values, head=b"") -> memoryview:
     """A read-only one-dimensional view of the bytes `head` followed by
     `count` floats packed as C doubles."""
@@ -131,6 +136,16 @@ class Trace:
         view of `states`."""
         return self.states.cast("B").cast("d")[j::6]
 
+    def head(self, rows: int) -> Trace:
+        """A copy of the first `rows` rows, which keeps no buffer of this
+        trace alive: what a run resumed from a hold among them copies
+        (see simulate)."""
+        return replace(self, **{
+            name: memoryview(_rows(column, rows).tobytes()).cast(
+                "d", (rows, *column.shape[1:]))
+            for name, column in vars(self).items()
+            if isinstance(column, memoryview)})
+
     @property
     def vel(self) -> memoryview:
         return self.column(1)
@@ -153,7 +168,8 @@ def _watched(derivs, level: float):
     """`derivs`, raising _Crossing instead of evaluating a stage whose
     compression is above `level`: the stepper's stages 2-4, since
     _run_sizing checks each step's first stage itself."""
-    def watched(pos, vel, spring_pos, spring_vel, winch_angle, winch_speed):
+    def watched(pos, vel, spring_pos, spring_vel, winch_angle, winch_speed,
+                derivs=derivs, level=level):  # as the plant binds its own
         if spring_pos > level:
             raise _Crossing(spring_pos)
         return derivs(pos, vel, spring_pos, spring_vel, winch_angle,
@@ -222,18 +238,20 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
     # stage may cross is the smallest travel's, pending[-1]'s.
     pending = sorted(holds or (), reverse=True)
 
+    isfinite = math.isfinite
     while True:
         level = pending[-1] - margin if pending else math.inf
-        plant = _watched(derivs, level) if pending else derivs
+        step = rk4_stepper(_watched(derivs, level) if pending else derivs,
+                           dt)
         try:
             for n in range(n + 1, steps + 1):
                 if spring_pos > level:  # the first stage is k1's state
                     raise _Crossing(spring_pos)
                 pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = (
-                    rk4_step6(plant, dt, pos, vel, spring_pos, spring_vel,
-                              winch_angle, winch_speed, k1))
-                if not math.isfinite(pos + vel + spring_pos + spring_vel
-                                     + winch_angle + winch_speed):
+                    step(pos, vel, spring_pos, spring_vel, winch_angle,
+                         winch_speed, k1))
+                if not isfinite(pos + vel + spring_pos + spring_vel
+                                + winch_angle + winch_speed):
                     check_finite(DesignState(pos, vel, spring_pos,
                                              spring_vel, winch_angle,
                                              winch_speed))
@@ -250,8 +268,17 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
                     forces.append(force)
                 if vel < min_speed:  # the first minimum, as argmin picks
                     min_speed, i_min = vel, n
-                trend, extreme, cycles = _cycle_step(spring_pos, margin,
-                                                     trend, extreme, cycles)
+                # _cycle_step, inlined: a call per step made a sizing
+                # sweep about 3% slower.
+                if trend <= 0 and spring_pos >= extreme + margin:
+                    trend, extreme = 1, spring_pos
+                elif trend >= 0 and spring_pos <= extreme - margin:
+                    if trend == 1:
+                        cycles += 1
+                    trend, extreme = -1, spring_pos
+                elif ((trend == 1 and spring_pos > extreme)
+                      or (trend == -1 and spring_pos < extreme)):
+                    extreme = spring_pos
                 if force > force_tol:
                     force_seen = True
                 elif force_seen and radius * winch_speed >= vel:
@@ -305,7 +332,7 @@ def simulate(params: SystemParams, init: DesignState,
     else:  # the larger trace's rows up to the hold, as bytes
         larger, hold = start
         shared = hold[0] + 1
-        heads = [column.cast("B")[:column.strides[0] * shared]
+        heads = [_rows(column, shared)
                  for column in (larger.times, larger.states, larger.force,
                                 larger.length)]
     states: list[float] = []
@@ -451,9 +478,11 @@ def column_runs(run, designs, sizing: SizingConfig):
     largest travel runs first, with `holds` for every smaller travel.
     Each smaller travel then runs with `start` the pair (the largest
     run's result, its hold), as simulate_design takes it, or None where
-    it has no hold or the largest run raised. A repeated travel runs
-    again from the start. An exception of the largest run is raised at
-    its turn, and until then it keeps no local of that run."""
+    it has no hold or the largest run raised. Once the largest travel's
+    turn has passed, a Trace in the pairs is swapped for a copy of the
+    rows that the pending travels copy. A repeated travel runs again
+    from the start. An exception of the largest run is raised at its
+    turn, and until then it keeps no local of that run."""
     largest = max(designs, key=lambda design: design.spring.max_travel)
     top = largest.spring.max_travel
     holds = {design.spring.max_travel: None for design in designs
@@ -474,7 +503,13 @@ def column_runs(run, designs, sizing: SizingConfig):
             raise first
         else:
             yield first
-            first = None  # the starts keep it while a travel needs it
+            if isinstance(first, Trace) and any(starts.values()):
+                head = first.head(1 + max(start[1][0] for start
+                                          in starts.values() if start))
+                starts = {travel: start and (head, start[1])
+                          for travel, start in starts.items()}
+                del head  # freed with the last pending travel's run
+            first = None
 
 
 def _evaluate_column(args) -> list[SweepPoint]:

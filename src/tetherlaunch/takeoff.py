@@ -28,7 +28,7 @@ from .controller import (
     winch_ffwd,
     winch_law,
 )
-from .integrator import DEFAULT_STEP, MAX_STEPS, IntegrationError, rk4_step6
+from .integrator import DEFAULT_STEP, MAX_STEPS, IntegrationError, rk4_stepper
 from .model import (
     SystemParams,
     _require_positive,
@@ -256,6 +256,8 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
         return (slide_speed, train_force * drum_radius / slide_inertia_full,
                 winch_speed, winch_accel, spring_vel, spring_accel, force)
 
+    slide_step = rk4_stepper(on_slide, dt)
+
     def empty_slide(slide_angle, slide_speed):
         """RK4 step of the slide after lift-off, when no longer coupled to
         the line: rk4_step's operations on the two slide states alone."""
@@ -298,6 +300,7 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
         u_winch = winch_drive(speed_ref, winch_speed)
         # Built at every latch, so it also serves a lift-off mid-step.
         in_flight = airborne(u_winch)
+        flight_step = rk4_stepper(in_flight, dt)
         length = deployed(winch_angle, spring_pos)
 
         # Plant substeps under zero-order-hold torques, each from its
@@ -318,14 +321,14 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
                     speed_ref))
             if liftoff_time is None:
                 (slide_angle, slide_speed, winch_angle, winch_speed,
-                 spring_pos, spring_vel) = rk4_step6(
-                    on_slide, dt, slide_angle, slide_speed, winch_angle,
-                    winch_speed, spring_pos, spring_vel, k1)
+                 spring_pos, spring_vel) = slide_step(
+                    slide_angle, slide_speed, winch_angle, winch_speed,
+                    spring_pos, spring_vel, k1)
             else:
                 (path_pos, path_vel, spring_pos, spring_vel,
-                 winch_angle, winch_speed) = rk4_step6(
-                    in_flight, dt, path_pos, path_vel, spring_pos,
-                    spring_vel, winch_angle, winch_speed, k1)
+                 winch_angle, winch_speed) = flight_step(
+                    path_pos, path_vel, spring_pos, spring_vel,
+                    winch_angle, winch_speed, k1)
                 slide_angle, slide_speed = empty_slide(slide_angle,
                                                        slide_speed)
             # The path states stay 0.0 until lift-off.

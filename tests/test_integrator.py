@@ -1,5 +1,6 @@
-"""Integrator tests: accuracy on a known system; and the sizing run built
-on it: its release stop, trace bookkeeping, and determinism."""
+"""Integrator tests: accuracy on a known system, the flat stepper against
+the generic one, and the binding of the sizing kernel; and the sizing run
+built on it: its release stop, trace bookkeeping, and determinism."""
 
 import gc
 import math
@@ -8,10 +9,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tetherlaunch.integrator import IntegrationError, rk4_step
+from tetherlaunch.integrator import IntegrationError, rk4_step, rk4_stepper
 from tetherlaunch.model import (
     DesignState,
+    airborne_plant,
     clamp_spring_travel,
     default_system_params,
     design_derivatives,
@@ -20,6 +24,7 @@ from tetherlaunch.model import (
 from tetherlaunch.spring_design import (
     DEFAULT_FORCE_TOL,
     SizingConfig,
+    _watched,
     default_sizing_config,
     initial_state,
     simulate,
@@ -70,6 +75,48 @@ class TestRk4Step:
         with pytest.raises(IntegrationError):
             for _ in range(10):
                 state = rk4_step(grow, state, 1.0)
+
+
+class TestRk4Stepper:
+    """The stepper the plants run: rk4_step's operations, bound once."""
+
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None)
+    @given(pos=st.floats(5.0, 40.0), vel=st.floats(0.0, 20.0),
+           spring_pos=st.floats(0.0, 0.35), spring_vel=st.floats(-3.0, 3.0),
+           stretch=st.floats(-0.05, 0.5), winch_speed=st.floats(0.0, 200.0),
+           stiffness=st.floats(10.0, 5e3), dt=st.floats(1e-6, 1e-3))
+    def test_sizing_plant_matches_rk4_step(self, pos, vel, spring_pos,
+                                           spring_vel, stretch, winch_speed,
+                                           stiffness, dt):
+        """One step of the sizing plant from a drawn state, as the sizing
+        run takes it, equals the generic step bit for bit. `stretch` is
+        the position minus the deployed line, which stays positive."""
+        params = default_system_params()
+        params = replace(params, spring=replace(params.spring,
+                                                stiffness=stiffness))
+        derivs = airborne_plant(params)(params.winch.max_torque)
+        winch_angle = (pos - stretch - 2.0 * spring_pos) / params.winch.radius
+        y = (pos, vel, spring_pos, spring_vel, winch_angle, winch_speed)
+        flat = rk4_stepper(derivs, dt)(*y, derivs(*y))
+        generic = rk4_step(lambda s: derivs(*s)[:6], DesignState(*y), dt)
+        assert list(map(float.hex, flat)) == list(map(float.hex, generic))
+
+
+def _sizing_plant():
+    params = default_system_params()
+    return airborne_plant(params)(params.winch.max_torque)
+
+
+@pytest.mark.parametrize("build", [
+    _sizing_plant,
+    lambda: rk4_stepper(_sizing_plant(), 1e-4),
+    lambda: _watched(_sizing_plant(), 0.2),
+], ids=["plant", "stepper", "watched"])
+def test_sizing_kernel_reads_no_free_variable(build):
+    """The sizing kernel's closures take what they read as defaults, so
+    each call reads fast locals and no closure cell."""
+    assert build().__code__.co_freevars == ()
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetherlaunch import properties, spring_design
+from tetherlaunch import csvio, properties, spring_design
 from tetherlaunch.cli import main
 from tetherlaunch.config import load_config
 from tetherlaunch.csvio import write_design_trace
@@ -60,6 +60,20 @@ class TestCycleCounting:
 
     def test_extension_first_not_counted(self):
         assert count_compression_cycles([0.2, 0.1, 0.0], 0.001) == 0
+
+    def test_move_of_exactly_margin_confirms(self):
+        # Quarters are exact doubles: each move equals the margin.
+        assert count_compression_cycles([0.0, 0.25, 0.0], 0.25) == 1
+        assert count_compression_cycles([0.0, 0.5, 0.25], 0.25) == 1
+        assert count_compression_cycles([0.5, 0.25, 0.5, 0.25], 0.25) == 1
+
+    def test_move_just_short_of_margin_does_not(self):
+        short = math.nextafter(0.25, 0.0)
+        assert count_compression_cycles([0.0, short, 0.0], 0.25) == 0
+        assert count_compression_cycles(
+            [0.0, 0.5, math.nextafter(0.25, 1.0)], 0.25) == 0
+        assert count_compression_cycles(
+            [0.5, 0.25, math.nextafter(0.5, 0.0), 0.25], 0.25) == 0
 
 
 class TestEvaluate:
@@ -175,6 +189,31 @@ class TestOnlineVerdict:
         result = self.assert_same(cruise,
                                   SizingConfig(20.0, 10.0, 0.0, max_time=0.05))
         assert result.min_speed == 10.0 and result.t_at_min == 0.0
+
+    @settings(max_examples=40, derandomize=True, database=None,
+              deadline=None)
+    @given(travel=st.floats(0.1, 0.6), stiffness=st.floats(10.0, 5e3),
+           deficit=st.sampled_from([0.0, 2.0, 4.0, 8.0]),
+           dt=st.sampled_from([1e-4, 1e-3, 4e-3]),
+           margin=st.sampled_from([0.001, 0.01, 0.03]),
+           tolerance=st.sampled_from([1e-6, 1e9]))
+    def test_online_cycles_are_the_array_count(self, config, travel,
+                                               stiffness, deficit, dt,
+                                               margin, tolerance):
+        """The sizing run counts cycles inline as it steps; the array
+        reference counts them over the kept compression column. The
+        hysteresis is the stop band's width, so wider bands test it on
+        the run's own swings; a run that never releases swings for the
+        whole second."""
+        params = with_design(config.system, travel, stiffness)
+        params = replace(params, spring=replace(params.spring,
+                                                endstop_margin=margin))
+        sizing = replace(config.sizing, dt=dt, max_time=1.0,
+                         speed_deficit=deficit, force_tolerance=tolerance)
+        trace = simulate_design(params, sizing)
+        assert (evaluate_spring(params, sizing).compression_cycles
+                == count_compression_cycles(trace.spring_pos.tolist(),
+                                            params.spring.endstop_margin))
 
     def test_raising_point(self, config):
         # The winch reels in faster than the aircraft flies out.
@@ -341,15 +380,21 @@ def perfbench_travels(monkeypatch, seed):
 
 @pytest.fixture
 def rk4_calls(monkeypatch):
-    """A one-item list counting the RK4 steps the sizing runs take."""
+    """A one-item list counting the RK4 steps the sizing runs take: the
+    calls of the steppers that spring_design.rk4_stepper returns."""
     calls = [0]
-    step = spring_design.rk4_step6
+    stepper = spring_design.rk4_stepper
 
-    def counting(*args):
-        calls[0] += 1
-        return step(*args)
+    def counting_stepper(f, dt):
+        step = stepper(f, dt)
 
-    monkeypatch.setattr(spring_design, "rk4_step6", counting)
+        def counting(*args):
+            calls[0] += 1
+            return step(*args)
+
+        return counting
+
+    monkeypatch.setattr(spring_design, "rk4_stepper", counting_stepper)
     return calls
 
 
@@ -635,15 +680,15 @@ class TestKeptReuse:
         fresh, resumed = peaks
         assert resumed < fresh
 
-    def test_descending_travels_peak_as_fresh_runs(self, tmp_path):
-        """A travel after a longer one resumes from the longer travel's
-        run, whose trace, 72 B a step, spring-compare keeps only while a
-        travel still needs it: the comparison peaks no higher than two
-        fresh runs that keep only the float text between them (8,001
-        steps each, no deficit)."""
+    @staticmethod
+    def assert_peak_as_fresh_runs(tmp_path, simulation, travels):
+        """spring-compare over `travels`, in that order, with the
+        `simulation` config section peaks no higher than the same travels
+        run fresh in the same order, keeping only the float text between
+        them."""
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"simulation": {
-            "speed_deficit": 0.0, "max_time": 0.8}}), encoding="utf-8")
+        path.write_text(json.dumps({"simulation": simulation}),
+                        encoding="utf-8")
         config = load_config(str(path))
         argv = ["spring-compare", "--config", str(path), "--quiet",
                 "--out", str(tmp_path), "--travels"]
@@ -651,12 +696,12 @@ class TestKeptReuse:
         assert main(argv + ["0.01"]) == 0
         tracemalloc.start()
         try:
-            assert main(argv + ["0.35,0.3"]) == 0
+            assert main(argv + [",".join(map(str, travels))]) == 0
             compare = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             texts = None
-            for travel in (0.35, 0.3):
+            for travel in travels:
                 trace = simulate_design(with_design(config.system, travel),
                                         config.sizing)
                 texts = write_design_trace(trace, tmp_path / "fresh.csv",
@@ -666,8 +711,32 @@ class TestKeptReuse:
         finally:
             tracemalloc.stop()
         # The command's own objects (parser, config) take about 40 kB; a
-        # trace kept past its last use takes 576 kB more.
+        # trace kept past its last use took 323 kB (parting early) or
+        # 576 kB more.
         assert compare <= fresh + 100_000
+
+    def test_descending_travels_peak_as_fresh_runs(self, tmp_path):
+        """A travel after a longer one resumes from the longer travel's
+        run, whose trace, 72 B a step, spring-compare keeps only while a
+        travel still needs it: the comparison peaks no higher than two
+        fresh runs that keep only the float text between them (8,001
+        steps each, no deficit)."""
+        self.assert_peak_as_fresh_runs(
+            tmp_path, {"speed_deficit": 0.0, "max_time": 0.8}, (0.35, 0.3))
+
+    def test_descending_travels_parting_early_peak_as_fresh_runs(
+            self, tmp_path, monkeypatch):
+        """Once the longer travel's turn has passed, spring-compare keeps
+        only the rows of its trace that a pending travel copies. With no
+        release the 0.05 m run parts from the 0.35 m one after 269 of its
+        5,001 rows. The writer's 1,024-row blocks, about 1 MB while a file
+        is written, would hide the 360 kB of a kept trace at this length,
+        so the blocks are smaller; the bytes written do not depend on
+        them."""
+        monkeypatch.setattr(csvio, "BLOCK", 64)
+        self.assert_peak_as_fresh_runs(
+            tmp_path, {"force_tolerance": 1e9, "max_time": 0.5},
+            (0.35, 0.05))
 
 
 class RecordingSpring(SpringParams):
