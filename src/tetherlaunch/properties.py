@@ -206,7 +206,10 @@ def check_torque_saturation(slide_gains, winch_gains,
 
 def check_rk4_order() -> PropertyCheck:
     """Observed convergence order of the integrator on the oscillator; the
-    flat stepper must give the generic one's result at both step counts."""
+    flat stepper must give the generic one's result at both step counts.
+    At exactly one period the phase error enters the position only
+    squared, so the position error is the amplitude error: h^5 for RK4,
+    whose detail reads order 5.00. A third-order scheme reads 3.00."""
     coarse, coarse_same = _harmonic_period_error(314)
     fine, fine_same = _harmonic_period_error(628)
     order = math.log2(coarse / fine)

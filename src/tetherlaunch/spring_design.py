@@ -7,10 +7,10 @@ zero with the winch at least matching the aircraft speed. The sizing run
 steps the plant of `model.airborne_plant` with a stepper that
 `integrator.rk4_stepper` binds to it, one plant evaluation per stage: the
 one that gives a step's tether force is the next step's first stage. It
-judges the design while it steps. `simulate` keeps every step in a Trace of read-only memoryviews
-of C doubles, for spring-compare and validate's trace-bounds check, and
-attaches the verdict as its `result`; `evaluate_spring`, and so `sweep`,
-returns the verdict and keeps no step.
+judges the design while it steps. `simulate` keeps every step in a Trace
+of read-only memoryviews of C doubles, for spring-compare and validate's
+trace-bounds check, and attaches the verdict as its `result`;
+`evaluate_spring`, and so `sweep`, returns the verdict and keeps no step.
 
 Designs that differ in travel alone form a column, which `column_runs`
 runs. Travel enters a sizing run only through the upper stop band of
@@ -214,26 +214,20 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
     limit = params.spring.max_travel
     margin = params.spring.endstop_margin
 
-    if start is None:
-        pos, vel, spring_pos, spring_vel, winch_angle, winch_speed = init
-        k1 = derivs(*init)  # the first step's first stage, then the force
-        force = k1[6]
+    # The first step's first stage, and the start's force. From a hold it
+    # is the holding run's, bit for bit: the hold lies below this travel's
+    # band, or no step is left.
+    k1 = derivs(*(init if start is None else start[1]))
+    if start is None:  # the loop state at t = 0, whose row opens the run
+        start = (0, init, k1[6] > force_tol, False, init.vel, 0, 0,
+                 init.spring_pos, 0)
         if states is not None:
             states += init
-            forces.append(force)
-        force_seen = force > force_tol
-        fired = False
-        min_speed, i_min = vel, 0
-        trend, extreme, cycles = 0, spring_pos, 0
-        n = 0
-    else:
-        (n, (pos, vel, spring_pos, spring_vel, winch_angle, winch_speed),
-         force_seen, fired, min_speed, i_min, trend, extreme, cycles) = start
-        # The holding run's first stage, bit for bit: the hold lies below
-        # this travel's band, or no step is left.
-        k1 = derivs(*start[1])
-        if fired:
-            steps = n  # released: no step is left
+            forces.append(k1[6])
+    (n, (pos, vel, spring_pos, spring_vel, winch_angle, winch_speed),
+     force_seen, fired, min_speed, i_min, trend, extreme, cycles) = start
+    if fired:
+        steps = n  # released: no step is left
     # Descending: the compression rises from zero, so the next band a
     # stage may cross is the smallest travel's, pending[-1]'s.
     pending = sorted(holds or (), reverse=True)
@@ -268,8 +262,8 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
                     forces.append(force)
                 if vel < min_speed:  # the first minimum, as argmin picks
                     min_speed, i_min = vel, n
-                # _cycle_step, inlined: a call per step made a sizing
-                # sweep about 3% slower.
+                # count_compression_cycles' update, inlined: a call per
+                # step made a sizing sweep about 3% slower.
                 if trend <= 0 and spring_pos >= extreme + margin:
                     trend, extreme = 1, spring_pos
                 elif trend >= 0 and spring_pos <= extreme - margin:
@@ -376,19 +370,6 @@ class SweepPoint:
     error: str | None = None
 
 
-def _cycle_step(x: float, margin: float, trend: int, extreme: float,
-                cycles: int) -> tuple[int, float, int]:
-    """count_compression_cycles' update for the next compression `x`: the
-    new (trend, extreme, cycles)."""
-    if trend <= 0 and x >= extreme + margin:
-        return 1, x, cycles
-    if trend >= 0 and x <= extreme - margin:
-        return -1, x, (cycles + 1 if trend == 1 else cycles)
-    if (trend == 1 and x > extreme) or (trend == -1 and x < extreme):
-        return trend, x, cycles
-    return trend, extreme, cycles
-
-
 def count_compression_cycles(compression, margin: float) -> int:
     """Number of confirmed compression/extension cycles of the carriage.
 
@@ -400,8 +381,14 @@ def count_compression_cycles(compression, margin: float) -> int:
     trend = 0  # +1 compressing, -1 extending, 0 before the first move
     extreme = compression[0] if len(compression) else 0.0
     for x in compression:
-        trend, extreme, cycles = _cycle_step(x, margin, trend, extreme,
-                                             cycles)
+        if trend <= 0 and x >= extreme + margin:
+            trend, extreme = 1, x
+        elif trend >= 0 and x <= extreme - margin:
+            if trend == 1:
+                cycles += 1
+            trend, extreme = -1, x
+        elif (trend == 1 and x > extreme) or (trend == -1 and x < extreme):
+            extreme = x
     return cycles
 
 

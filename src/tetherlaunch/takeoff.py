@@ -98,7 +98,7 @@ def default_takeoff_config() -> TakeoffConfig:
 
 
 # The plant states by name, for the report of a non-finite one; the path
-# states exist only after lift-off.
+# states, the loop's (x, v) after lift-off, are named only then.
 _STATE_NAMES = ("slide_angle", "slide_speed", "winch_angle", "winch_speed",
                 "spring_pos", "spring_vel", "path_pos", "path_vel")
 
@@ -240,8 +240,8 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     airborne = airborne_plant(system, cfg.initial_slack, cfg.climb_angle_deg)
     u_slide = 0.0  # the control step's held torque, read by the slide plants
 
-    def on_slide(slide_angle, slide_speed, winch_angle, winch_speed,
-                 spring_pos, spring_vel):
+    def on_slide(slide_angle, slide_speed, spring_pos, spring_vel,
+                 winch_angle, winch_speed):
         speed = drum_radius * slide_speed
         # The line, carriage and winch of the control step's airborne
         # plant, whose aircraft acceleration the slide replaces.
@@ -254,7 +254,7 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
                        - drag_coeff * speed * speed - force
                        - slide_friction * slide_speed / drum_radius)
         return (slide_speed, train_force * drum_radius / slide_inertia_full,
-                winch_speed, winch_accel, spring_vel, spring_accel, force)
+                spring_vel, spring_accel, winch_speed, winch_accel, force)
 
     slide_step = rk4_stepper(on_slide, dt)
 
@@ -273,8 +273,12 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
         return (slide_angle + w * (slide_speed + 2.0 * (v2 + v3) + v4),
                 slide_speed + w * (a1 + 2.0 * (a2 + a3) + a4))
 
-    slide_angle = slide_speed = winch_angle = winch_speed = 0.0
-    spring_pos = spring_vel = path_pos = path_vel = 0.0
+    # One state vector, in the airborne plant's order, crosses lift-off:
+    # its (x, v) is the slide drum's angle and speed on the slide, and the
+    # aircraft's path position and speed once it flies. The slide states
+    # mirror (x, v) until lift-off; empty_slide steps them after it.
+    x = v = spring_pos = spring_vel = winch_angle = winch_speed = 0.0
+    slide_angle = slide_speed = 0.0
     fbck = 0.0  # feedback winch speed reference, winch at rest [rad/s]
     liftoff_time: float | None = None  # None while on the slide
     liftoff_distance = 0.0
@@ -283,15 +287,6 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     rows: list[tuple] = []
 
     for k in range(n_ctrl):
-        if liftoff_time is None:
-            phase = "on_slide"
-            distance = drum_radius * slide_angle
-            speed = drum_radius * slide_speed
-        else:
-            phase = "airborne"
-            distance = path_pos
-            speed = path_vel
-
         # Control update from the sampled measurements.
         u_slide = slide_drive(angle_ref, slide_angle, slide_speed)
         fbck, zone = fbck_step(fbck, spring_pos)
@@ -302,16 +297,17 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
         in_flight = airborne(u_winch)
         flight_step = rk4_stepper(in_flight, dt)
         length = deployed(winch_angle, spring_pos)
+        if liftoff_time is None:
+            phase, plant, step = "on_slide", on_slide, slide_step
+            distance, speed = drum_radius * x, drum_radius * v
+        else:
+            phase, plant, step = "airborne", in_flight, flight_step
+            distance, speed = x, v
 
         # Plant substeps under zero-order-hold torques, each from its
         # first stage.
         for j in range(substeps):
-            if liftoff_time is None:
-                k1 = on_slide(slide_angle, slide_speed, winch_angle,
-                              winch_speed, spring_pos, spring_vel)
-            else:
-                k1 = in_flight(path_pos, path_vel, spring_pos, spring_vel,
-                               winch_angle, winch_speed)
+            k1 = plant(x, v, spring_pos, spring_vel, winch_angle, winch_speed)
             if not j:  # the step's row: the first stage gives its force
                 rows.append((
                     k * sample_period, slide_angle, slide_speed, winch_angle,
@@ -319,28 +315,22 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
                     u_slide, u_winch, u_slide * slide_speed,
                     u_winch * winch_speed, zone, phase, ffwd, fbck,
                     speed_ref))
+            x, v, spring_pos, spring_vel, winch_angle, winch_speed = step(
+                x, v, spring_pos, spring_vel, winch_angle, winch_speed, k1)
             if liftoff_time is None:
-                (slide_angle, slide_speed, winch_angle, winch_speed,
-                 spring_pos, spring_vel) = slide_step(
-                    slide_angle, slide_speed, winch_angle, winch_speed,
-                    spring_pos, spring_vel, k1)
+                slide_angle, slide_speed = x, v
             else:
-                (path_pos, path_vel, spring_pos, spring_vel,
-                 winch_angle, winch_speed) = flight_step(
-                    path_pos, path_vel, spring_pos, spring_vel,
-                    winch_angle, winch_speed, k1)
                 slide_angle, slide_speed = empty_slide(slide_angle,
                                                        slide_speed)
-            # The path states stay 0.0 until lift-off.
             if not math.isfinite(slide_angle + slide_speed + winch_angle
                                  + winch_speed + spring_pos + spring_vel
-                                 + path_pos + path_vel):
+                                 + x + v):
                 names, state_phase = ((_STATE_NAMES[:6], "on_slide")
                                       if liftoff_time is None
                                       else (_STATE_NAMES, "airborne"))
                 state = dict(zip(names, (
                     slide_angle, slide_speed, winch_angle, winch_speed,
-                    spring_pos, spring_vel, path_pos, path_vel)))
+                    spring_pos, spring_vel, x, v)))
                 if not all(map(math.isfinite, state.values())):
                     raise IntegrationError("non-finite state component in "
                                            f"{state_phase} state {state}")
@@ -350,9 +340,9 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
             if (liftoff_time is None
                     and drum_radius * slide_speed >= cfg.takeoff_speed):
                 liftoff_time = (k * substeps + j + 1) * dt
-                liftoff_distance = drum_radius * slide_angle
-                path_pos = drum_radius * slide_angle
-                path_vel = drum_radius * slide_speed
+                liftoff_distance = x = drum_radius * slide_angle
+                v = drum_radius * slide_speed
+                plant, step = in_flight, flight_step
 
         if drum_radius * slide_angle > cfg.rail_length:
             raise TakeoffError(

@@ -102,6 +102,39 @@ def test_nan_torque_fails_saturation(config, monkeypatch):
         control.slide, control.winch, n=10).passed
 
 
+def test_third_order_scheme_fails_on_order(monkeypatch):
+    """Kutta's third-order scheme, in a generic and a flat form that agree
+    bit for bit, fails the check on its order alone."""
+    assert properties.check_rk4_order().detail.startswith("order 5.00 ")
+
+    def kutta_step(derivs, state, dt):
+        make = type(state)._make
+        k1 = derivs(state)
+        k2 = derivs(make(y + 0.5 * dt * a for y, a in zip(state, k1)))
+        k3 = derivs(make(y + dt * (2.0 * b - a)
+                         for y, a, b in zip(state, k1, k2)))
+        return make(y + dt / 6.0 * (a + 4.0 * b + c)
+                    for y, a, b, c in zip(state, k1, k2, k3))
+
+    def kutta_stepper(f, dt):
+        def step(*args):
+            *state, k1 = args
+            k2 = f(*(y + 0.5 * dt * a for y, a in zip(state, k1)))
+            k3 = f(*(y + dt * (2.0 * b - a)
+                     for y, a, b in zip(state, k1, k2)))
+            return tuple(y + dt / 6.0 * (a + 4.0 * b + c)
+                         for y, a, b, c in zip(state, k1, k2, k3))
+        return step
+
+    monkeypatch.setattr(properties, "rk4_step", kutta_step)
+    monkeypatch.setattr(properties, "rk4_stepper", kutta_stepper)
+    assert properties._harmonic_period_error(314)[1]
+    assert properties._harmonic_period_error(628)[1]
+    check = properties.check_rk4_order()
+    assert not check.passed
+    assert check.detail.startswith("order 3.00 ")
+
+
 def int_literal(node) -> bool:
     """An int constant, bare or under a unary sign; bools excluded."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op,

@@ -21,13 +21,14 @@ from tetherlaunch.cli import main
 from tetherlaunch.config import load_config
 from tetherlaunch.csvio import write_design_trace
 from tetherlaunch.integrator import MAX_STEPS
-from tetherlaunch.model import SpringParams
+from tetherlaunch.model import SpringParams, airborne_plant
 from tetherlaunch.spring_design import (
     SizingConfig,
     SweepPoint,
     assess_trace,
     count_compression_cycles,
     evaluate_spring,
+    initial_state,
     simulate_design,
     step_count,
     sweep,
@@ -110,6 +111,22 @@ class TestEvaluate:
         assert result.timed_out and result.t_star is None
         assert result.min_speed > config.system.aircraft.min_cruise_speed
         assert not result.feasible
+
+    @pytest.mark.parametrize("deficit", [4.0, 0.0],
+                             ids=["default", "no-deficit"])
+    def test_resume_from_the_start(self, config, deficit):
+        # A fresh run starts from this loop state: the steps taken, the
+        # six states, whether the force was seen and the release fired,
+        # the minimum speed and its step, and the cycle counter's trend,
+        # extreme and count. Resumed from it, the run is the fresh run.
+        params = config.system
+        sizing = replace(config.sizing, speed_deficit=deficit, max_time=1.0)
+        init = initial_state(sizing, params.winch)
+        force = airborne_plant(params)(params.winch.max_torque)(*init)[6]
+        start = (0, tuple(init), force > sizing.force_tolerance, False,
+                 init.vel, 0, 0, init.spring_pos, 0)
+        assert (exact(evaluate_spring(params, sizing, start=start))
+                == exact(evaluate_spring(params, sizing)))
 
     def test_infinite_step(self, config):
         # Once judged feasible, with t_at_min = nan.

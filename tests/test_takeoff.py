@@ -1,6 +1,8 @@
 """Closed-loop take-off tests: launch timing, phase logic, power
 accounting, and the failure paths."""
 
+import hashlib
+import json
 import math
 import re
 from dataclasses import fields, replace
@@ -9,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tetherlaunch.cli import main
 from tetherlaunch.controller import SlideGains
 from tetherlaunch.integrator import IntegrationError
 from tetherlaunch.takeoff import (
@@ -23,6 +26,32 @@ def arrays(trace):
     """The trace's columns, and its slack, as numpy arrays by name."""
     return SimpleNamespace(slack=np.asarray(trace.slack), **{
         f.name: np.asarray(getattr(trace, f.name)) for f in fields(trace)})
+
+
+def test_late_substep_liftoff_keeps_its_bytes(tmp_path):
+    """The default run lifts off on substep 0 of its control step; at
+    8.6 m/s it lifts off at 0.3629 s, on substep 8 of 10. The trace CSV
+    and the summary JSON keep the bytes they had before the slide and
+    flight plants shared one state vector, so the switch between them is
+    checked at a second substep position."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"simulation": {"takeoff_speed": 8.6}}),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["takeoff", "--quiet", "--config", str(path),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "takeoff_summary.json").read_text(
+        encoding="utf-8"))
+    substeps = round(summary["sample_period"] / summary["dt"])
+    assert divmod(round(summary["liftoff_time"] / summary["dt"]) - 1,
+                  substeps) == (362, 8)
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("takeoff_trace.csv", "takeoff_summary.json")} == {
+        "takeoff_trace.csv":
+            "89d4687e701054edc41ff375eb488fb86bae571665215b1c45f1fe9e9d680e50",
+        "takeoff_summary.json":
+            "8a6222b096c1578d979ad50d8f53780f7e1bcff5b28be1695553c4b87dfb36ca",
+    }
 
 
 class TestConfigValidation:
