@@ -1,7 +1,9 @@
 """Deterministic CSV serialization of traces and sweep results.
 
 Floats are written with repr, the shortest decimal form that round-trips,
-so files are locale independent and byte identical across runs.
+so files are locale independent and byte identical across runs. Each
+float is formatted at most once per file, and one block of cells is held
+at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ SWEEP_HEADER = [
     "timed_out", "compression_cycles", "error",
 ]
 
-BLOCK = 1024  # rows written, and float text kept, per string
+# Rows per block: the cells held and written at a time, and per string of
+# a float column's returned text.
+BLOCK = 1024
 
 
 def _quote(text: str) -> str:
@@ -63,27 +67,6 @@ def _shared(old: bytes, new: bytes) -> int:
     return lo
 
 
-def _float_text(column: memoryview, old) -> tuple[bytes, list[str]]:
-    """The bytes of a column of doubles and the repr of its values, one
-    newline-joined string per BLOCK rows. The text of the leading values
-    that equal those of `old`, the same pair for a previous column, is
-    reused."""
-    data = column.tobytes()
-    blocks, start = [], 0
-    if old is not None:
-        shared = _shared(old[0], data)
-        whole, part = divmod(shared, BLOCK)
-        blocks, start = old[1][:whole], whole * BLOCK
-        if part:
-            head = old[1][whole].split("\n", part)[:part]
-            blocks.append("\n".join(head + list(map(
-                repr, column[start + part:start + BLOCK].tolist()))))
-            start += BLOCK
-    blocks += ["\n".join(map(repr, column[s:s + BLOCK].tolist()))
-               for s in range(start, len(column), BLOCK)]
-    return data, blocks
-
-
 def write_rows(path: str | Path, header: list[str], columns,
                previous: list | None = None) -> list:
     """Write one CSV file from its columns, header row first, BLOCK rows at
@@ -92,20 +75,42 @@ def write_rows(path: str | Path, header: list[str], columns,
     A column that is a memoryview of doubles is written with repr, the
     text _cell gives a float, without a call per cell; its text is reused
     for the leading values that equal, bit for bit, those of the same
-    column in the call that returned `previous`. The bytes written do not
-    depend on `previous`.
+    column in the call that returned `previous`, and is returned as the
+    column's bytes and one newline-joined string per block. Each value is
+    formatted at most once per file, and one block of cells is held at a
+    time. The bytes written do not depend on `previous`.
     """
     rows = min(map(len, columns), default=0)
     previous = previous or []
-    texts = [_float_text(c[:rows], previous[j] if j < len(previous) else None)
-             if isinstance(c, memoryview) and c.format == "d" else None
-             for j, c in enumerate(columns)]
+    texts, reuse = [], []  # reuse: (values shared, the previous blocks)
+    for j, c in enumerate(columns):
+        text = old = None
+        if isinstance(c, memoryview) and c.format == "d":
+            text = (c[:rows].tobytes(), [])
+            old = previous[j] if j < len(previous) else None
+        texts.append(text)
+        reuse.append((0, ()) if old is None
+                     else (_shared(old[0], text[0]), old[1]))
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(map(_quote, header)) + "\r\n")
         for b, s in enumerate(range(0, rows, BLOCK)):
-            cells = [list(map(_cell, c[s:s + BLOCK])) if text is None
-                     else text[1][b].split("\n")
-                     for c, text in zip(columns, texts)]
+            end = min(s + BLOCK, rows)
+            cells = []
+            for c, text, (shared, old) in zip(columns, texts, reuse):
+                if text is None:
+                    cells.append(list(map(_cell, c[s:s + BLOCK])))
+                    continue
+                # The leading cells the previous text holds.
+                n = max(min(shared, end) - s, 0)
+                if n == BLOCK:
+                    block = old[b]
+                    cells.append(block.split("\n"))
+                else:
+                    new = old[b].split("\n", n)[:n] if n else []
+                    new += map(repr, c[s + n:end].tolist())
+                    block = "\n".join(new)
+                    cells.append(new)
+                text[1].append(block)
             handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
     return texts
 

@@ -26,8 +26,8 @@ DEFAULT_STEP = 1e-4  # [s]
 # into the trace. spring-compare also keeps the largest travel's trace,
 # 72 B a step, until its turn has passed and then the rows a smaller
 # travel still needs, and the previous travel's float text, 187 B a step,
-# while the next travel runs. Two travels peak at 348 B a step, ascending
-# or descending, where they share every step (no deficit), and at 451 B
+# while the next travel runs. Two travels peak at 347 B a step, ascending
+# or descending, where they share every step (no deficit), and at 446 B
 # ascending and 503 B descending where the smaller one parts early
 # (tracemalloc, 100,001 steps each): near 1.0 GB at the budget.
 # evaluate_spring and sweep keep no step.

@@ -228,8 +228,7 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     slide_friction = slide.rot_friction
     max_travel = spring.max_travel
     slide_inertia_full = slide.equivalent_mass * drum_radius ** 2
-    slide_inertia_empty = ((slide.equivalent_mass - aircraft.mass)
-                           * drum_radius ** 2)
+    empty_inertia = (slide.equivalent_mass - aircraft.mass) * drum_radius ** 2
     angle_ref = cfg.slide_travel / drum_radius  # position step issued at k=0
     slide_drive = slide_law(control.slide)
     winch_drive = winch_law(control.winch)
@@ -238,7 +237,7 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     # After lift-off: the aircraft on its climb ray, one plant per held
     # winch torque.
     airborne = airborne_plant(system, cfg.initial_slack, cfg.climb_angle_deg)
-    u_slide = 0.0  # the control step's held torque, read by the slide plants
+    u_slide = 0.0  # the control step's held torque, read by both slide models
 
     def on_slide(slide_angle, slide_speed, spring_pos, spring_vel,
                  winch_angle, winch_speed):
@@ -258,25 +257,13 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
 
     slide_step = rk4_stepper(on_slide, dt)
 
-    def empty_slide(slide_angle, slide_speed):
-        """RK4 step of the slide after lift-off, when no longer coupled to
-        the line: rk4_step's operations on the two slide states alone."""
-        h = 0.5 * dt
-        a1 = (u_slide - slide_friction * slide_speed) / slide_inertia_empty
-        v2 = slide_speed + h * a1
-        a2 = (u_slide - slide_friction * v2) / slide_inertia_empty
-        v3 = slide_speed + h * a2
-        a3 = (u_slide - slide_friction * v3) / slide_inertia_empty
-        v4 = slide_speed + dt * a3
-        a4 = (u_slide - slide_friction * v4) / slide_inertia_empty
-        w = dt / 6.0
-        return (slide_angle + w * (slide_speed + 2.0 * (v2 + v3) + v4),
-                slide_speed + w * (a1 + 2.0 * (a2 + a3) + a4))
-
     # One state vector, in the airborne plant's order, crosses lift-off:
     # its (x, v) is the slide drum's angle and speed on the slide, and the
     # aircraft's path position and speed once it flies. The slide states
-    # mirror (x, v) until lift-off; empty_slide steps them after it.
+    # mirror (x, v) until lift-off. After it, uncoupled from the line, the
+    # loop steps them by rk4_step's operations on the two alone.
+    h, w = 0.5 * dt, dt / 6.0
+    isfinite, takeoff_speed = math.isfinite, cfg.takeoff_speed
     x = v = spring_pos = spring_vel = winch_angle = winch_speed = 0.0
     slide_angle = slide_speed = 0.0
     fbck = 0.0  # feedback winch speed reference, winch at rest [rad/s]
@@ -320,25 +307,32 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
             if liftoff_time is None:
                 slide_angle, slide_speed = x, v
             else:
-                slide_angle, slide_speed = empty_slide(slide_angle,
-                                                       slide_speed)
-            if not math.isfinite(slide_angle + slide_speed + winch_angle
-                                 + winch_speed + spring_pos + spring_vel
-                                 + x + v):
+                a1 = (u_slide - slide_friction * slide_speed) / empty_inertia
+                v2 = slide_speed + h * a1
+                a2 = (u_slide - slide_friction * v2) / empty_inertia
+                v3 = slide_speed + h * a2
+                a3 = (u_slide - slide_friction * v3) / empty_inertia
+                v4 = slide_speed + dt * a3
+                a4 = (u_slide - slide_friction * v4) / empty_inertia
+                slide_angle, slide_speed = (
+                    slide_angle + w * (slide_speed + 2.0 * (v2 + v3) + v4),
+                    slide_speed + w * (a1 + 2.0 * (a2 + a3) + a4))
+            if not isfinite(slide_angle + slide_speed + winch_angle
+                            + winch_speed + spring_pos + spring_vel + x + v):
                 names, state_phase = ((_STATE_NAMES[:6], "on_slide")
                                       if liftoff_time is None
                                       else (_STATE_NAMES, "airborne"))
                 state = dict(zip(names, (
                     slide_angle, slide_speed, winch_angle, winch_speed,
                     spring_pos, spring_vel, x, v)))
-                if not all(map(math.isfinite, state.values())):
+                if not all(map(isfinite, state.values())):
                     raise IntegrationError("non-finite state component in "
                                            f"{state_phase} state {state}")
             if spring_pos < 0.0 or spring_pos > max_travel:
                 spring_pos, spring_vel = clamp_spring_travel(
                     spring_pos, spring_vel, max_travel)
             if (liftoff_time is None
-                    and drum_radius * slide_speed >= cfg.takeoff_speed):
+                    and drum_radius * slide_speed >= takeoff_speed):
                 liftoff_time = (k * substeps + j + 1) * dt
                 liftoff_distance = x = drum_radius * slide_angle
                 v = drum_radius * slide_speed

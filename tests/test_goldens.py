@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from tetherlaunch import csvio
 from tetherlaunch.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -33,12 +34,20 @@ def load_worker():
     return load_perfbench("worker")
 
 
-@pytest.mark.parametrize("workload",
-                         ["takeoff", "spring-compare-10", "sweep-10x10"])
-def test_outputs_match_goldens(tmp_path, monkeypatch, workload):
+# Seven rows a block divide neither the take-off's 3,000 rows nor most of
+# the prefixes that spring-compare's travels share, so the writer also
+# reuses part of a block.
+@pytest.mark.parametrize("workload, block", [
+    ("takeoff", csvio.BLOCK), ("spring-compare-10", csvio.BLOCK),
+    ("sweep-10x10", csvio.BLOCK), ("takeoff", 7), ("spring-compare-10", 7),
+], ids=["takeoff", "spring-compare-10", "sweep-10x10", "takeoff-block7",
+        "spring-compare-10-block7"])
+def test_outputs_match_goldens(tmp_path, monkeypatch, workload, block):
     """Also each of the workload's points, the functions the benchmark
     times a call of, is called through the name it wraps, once per
-    operation; a pass that calls none has no point time to report."""
+    operation; a pass that calls none has no point time to report. The
+    bytes do not depend on csvio.BLOCK."""
+    monkeypatch.setattr(csvio, "BLOCK", block)
     # perfbench/run.py imports the worker under the name `worker`.
     monkeypatch.setitem(sys.modules, "worker", load_worker())
     inputs = load_perfbench("run").workload_inputs(workload, 0, False,
