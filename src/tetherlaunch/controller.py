@@ -11,9 +11,11 @@ uncompressed, hold in the middle band, reel-out under load). All loops are
 discrete time with a common sample period.
 
 Each law is written once, as a closure that `slide_law`, `winch_law` or
-`outer_law` builds from its parameters; a run builds them once and calls
-them every control step. `slide_torque`, `winch_torque` and `winch_fbck`
-build one for a single call.
+`outer_law` builds from its parameters, with its constants as defaulted
+trailing parameters; a run builds them once and calls them every control
+step. `outer_law`'s step returns the new feedback reference alone, and
+`outer_zone`'s closure names the zone of a compression. `slide_torque`,
+`winch_torque` and `winch_fbck` build them for a single call.
 """
 
 from __future__ import annotations
@@ -112,12 +114,11 @@ def slide_law(gains: SlideGains) -> Callable[[float, float, float], float]:
     """The slide drum position loop, built once: returns
     `torque(angle_ref, angle, speed)`, the torque command [N*m] saturated
     at the drive limit. A NaN command saturates to -torque_limit."""
-    position_gain = gains.position_gain
-    speed_gain = gains.speed_gain
-    high = gains.torque_limit
-    low = -high
-
-    def torque(angle_ref: float, angle: float, speed: float) -> float:
+    # The gains as defaults, not free variables: read as fast locals.
+    # Callers pass the three inputs alone.
+    def torque(angle_ref: float, angle: float, speed: float,
+               position_gain=gains.position_gain, speed_gain=gains.speed_gain,
+               low=-gains.torque_limit, high=gains.torque_limit) -> float:
         command = position_gain * (angle_ref - angle) - speed_gain * speed
         command = command if command > low else low
         return command if command < high else high
@@ -129,11 +130,8 @@ def winch_law(gains: WinchGains) -> Callable[[float, float], float]:
     """The winch drum speed loop, built once: returns
     `torque(speed_ref, speed)`, the torque command [N*m] saturated at the
     drive limit. A NaN command saturates to -torque_limit."""
-    speed_gain = gains.speed_gain
-    high = gains.torque_limit
-    low = -high
-
-    def torque(speed_ref: float, speed: float) -> float:
+    def torque(speed_ref: float, speed: float, speed_gain=gains.speed_gain,
+               low=-gains.torque_limit, high=gains.torque_limit) -> float:
         command = speed_gain * (speed_ref - speed)
         command = command if command > low else low
         return command if command < high else high
@@ -157,12 +155,10 @@ def winch_ffwd(slide_speed: float, ffwd_gain: float) -> float:
     return ffwd_gain * slide_speed
 
 
-def outer_law(
-        p: WinchOuterParams) -> Callable[[float, float], tuple[float, str]]:
+def outer_law(p: WinchOuterParams) -> Callable[[float, float], float]:
     """The feedback winch speed reference generator, built once: returns
-    `step(prev_ref, compression) -> (ref, zone)`, the new reference
-    [rad/s] from the previous one, and the zone letter of the compression:
-    'a' reels in, 'b' holds, 'c' reels out.
+    `step(prev_ref, compression) -> ref`, the new reference [rad/s] from
+    the previous one. `outer_zone(p)` names the zone the step ramps in.
 
     An integral controller on the distance of the compression from the
     hold band, with a piecewise-constant gain. Zone A is compression below
@@ -174,17 +170,16 @@ def outer_law(
     re-saturated immediately. A NaN compression falls in zone C and gives
     ref_max; a -0.0 reference comes out of either clamp as 0.0.
     """
-    zone_low = p.zone_low
-    zone_high = p.zone_high
-    ref_min = p.ref_min
-    ref_max = p.ref_max
-    # sample_period * accel * scale rounds as (sample_period * accel) * scale.
-    reelin_rate = p.sample_period * p.reelin_accel
-    reelout_rate = p.sample_period * p.reelout_accel
-    reelin_span = p.reelin_anchor - zone_low
-    reelout_span = p.reelout_anchor - zone_high
-
-    def step(prev_ref: float, compression: float) -> tuple[float, str]:
+    # The constants as defaults, not free variables: read as fast locals,
+    # they made validate's feedback walk about 4% faster than closure
+    # cells. Callers pass the two inputs alone. sample_period * accel *
+    # scale rounds as (sample_period * accel) * scale.
+    def step(prev_ref: float, compression: float, zone_low=p.zone_low,
+             zone_high=p.zone_high, ref_min=p.ref_min, ref_max=p.ref_max,
+             reelin_rate=p.sample_period * p.reelin_accel,
+             reelout_rate=p.sample_period * p.reelout_accel,
+             reelin_span=p.reelin_anchor - p.zone_low,
+             reelout_span=p.reelout_anchor - p.zone_high) -> float:
         if compression < zone_low:
             # Both numerator and denominator are negative below zone_low,
             # so the scale is positive and the increment inherits
@@ -192,22 +187,37 @@ def outer_law(
             ref = prev_ref + reelin_rate * ((compression - zone_low)
                                             / reelin_span)
             ref = ref if ref > ref_min else ref_min
-            return (ref if ref < 0.0 else 0.0), "a"
+            return ref if ref < 0.0 else 0.0
         if compression < zone_high:
-            return prev_ref, "b"
+            return prev_ref
         ref = prev_ref + reelout_rate * ((compression - zone_high)
                                          / reelout_span)
         ref = ref if ref < ref_max else ref_max
-        return (ref if ref > 0.0 else 0.0), "c"
+        return ref if ref > 0.0 else 0.0
 
     return step
+
+
+def outer_zone(p: WinchOuterParams) -> Callable[[float], str]:
+    """The zones of `outer_law(p)`'s step, built once: returns
+    `zone(compression)`, 'a' (reel-in) below zone_low, 'b' (hold) below
+    zone_high, and 'c' (reel-out) otherwise, NaN included."""
+    def zone(compression: float, zone_low=p.zone_low,
+             zone_high=p.zone_high) -> str:
+        if compression < zone_low:
+            return "a"
+        if compression < zone_high:
+            return "b"
+        return "c"
+
+    return zone
 
 
 def winch_fbck(prev_ref: float, compression: float,
                p: WinchOuterParams) -> tuple[float, str]:
     """One update of the feedback winch speed reference: `outer_law(p)`'s
-    step, for a single call."""
-    return outer_law(p)(prev_ref, compression)
+    step and `outer_zone(p)`'s zone, for a single call."""
+    return outer_law(p)(prev_ref, compression), outer_zone(p)(compression)
 
 
 def combine_refs(ffwd: float, fbck: float, slide_speed: float) -> float:

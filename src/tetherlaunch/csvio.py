@@ -78,16 +78,25 @@ def write_rows(path: str | Path, header: list[str], columns,
     column in the call that returned `previous`, and is returned as the
     column's bytes and one newline-joined string per block. Each value is
     formatted at most once per file, and one block of cells is held at a
-    time. The bytes written do not depend on `previous`.
+    time. A column whose values are all str is quoted once per distinct
+    value; any other column goes through _cell. The bytes written do not
+    depend on `previous`.
     """
     rows = min(map(len, columns), default=0)
     previous = previous or []
     texts, reuse = [], []  # reuse: (values shared, the previous blocks)
+    cells_of = []  # per column not of doubles: value -> cell text
     for j, c in enumerate(columns):
         text = old = None
+        cell = _cell
         if isinstance(c, memoryview) and c.format == "d":
             text = (c[:rows].tobytes(), [])
             old = previous[j] if j < len(previous) else None
+        elif set(map(type, c)) == {str}:
+            # Only str keys, so no two values that compare equal (0.0 and
+            # -0.0, 1 and True) share a cell text.
+            cell = {v: _quote(v) for v in set(c)}.__getitem__
+        cells_of.append(cell)
         texts.append(text)
         reuse.append((0, ()) if old is None
                      else (_shared(old[0], text[0]), old[1]))
@@ -96,9 +105,10 @@ def write_rows(path: str | Path, header: list[str], columns,
         for b, s in enumerate(range(0, rows, BLOCK)):
             end = min(s + BLOCK, rows)
             cells = []
-            for c, text, (shared, old) in zip(columns, texts, reuse):
+            for c, text, (shared, old), cell in zip(columns, texts, reuse,
+                                                    cells_of):
                 if text is None:
-                    cells.append(list(map(_cell, c[s:s + BLOCK])))
+                    cells.append(list(map(cell, c[s:s + BLOCK])))
                     continue
                 # The leading cells the previous text holds.
                 n = max(min(shared, end) - s, 0)

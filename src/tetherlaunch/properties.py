@@ -6,7 +6,8 @@ convergence checks. Each check returns a pass/fail result with a short
 detail string; the suite passes only if every check does.
 
 The checks drive the same closures that `run_takeoff` runs, built once
-per check by `outer_law`, `slide_law` and `winch_law`. Each draw
+per check by `outer_law`, `slide_law` and `winch_law`; `outer_law`'s step
+returns the reference alone, and no check reads the zone. Each draw
 `rng.uniform(a, b)` is written out as CPython defines it,
 `a + (b - a) * rng.random()`, with the same operand values in the same
 order, and each `rng.choice` of two values as its index draw: the numbers
@@ -82,7 +83,7 @@ def check_fbck_reference_bounded(outer, n: int = 1_000_000) -> PropertyCheck:
             compression += -0.01 + (0.01 - -0.01) * random()
             compression = compression if compression > 0.0 else 0.0
             compression = compression if compression < travel else travel
-        ref, _ = step(ref, compression)
+        ref = step(ref, compression)
         # [lo, hi] starts at 0.0 and only ever holds references that
         # passed the bound test below, and ref_min < 0 < ref_max, so a
         # reference inside it is in bounds. A new extreme or a NaN falls
@@ -114,7 +115,7 @@ def check_zone_b_holds(outer, n: int = 1000) -> PropertyCheck:
         held = ref_min + (ref_max - ref_min) * random()
         ref = held
         for _ in range(n):
-            ref, _ = step(ref, zone_low + (below_high - zone_low) * random())
+            ref = step(ref, zone_low + (below_high - zone_low) * random())
             if ref != held:
                 ok = False
                 break
@@ -134,13 +135,13 @@ def check_zone_entry_resaturation(outer, n: int = 10000) -> PropertyCheck:
     ok = True
     for _ in range(n):
         positive = 1e-9 + (ref_max - 1e-9) * random()
-        ref, _ = step(positive, 0.0 + (below_low - 0.0) * random())
+        ref = step(positive, 0.0 + (below_low - 0.0) * random())
         # Written negated so that a NaN reference fails.
         if not ref <= 0.0:
             ok = False
             break
         negative = ref_min + (-1e-9 - ref_min) * random()
-        ref, _ = step(negative, zone_high + (travel - zone_high) * random())
+        ref = step(negative, zone_high + (travel - zone_high) * random())
         if not ref >= 0.0:
             ok = False
             break

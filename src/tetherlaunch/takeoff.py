@@ -24,6 +24,7 @@ from .controller import (
     ControlParams,
     combine_refs,
     outer_law,
+    outer_zone,
     slide_law,
     winch_ffwd,
     winch_law,
@@ -233,6 +234,7 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     slide_drive = slide_law(control.slide)
     winch_drive = winch_law(control.winch)
     fbck_step = outer_law(outer)
+    fbck_zone = outer_zone(outer)
     deployed = line_length(winch, cfg.initial_slack)
     # After lift-off: the aircraft on its climb ray, one plant per held
     # winch torque.
@@ -276,7 +278,8 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     for k in range(n_ctrl):
         # Control update from the sampled measurements.
         u_slide = slide_drive(angle_ref, slide_angle, slide_speed)
-        fbck, zone = fbck_step(fbck, spring_pos)
+        fbck = fbck_step(fbck, spring_pos)
+        zone = fbck_zone(spring_pos)
         ffwd = winch_ffwd(slide_speed, outer.ffwd_gain)
         speed_ref = combine_refs(ffwd, fbck, slide_speed)
         u_winch = winch_drive(speed_ref, winch_speed)

@@ -11,7 +11,7 @@ from tetherlaunch.controller import (
     WinchOuterParams,
     combine_refs,
     default_control_params,
-    outer_law,
+    outer_zone,
     slide_torque,
     winch_fbck,
     winch_ffwd,
@@ -69,7 +69,7 @@ class TestFfwd:
 
 
 def zone_of(compression, outer):
-    return outer_law(outer)(0.0, compression)[1]
+    return outer_zone(outer)(compression)
 
 
 class TestZones:

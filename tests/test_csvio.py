@@ -305,6 +305,29 @@ def test_each_writer_calls_write_rows_once(tmp_path, write_rows_calls,
                                 tmp_path / "sweep.csv"]
 
 
+def test_string_columns_quote_each_value_once(tmp_path, monkeypatch,
+                                              takeoff_default):
+    """The take-off trace's zone and phase columns, all str, quote each
+    distinct value once and call _cell for no cell (test_takeoff pins
+    the file's bytes)."""
+    trace = takeoff_default[0].trace
+    calls = []
+
+    def counted(name, function):
+        def call(value):
+            calls.append(name)
+            return function(value)
+        monkeypatch.setattr(csvio, name, call)
+
+    counted("_cell", _cell)
+    counted("_quote", _quote)
+    write_takeoff_trace(trace, tmp_path / "takeoff.csv")
+    monkeypatch.undo()
+    distinct = len(set(trace.zone)) + len(set(trace.phase))
+    assert calls == ["_quote"] * (len(csvio.TAKEOFF_TRACE_HEADER) + distinct)
+    assert distinct == 5
+
+
 def test_takeoff_numbers_written_as_floats(tmp_path, config):
     """An integer that a parameter passes into the take-off trace, here
     the saturated slide torque, is kept, and so written, as the float it

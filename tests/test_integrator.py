@@ -1,6 +1,7 @@
 """Integrator tests: accuracy on a known system, the flat stepper against
-the generic one, and the binding of the sizing kernel; and the sizing run
-built on it: its release stop, trace bookkeeping, and determinism."""
+the generic one, and the binding of the sizing kernel and of the
+controller laws; and the sizing run built on the kernel: its release
+stop, trace bookkeeping, and determinism."""
 
 import gc
 import math
@@ -12,6 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tetherlaunch.controller import (
+    default_control_params,
+    outer_law,
+    outer_zone,
+    slide_law,
+    winch_law,
+)
 from tetherlaunch.integrator import IntegrationError, rk4_step, rk4_stepper
 from tetherlaunch.model import (
     DesignState,
@@ -117,6 +125,28 @@ def test_sizing_kernel_reads_no_free_variable(build):
     """The sizing kernel's closures take what they read as defaults, so
     each call reads fast locals and no closure cell."""
     assert build().__code__.co_freevars == ()
+
+
+@pytest.mark.parametrize("build", [
+    lambda control: slide_law(control.slide),
+    lambda control: winch_law(control.winch),
+    lambda control: outer_law(control.outer),
+    lambda control: outer_zone(control.outer),
+], ids=["slide", "winch", "outer", "zone"])
+def test_controller_laws_read_no_free_variable(build):
+    """The controller laws, called every control step and about a million
+    times by validate, take their constants as defaults too."""
+    assert build(default_control_params()).__code__.co_freevars == ()
+
+
+def test_outer_law_returns_a_bare_float():
+    """The outer step returns the reference alone, in every zone; the
+    zone comes from outer_zone."""
+    outer = default_control_params().outer
+    step, zone = outer_law(outer), outer_zone(outer)
+    compressions = (0.0, 0.075, 0.35)
+    assert [zone(c) for c in compressions] == ["a", "b", "c"]
+    assert [type(step(0.0, c)) for c in compressions] == [float] * 3
 
 
 @pytest.fixture(scope="module")

@@ -22,6 +22,7 @@ from tetherlaunch.controller import (
     combine_refs,
     default_control_params,
     outer_law,
+    outer_zone,
     slide_law,
     winch_law,
 )
@@ -99,26 +100,27 @@ class TestClosureEquivalence:
                                    p.reelout_anchor, 0.075, 0.35)
         refs = edge_values(p.ref_min, p.ref_max, 0.0, -5.0, 50.0)
         for params in (p, tiny):
-            step = outer_law(params)
+            step, zone = outer_law(params), outer_zone(params)
             for prev_ref, compression in itertools.product(refs, compressions):
-                got = step(prev_ref, compression)
+                got = step(prev_ref, compression), zone(compression)
                 want = reference_winch_fbck(prev_ref, compression, params)
                 assert list(map(bits, got)) == list(map(bits, want)), \
                     (params.sample_period, prev_ref, compression)
 
     def test_outer_law_edges(self, control):
         p = control.outer
-        step = outer_law(p)
-        assert step(0.0, p.zone_low) == (0.0, "b")
-        assert step(0.0, p.zone_high)[1] == "c"
+        step, zone = outer_law(p), outer_zone(p)
+        assert (step(0.0, p.zone_low), zone(p.zone_low)) == (0.0, "b")
+        assert zone(p.zone_high) == "c"
         # NaN compression falls in zone C and saturates at ref_max.
-        assert step(0.0, NAN) == (p.ref_max, "c")
+        assert (step(0.0, NAN), zone(NAN)) == (p.ref_max, "c")
         # A -0.0 inherited at the zone edge comes out as +0.0.
-        ref, zone = step(-0.0, p.zone_high)
-        assert zone == "c" and bits(ref) == bits(0.0)
-        tiny = outer_law(replace(p, sample_period=5e-324))
-        ref, zone = tiny(-0.0, math.nextafter(p.zone_low, 0.0))
-        assert zone == "a" and bits(ref) == bits(0.0)
+        ref = step(-0.0, p.zone_high)
+        assert zone(p.zone_high) == "c" and bits(ref) == bits(0.0)
+        tiny = replace(p, sample_period=5e-324)
+        edge = math.nextafter(p.zone_low, 0.0)
+        ref = outer_law(tiny)(-0.0, edge)
+        assert outer_zone(tiny)(edge) == "a" and bits(ref) == bits(0.0)
 
     def test_torque_laws(self, control):
         slide, winch = control.slide, control.winch
@@ -140,13 +142,13 @@ class TestClosureEquivalence:
 
 
 def recording(factory, log):
-    """A stand-in for a law factory whose laws log (inputs, outputs)."""
+    """A stand-in for a law factory whose laws log (inputs, output)."""
     def build(params):
         law = factory(params)
 
         def recorded(*args):
             out = law(*args)
-            log.append(args + (out if isinstance(out, tuple) else (out,)))
+            log.append(args + (out,))
             return out
 
         return recorded
@@ -155,23 +157,29 @@ def recording(factory, log):
 
 
 def exact(records):
-    """The floats of logged records as raw bytes, with their zones, so
-    that equal results are equal bit for bit."""
-    values = [v for record in records for v in record]
-    zones = [v for v in values if isinstance(v, str)]
-    floats = array("d", [v for v in values if not isinstance(v, str)])
-    return [len(r) for r in records], floats.tobytes(), zones
+    """The floats of logged records as raw bytes, so that equal results
+    are equal bit for bit."""
+    floats = array("d", [v for record in records for v in record])
+    return [len(r) for r in records], floats.tobytes()
+
+
+def zones_of(records, outer):
+    """The zones `outer_zone` gives the compressions of logged outer-law
+    calls."""
+    zone = outer_zone(outer)
+    return [zone(compression) for _, compression, _ in records]
 
 
 class TestDrawReplay:
     """Each check, run with the closures' calls logged, against the draw
     loop it replaced: `rng.uniform`, `rng.choice`, `min`/`max` and the
     point-form laws on the same seed. Inputs and outputs must agree bit
-    for bit."""
+    for bit, and `outer_zone` must give the logged compressions the
+    point-form law's zones."""
 
     def test_walk(self, control, monkeypatch):
         outer, n = control.outer, 100_000
-        want = []
+        want, zones = [], []
         rng = random.Random(properties._SEED)
         travel = outer.reelout_anchor + 0.15
         ref = lo = hi = 0.0
@@ -184,7 +192,8 @@ class TestDrawReplay:
                                               + rng.uniform(-0.01, 0.01)))
             prev = ref
             ref, zone = reference_winch_fbck(ref, compression, outer)
-            want.append((prev, compression, ref, zone))
+            want.append((prev, compression, ref))
+            zones.append(zone)
             lo = min(lo, ref)
             hi = max(hi, ref)
 
@@ -194,12 +203,13 @@ class TestDrawReplay:
         check = properties.check_fbck_reference_bounded(outer, n=n)
         assert check.passed
         assert exact(got) == exact(want)
+        assert zones_of(got, outer) == zones
         assert f"reference range [{lo:.3f}, {hi:.3f}] rad/s" in check.detail
-        assert {entry[3] for entry in want} == {"a", "b", "c"}
+        assert set(zones) == {"a", "b", "c"}
 
     def test_zone_b(self, control, monkeypatch):
         outer, n = control.outer, 1000
-        want = []
+        want, zones = [], []
         rng = random.Random(properties._SEED + 1)
         for _ in range(50):
             ref = rng.uniform(outer.ref_min, outer.ref_max)
@@ -208,34 +218,39 @@ class TestDrawReplay:
                                           outer.zone_high - 1e-12)
                 prev = ref
                 ref, zone = reference_winch_fbck(ref, compression, outer)
-                want.append((prev, compression, ref, zone))
+                want.append((prev, compression, ref))
+                zones.append(zone)
 
         got = []
         monkeypatch.setattr(properties, "outer_law",
                             recording(outer_law, got))
         assert properties.check_zone_b_holds(outer, n=n).passed
         assert exact(got) == exact(want)
+        assert zones_of(got, outer) == zones == ["b"] * len(zones)
 
     def test_zone_entry(self, control, monkeypatch):
         outer, n = control.outer, 10000
-        want = []
+        want, zones = [], []
         rng = random.Random(properties._SEED + 2)
         travel = outer.reelout_anchor + 0.15
         for _ in range(n):
             positive = rng.uniform(1e-9, outer.ref_max)
             compression = rng.uniform(0.0, outer.zone_low - 1e-12)
-            want.append((positive, compression)
-                        + reference_winch_fbck(positive, compression, outer))
+            ref, zone = reference_winch_fbck(positive, compression, outer)
+            want.append((positive, compression, ref))
+            zones.append(zone)
             negative = rng.uniform(outer.ref_min, -1e-9)
             compression = rng.uniform(outer.zone_high, travel)
-            want.append((negative, compression)
-                        + reference_winch_fbck(negative, compression, outer))
+            ref, zone = reference_winch_fbck(negative, compression, outer)
+            want.append((negative, compression, ref))
+            zones.append(zone)
 
         got = []
         monkeypatch.setattr(properties, "outer_law",
                             recording(outer_law, got))
         assert properties.check_zone_entry_resaturation(outer, n=n).passed
         assert exact(got) == exact(want)
+        assert zones_of(got, outer) == zones == ["a", "c"] * n
 
     def test_combine_refs(self, monkeypatch):
         n = 100_000

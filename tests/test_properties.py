@@ -47,8 +47,8 @@ def injected_walk_law(monkeypatch, at, value):
         calls = itertools.count()
 
         def law(prev_ref, compression):
-            ref, zone = step(prev_ref, compression)
-            return (value if next(calls) == at else ref), zone
+            ref = step(prev_ref, compression)
+            return value if next(calls) == at else ref
         return law
     monkeypatch.setattr(properties, "outer_law", factory)
 
@@ -88,8 +88,7 @@ class TestWalkBounds:
 
 def test_nan_reference_fails_zone_entry(config, monkeypatch):
     monkeypatch.setattr(properties, "outer_law",
-                        lambda outer: lambda prev_ref, compression:
-                        (NAN, "a"))
+                        lambda outer: lambda prev_ref, compression: NAN)
     assert not properties.check_zone_entry_resaturation(
         config.control.outer, n=10).passed
 
