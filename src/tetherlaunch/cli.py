@@ -23,7 +23,6 @@ from .config import AppConfig, ConfigError, load_config
 from .csvio import write_design_trace, write_sweep_csv, write_takeoff_trace
 from .integrator import IntegrationError
 from .model import SpringParams
-from .properties import run_property_suite
 from .spring_design import (REFERENCE_TRAVELS, SweepPoint, column_runs,
                             simulate_design, sweep)
 # No longer called here; perfbench/worker.py still looks it up in this module.
@@ -257,6 +256,9 @@ def cmd_takeoff(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    # Here, not at the top: the other commands never load the suite.
+    from .properties import run_property_suite
+
     config = _load(args)
     checks = run_property_suite(config)
     for check in checks:

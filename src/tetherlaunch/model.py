@@ -13,7 +13,8 @@ climb ray under the controlled winch torque, and gives its slide phase
 the line, carriage and winch: airborne_plant holds the line equations.
 
 All parameter containers are immutable and validated on construction; all
-functions here are pure, so they can be evaluated from any number of
+functions here are pure, save that a plant reads its held torque from the
+list its caller owns, so they can be evaluated from any number of
 concurrent workers without coordination.
 """
 
@@ -208,17 +209,26 @@ def line_length(winch: WinchParams, slack: float = 0.0) -> Callable:
     return length
 
 
-def airborne_plant(params: SystemParams, slack: float = 0.0,
-                   climb_angle_deg: float = 0.0) -> Callable[[float], Callable]:
-    """The tethered aircraft in flight, under a winch torque to be given.
+def airborne_plant(params: SystemParams, torque: list, slack: float = 0.0,
+                   climb_angle_deg: float = 0.0) -> Callable[..., tuple]:
+    """The tethered aircraft in flight, under the winch torque `torque[0]`.
 
-    Returns `under(torque)`, which gives derivs(pos, vel, spring_pos,
-    spring_vel, winch_angle, winch_speed): the derivatives of the six
-    DesignState floats with the drum motor holding `torque`, then the
-    tether force [N]. Building it is cheap, so a controlled run builds one
-    per held torque; the take-off's slide plant evaluates it too. The
-    propeller holds peak thrust, and the tether and gravity pull exactly
-    against the flight path, which climbs at `climb_angle_deg`.
+    Returns derivs(pos, vel, spring_pos, spring_vel, winch_angle,
+    winch_speed): the derivatives of the six DesignState floats with the
+    drum motor holding `torque[0]`, then the tether force [N]. `torque` is
+    a one-element list that the caller owns: a controlled run writes its
+    held torque there once a control step, and the plant reads it at each
+    evaluation. The take-off's slide plant evaluates it too. The propeller
+    holds peak thrust, and the tether and gravity pull exactly against the
+    flight path, which climbs at `climb_angle_deg`.
+
+    One plant per run, not one per held torque: CPython 3.11 specialises
+    each call site for the function object it last saw, so a closure
+    rebuilt every control step (ten substeps, forty evaluations) misses
+    that at every rebuild. Rebuilt every 10 calls, this plant cost 16-49 ns
+    more a call than a stable one, plus 0.16-0.18 us a build; the list
+    subscript costs about 4 ns an evaluation (Python 3.11.7, Intel Xeon,
+    2 vCPUs).
 
     These are the only line equations, on floats read once here. The line
     runs around the moving pulley on the spring carriage, so each metre of
@@ -229,7 +239,7 @@ def airborne_plant(params: SystemParams, slack: float = 0.0,
     the same tension slows the aircraft and helps the torque spin the drum.
 
     The sizing study flies level on a line without slack, under the peak
-    reel-out torque: airborne_plant(params)(params.winch.max_torque).
+    reel-out torque: airborne_plant(params, [params.winch.max_torque]).
     """
     breaking_load = params.tether.breaking_load
     breaking_elongation = params.tether.breaking_elongation
@@ -250,52 +260,47 @@ def airborne_plant(params: SystemParams, slack: float = 0.0,
     mass = aircraft.mass
     gravity = mass * GRAVITY * math.sin(math.radians(climb_angle_deg))
 
-    def under(torque: float) -> Callable[..., tuple]:
-        # The constants and the torque as defaults, not free variables:
-        # read as fast locals, they made a sizing sweep about 3% faster.
-        # Callers pass the six states alone.
-        def derivs(pos, vel, spring_pos, spring_vel, winch_angle,
-                   winch_speed, slack=slack, radius=radius,
-                   breaking_load=breaking_load,
-                   breaking_elongation=breaking_elongation,
-                   lower_band=lower_band, upper_band=upper_band,
-                   stop_friction=stop_friction, free_friction=free_friction,
-                   thrust=thrust, drag_factor=drag_factor, gravity=gravity,
-                   mass=mass, stiffness=stiffness,
-                   carriage_mass=carriage_mass, torque=torque,
-                   rot_friction=rot_friction, inertia=inertia):
-            # line_length, inlined: the extra call per plant evaluation
-            # made a sizing sweep about 8% slower.
-            deployed = slack + radius * winch_angle + 2.0 * spring_pos
-            if deployed <= 0.0:
-                raise ValueError(f"tether length must be > 0 (got {deployed})")
-            force = (breaking_load / (breaking_elongation * deployed)
-                     * (pos - deployed))
-            force = force if force > 0.0 else 0.0  # max(0.0, force), minus a call
-            if ((spring_pos <= lower_band and spring_vel < 0.0)
-                    or (spring_pos > upper_band and spring_vel > 0.0)):
-                friction = stop_friction
-            else:
-                friction = free_friction
-            return (vel,
-                    (thrust - drag_factor * vel * vel - force - gravity) / mass,
-                    spring_vel,
-                    (2.0 * force - friction * spring_vel
-                     - stiffness * spring_pos) / carriage_mass,
-                    winch_speed,
-                    (torque + radius * force - rot_friction * winch_speed)
-                    / inertia,
-                    force)
+    # The constants and the torque list as defaults, not free variables:
+    # read as fast locals, they made a sizing sweep about 3% faster.
+    # Callers pass the six states alone.
+    def derivs(pos, vel, spring_pos, spring_vel, winch_angle, winch_speed,
+               slack=slack, radius=radius, breaking_load=breaking_load,
+               breaking_elongation=breaking_elongation,
+               lower_band=lower_band, upper_band=upper_band,
+               stop_friction=stop_friction, free_friction=free_friction,
+               thrust=thrust, drag_factor=drag_factor, gravity=gravity,
+               mass=mass, stiffness=stiffness, carriage_mass=carriage_mass,
+               held=torque, rot_friction=rot_friction, inertia=inertia):
+        # line_length, inlined: the extra call per plant evaluation made a
+        # sizing sweep about 8% slower.
+        deployed = slack + radius * winch_angle + 2.0 * spring_pos
+        if deployed <= 0.0:
+            raise ValueError(f"tether length must be > 0 (got {deployed})")
+        force = (breaking_load / (breaking_elongation * deployed)
+                 * (pos - deployed))
+        force = force if force > 0.0 else 0.0  # max(0.0, force), minus a call
+        if ((spring_pos <= lower_band and spring_vel < 0.0)
+                or (spring_pos > upper_band and spring_vel > 0.0)):
+            friction = stop_friction
+        else:
+            friction = free_friction
+        return (vel,
+                (thrust - drag_factor * vel * vel - force - gravity) / mass,
+                spring_vel,
+                (2.0 * force - friction * spring_vel
+                 - stiffness * spring_pos) / carriage_mass,
+                winch_speed,
+                (held[0] + radius * force - rot_friction * winch_speed)
+                / inertia,
+                force)
 
-        return derivs
-
-    return under
+    return derivs
 
 
 def design_derivatives(state: DesignState, params: SystemParams) -> tuple:
     """Time derivatives of the six model states in the sizing study (see
     airborne_plant)."""
-    return airborne_plant(params)(params.winch.max_torque)(*state)[:6]
+    return airborne_plant(params, [params.winch.max_torque])(*state)[:6]
 
 
 def clamp_spring_travel(spring_pos: float, spring_vel: float,

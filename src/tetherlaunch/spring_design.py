@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import struct
-import traceback
 from dataclasses import dataclass, replace
 
 from .integrator import DEFAULT_STEP, MAX_STEPS, check_finite, rk4_stepper
@@ -209,7 +208,7 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
     dt = sizing.dt
     steps = step_count(sizing)
     force_tol = sizing.force_tolerance
-    derivs = airborne_plant(params)(params.winch.max_torque)
+    derivs = airborne_plant(params, [params.winch.max_torque])
     radius = params.winch.radius
     limit = params.spring.max_travel
     margin = params.spring.endstop_margin
@@ -477,7 +476,15 @@ def column_runs(run, designs, sizing: SizingConfig):
     try:
         first = run(largest, sizing, holds=holds)
     except Exception as exc:
-        traceback.clear_frames(exc.__traceback__)
+        # traceback.clear_frames, without importing traceback (and so
+        # textwrap) into every command.
+        tb = exc.__traceback__
+        while tb is not None:
+            try:
+                tb.tb_frame.clear()
+            except RuntimeError:  # the frame is still executing
+                pass
+            tb = tb.tb_next
         first = exc
     failed = isinstance(first, Exception)
     starts = {travel: None if hold is None or failed else (first, hold)

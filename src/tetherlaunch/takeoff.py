@@ -157,12 +157,17 @@ def _doubles(values) -> memoryview:
     return memoryview(array("d", values)).toreadonly()
 
 
-def _build_trace(rows: list[tuple]) -> TakeoffTrace:
-    """The trace from its rows, in TakeoffTrace field order."""
-    columns = list(zip(*rows)) or [()] * len(fields(TakeoffTrace))
-    return TakeoffTrace(*(
-        column if field.name in ("zone", "phase") else _doubles(column)
-        for field, column in zip(fields(TakeoffTrace), columns)))
+def _build_trace(values: list[float], zone: list[str],
+                 phase: list[str]) -> TakeoffTrace:
+    """The trace from its log: each control step's numeric columns, in
+    TakeoffTrace field order, appended to the flat list `values`, and its
+    zone and phase to their own lists. Each column's array is built from
+    its own slice, one at a time, so no two slices are alive together."""
+    columns = {"zone": tuple(zone), "phase": tuple(phase)}
+    names = [f.name for f in fields(TakeoffTrace) if f.name not in columns]
+    for j, name in enumerate(names):
+        columns[name] = _doubles(values[j::len(names)])
+    return TakeoffTrace(**columns)
 
 
 def check_takeoff(cfg: TakeoffConfig, system: SystemParams,
@@ -236,16 +241,21 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     fbck_step = outer_law(outer)
     fbck_zone = outer_zone(outer)
     deployed = line_length(winch, cfg.initial_slack)
-    # After lift-off: the aircraft on its climb ray, one plant per held
-    # winch torque.
-    airborne = airborne_plant(system, cfg.initial_slack, cfg.climb_angle_deg)
+    # After lift-off: the aircraft on its climb ray. One plant and one
+    # stepper serve the whole run (see airborne_plant): the loop writes the
+    # control step's held winch torque into `held`, which the plant reads.
+    held = [0.0]
+    in_flight = airborne_plant(system, held, cfg.initial_slack,
+                               cfg.climb_angle_deg)
+    flight_step = rk4_stepper(in_flight, dt)
     u_slide = 0.0  # the control step's held torque, read by both slide models
 
     def on_slide(slide_angle, slide_speed, spring_pos, spring_vel,
-                 winch_angle, winch_speed):
+                 winch_angle, winch_speed, in_flight=in_flight):
         speed = drum_radius * slide_speed
-        # The line, carriage and winch of the control step's airborne
-        # plant, whose aircraft acceleration the slide replaces.
+        # The line, carriage and winch of the airborne plant, under the
+        # control step's winch torque, whose aircraft acceleration the
+        # slide replaces.
         _, _, _, spring_accel, _, winch_accel, force = in_flight(
             drum_radius * slide_angle, speed, spring_pos, spring_vel,
             winch_angle, winch_speed)
@@ -273,7 +283,11 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     liftoff_distance = 0.0
 
     n_ctrl = round(cfg.duration / sample_period)
-    rows: list[tuple] = []
+    # The log: each control step's 17 numeric columns, flat (see
+    # _build_trace), and its zone and phase.
+    values: list[float] = []
+    zones: list[str] = []
+    phases: list[str] = []
 
     for k in range(n_ctrl):
         # Control update from the sampled measurements.
@@ -283,9 +297,7 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
         ffwd = winch_ffwd(slide_speed, outer.ffwd_gain)
         speed_ref = combine_refs(ffwd, fbck, slide_speed)
         u_winch = winch_drive(speed_ref, winch_speed)
-        # Built at every latch, so it also serves a lift-off mid-step.
-        in_flight = airborne(u_winch)
-        flight_step = rk4_stepper(in_flight, dt)
+        held[0] = u_winch  # read by both plants, also after a lift-off
         length = deployed(winch_angle, spring_pos)
         if liftoff_time is None:
             phase, plant, step = "on_slide", on_slide, slide_step
@@ -299,12 +311,13 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
         for j in range(substeps):
             k1 = plant(x, v, spring_pos, spring_vel, winch_angle, winch_speed)
             if not j:  # the step's row: the first stage gives its force
-                rows.append((
+                values += (
                     k * sample_period, slide_angle, slide_speed, winch_angle,
                     winch_speed, spring_pos, distance, speed, length, k1[6],
                     u_slide, u_winch, u_slide * slide_speed,
-                    u_winch * winch_speed, zone, phase, ffwd, fbck,
-                    speed_ref))
+                    u_winch * winch_speed, ffwd, fbck, speed_ref)
+                zones.append(zone)
+                phases.append(phase)
             x, v, spring_pos, spring_vel, winch_angle, winch_speed = step(
                 x, v, spring_pos, spring_vel, winch_angle, winch_speed, k1)
             if liftoff_time is None:
@@ -346,17 +359,17 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
                 "slide overran the rails "
                 f"({drum_radius * slide_angle:.3f} m > "
                 f"{cfg.rail_length} m) at t={k * sample_period:.3f} s",
-                trace=_build_trace(rows),
+                trace=_build_trace(values, zones, phases),
             )
 
     if liftoff_time is None:
         raise TakeoffError(
             f"take-off speed {cfg.takeoff_speed} m/s not reached within "
             f"{cfg.duration} s",
-            trace=_build_trace(rows),
+            trace=_build_trace(values, zones, phases),
         )
 
-    trace = _build_trace(rows)
+    trace = _build_trace(values, zones, phases)
 
     # Stall risk: the spring at full travel while the force still rises
     # into the next control step.

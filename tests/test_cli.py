@@ -333,6 +333,22 @@ def test_command_leaves_numpy_unloaded(tmp_path, argv):
         env=package_env(), cwd=tmp_path, capture_output=True, check=True)
 
 
+@pytest.mark.parametrize("argv", [
+    ["spring-compare", "--travels", "0.2", "--quiet"],
+    ["sweep", "--travels", "0.2", "--quiet"],
+    ["takeoff", "--quiet"],
+], ids=["spring-compare", "sweep", "takeoff"])
+def test_command_leaves_property_suite_unloaded(tmp_path, argv):
+    # Only validate runs the property suite, so only it imports it.
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from tetherlaunch.cli import main; "
+         "code = main(sys.argv[1:]); "
+         "assert 'tetherlaunch.properties' not in sys.modules; "
+         "sys.exit(code)", *argv],
+        env=package_env(), cwd=tmp_path, capture_output=True, check=True)
+
+
 class TestErrorHandling:
     def test_config_error_exit_code(self, tmp_path, capsys):
         config = tmp_path / "c.json"

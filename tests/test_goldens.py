@@ -87,18 +87,13 @@ def test_plant_evaluations(tmp_path, monkeypatch, workload, evaluations):
 
     def counting(plant):
         def counted_plant(*args):
-            under = plant(*args)
+            derivs = plant(*args)
 
-            def counted_under(torque):
-                derivs = under(torque)
+            def counted(*state):
+                count[0] += 1
+                return derivs(*state)
 
-                def counted(*state):
-                    count[0] += 1
-                    return derivs(*state)
-
-                return counted
-
-            return counted_under
+            return counted
 
         return counted_plant
 

@@ -103,7 +103,7 @@ class TestRk4Stepper:
         params = default_system_params()
         params = replace(params, spring=replace(params.spring,
                                                 stiffness=stiffness))
-        derivs = airborne_plant(params)(params.winch.max_torque)
+        derivs = airborne_plant(params, [params.winch.max_torque])
         winch_angle = (pos - stretch - 2.0 * spring_pos) / params.winch.radius
         y = (pos, vel, spring_pos, spring_vel, winch_angle, winch_speed)
         flat = rk4_stepper(derivs, dt)(*y, derivs(*y))
@@ -113,7 +113,7 @@ class TestRk4Stepper:
 
 def _sizing_plant():
     params = default_system_params()
-    return airborne_plant(params)(params.winch.max_torque)
+    return airborne_plant(params, [params.winch.max_torque])
 
 
 @pytest.mark.parametrize("build", [

@@ -38,9 +38,9 @@ def params():
 
 @pytest.fixture
 def plant(params):
-    """The airborne plant of the sizing study, under a torque to be given:
-    its seventh value is the tether force."""
-    return airborne_plant(params)
+    """The airborne plant of the sizing study, under the torque in a
+    one-element list to be given: its seventh value is the tether force."""
+    return lambda torque: airborne_plant(params, [torque])
 
 
 @pytest.fixture
@@ -203,7 +203,7 @@ class TestEffectiveLength:
     def test_slack_adds(self, params):
         assert line_length(params.winch, 1.0)(200.0, 0.35) == pytest.approx(
             21.7)
-        slack = airborne_plant(params, 1.0)(0.0)
+        slack = airborne_plant(params, [0.0], 1.0)
         assert slack(21.7, 0.0, 0.35, 0.0, 200.0, 0.0)[6] == pytest.approx(
             0.0, abs=1e-9)
 
@@ -282,26 +282,29 @@ class TestAirbornePlant:
     STATE = (20.5, 8.0, 0.1, -0.3, 200.0, 60.0)
 
     def test_sizing_case_is_design_derivatives(self, params):
-        sizing = airborne_plant(params)(params.winch.max_torque)
+        sizing = airborne_plant(params, [params.winch.max_torque])
         assert sizing(*self.STATE)[:6] == design_derivatives(
             DesignState(*self.STATE), params)
 
     def test_torque_only_moves_the_drum(self, params):
-        plant = airborne_plant(params)
-        held, zero = plant(13.0)(*self.STATE), plant(0.0)(*self.STATE)
+        torque = [13.0]
+        plant = airborne_plant(params, torque)
+        held = plant(*self.STATE)
+        torque[0] = 0.0
+        zero = plant(*self.STATE)
         assert held[:5] == zero[:5]
         assert held[5] - zero[5] == pytest.approx(13.0 / 0.1, rel=1e-12)
 
     def test_climb_pulls_gravity_along_the_path(self, params):
-        level = airborne_plant(params, 1.0)(0.0)(*self.STATE)
-        climb = airborne_plant(params, 1.0, 30.0)(0.0)(*self.STATE)
+        level = airborne_plant(params, [0.0], 1.0)(*self.STATE)
+        climb = airborne_plant(params, [0.0], 1.0, 30.0)(*self.STATE)
         assert level[1] - climb[1] == pytest.approx(9.81 * 0.5, rel=1e-12)
         assert level[2:] == climb[2:]
 
     def test_slack_lengthens_the_line(self, params):
         # 20.5 m of flight on 20.2 m of line is taut; 1 m of slack makes
         # it slack, leaving thrust and drag alone.
-        slack = airborne_plant(params, 1.0)(0.0)(*self.STATE)
+        slack = airborne_plant(params, [0.0], 1.0)(*self.STATE)
         assert slack[1] == pytest.approx((10.0 - 0.5 * 1.2 * 0.05 * 0.3
                                           * 64.0) / 1.2, rel=1e-12)
         assert slack[3] == pytest.approx((0.3 * 1e-4 - 70.0 * 0.1) / 2.0,

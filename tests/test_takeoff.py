@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -13,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tetherlaunch import takeoff
 from tetherlaunch.cli import main
 from tetherlaunch.controller import SlideGains
 from tetherlaunch.integrator import IntegrationError
@@ -61,7 +63,8 @@ def test_only_the_plant_and_stepper_run_per_substep(config):
     them on the slide) only the RK4 stepper's step (once a substep), the
     airborne plant's derivs (once a stage) and the slide plant (once a
     stage on the slide) are called more than once a control step;
-    rk4_stepper is called once a control step and once for the slide."""
+    rk4_stepper is called once for the slide and once for the flight
+    (see test_plant_and_steppers_are_built_once_per_run)."""
     calls = Counter()
 
     def count(frame, event, arg):
@@ -80,6 +83,64 @@ def test_only_the_plant_and_stepper_run_per_substep(config):
     assert frequent == [("integrator.py", "step", 30_000),
                         ("model.py", "derivs", 120_000),
                         ("takeoff.py", "on_slide", 15_204)]
+
+
+def test_plant_and_steppers_are_built_once_per_run(config, monkeypatch):
+    """One flight plant and two steppers (slide and flight) serve the
+    whole run; the control steps only write the held winch torque."""
+    calls = Counter()
+
+    def spy(name):
+        built = getattr(takeoff, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return built(*args)
+
+        monkeypatch.setattr(takeoff, name, counted)
+
+    spy("airborne_plant")
+    spy("rk4_stepper")
+    run_takeoff(config.takeoff, config.system, config.control)
+    assert calls == {"airborne_plant": 1, "rk4_stepper": 2}
+
+
+@pytest.mark.parametrize("slack, upper, lower, compression, stall_risk", [
+    # The four upper hits fall between logged rows.
+    (1.0, 4, 2, 0.3499994487501474, False),
+    (0.5, 150, 2, 0.35, True),
+], ids=["default", "slack-0.5"])
+def test_clamp_events(config, monkeypatch, slack, upper, lower, compression,
+                      stall_risk):
+    """The spring hits its stops as often, and the log shows as much of
+    it, as it did while the loop built one flight plant a control step."""
+    hits = Counter()
+    clamp = takeoff.clamp_spring_travel
+
+    def counted(spring_pos, spring_vel, max_travel):
+        hits["upper" if spring_pos > max_travel else "lower"] += 1
+        return clamp(spring_pos, spring_vel, max_travel)
+
+    monkeypatch.setattr(takeoff, "clamp_spring_travel", counted)
+    cfg = replace(config.takeoff, initial_slack=slack)
+    result = run_takeoff(cfg, config.system, config.control)
+    assert hits == {"upper": upper, "lower": lower}
+    assert result.max_spring_compression == compression
+    assert result.stall_risk is stall_risk
+
+
+def test_run_peak_memory(config):
+    """The default run's tracemalloc peak stays at or below the 2,049 kB
+    it had while each control step's row was a 19-tuple. The flat float
+    log peaks at 1,938 kB, so the bound leaves 111 kB (5.4 %) of
+    headroom."""
+    tracemalloc.start()
+    try:
+        run_takeoff(config.takeoff, config.system, config.control)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_049 * 1024
 
 
 class TestConfigValidation:
