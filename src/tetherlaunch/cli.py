@@ -227,9 +227,11 @@ def cmd_takeoff(args) -> int:
     except TakeoffError as exc:
         raise ConfigError(str(exc)) from exc
     out = _outdir(args)
+    trace_path = out / "takeoff_trace.csv"
+    summary_path = out / "takeoff_summary.json"
+    _create(trace_path, summary_path)
     result = run_takeoff(cfg, config.system, config.control)
 
-    trace_path = out / "takeoff_trace.csv"
     with _creating(trace_path):
         write_takeoff_trace(result.trace, trace_path)
     summary = {
@@ -239,7 +241,6 @@ def cmd_takeoff(args) -> int:
         "dt": cfg.dt,
         "sample_period": config.control.outer.sample_period,
     }
-    summary_path = out / "takeoff_summary.json"
     with _creating(summary_path):
         summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2)
                                 + "\n", encoding="utf-8")

@@ -464,37 +464,25 @@ def column_runs(run, designs, sizing: SizingConfig):
     largest travel runs first, with `holds` for every smaller travel.
     Each smaller travel then runs with `start` the pair (the largest
     run's result, its hold), as simulate_design takes it, or None where
-    it has no hold or the largest run raised. Once the largest travel's
-    turn has passed, a Trace in the pairs is swapped for a copy of the
-    rows that the pending travels copy. A repeated travel runs again
-    from the start. An exception of the largest run is raised at its
-    turn, and until then it keeps no local of that run."""
+    it has no hold. Once the largest travel's turn has passed, a Trace in
+    the pairs is swapped for a copy of the rows that the pending travels
+    copy. A repeated travel runs again from the start. If the largest run
+    raises, nothing of it is kept: every design runs from the start, and
+    the largest, a pure run, raises the same error again at its turn."""
     largest = max(designs, key=lambda design: design.spring.max_travel)
     top = largest.spring.max_travel
     holds = {design.spring.max_travel: None for design in designs
              if design.spring.max_travel < top}
     try:
         first = run(largest, sizing, holds=holds)
-    except Exception as exc:
-        # traceback.clear_frames, without importing traceback (and so
-        # textwrap) into every command.
-        tb = exc.__traceback__
-        while tb is not None:
-            try:
-                tb.tb_frame.clear()
-            except RuntimeError:  # the frame is still executing
-                pass
-            tb = tb.tb_next
-        first = exc
-    failed = isinstance(first, Exception)
-    starts = {travel: None if hold is None or failed else (first, hold)
+    except Exception:  # no yield in here: it would keep the frames alive
+        first, holds = None, {}
+    starts = {travel: hold and (first, hold)
               for travel, hold in holds.items()}
     for design in designs:
-        if design is not largest:
+        if first is None or design is not largest:
             travel = design.spring.max_travel
             yield run(design, sizing, start=starts.pop(travel, None))
-        elif failed:
-            raise first
         else:
             yield first
             if isinstance(first, Trace) and any(starts.values()):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, fields
-from operator import sub
 
 from .controller import (
     ControlParams,
@@ -133,14 +132,16 @@ class TakeoffTrace:
     fbck_ref: memoryview       # feedback winch speed reference [rad/s]
     winch_ref: memoryview      # arbitrated reference sent to the drive [rad/s]
 
-    @property
-    def slack(self) -> memoryview:
-        return _doubles(map(sub, self.tether_length, self.distance))
-
 
 @dataclass
 class TakeoffResult:
-    """Outcome of one take-off run."""
+    """Outcome of one take-off run.
+
+    `stall_risk` is judged on the trace's rows alone, one per control
+    step (every 10 substeps at the defaults), while the spring clamp acts
+    on every substep: the default run's 4 upper clamps fall between rows,
+    and its flag is False.
+    """
 
     liftoff_time: float        # [s]
     liftoff_distance: float    # [m]

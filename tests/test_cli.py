@@ -455,19 +455,21 @@ class TestErrorHandling:
         (["sweep", "--travels", "0.2"], "o3", "o3/sweep.csv", errno.EISDIR),
         (["spring-compare", "--travels", "0.2,0.35"], "o4",
          "o4/spring_compare_travel_0p35.csv", errno.EISDIR),
+        (["takeoff"], "o5", "o5/takeoff_summary.json", errno.EISDIR),
     ], ids=["takeoff-file", "spring-compare-under-file", "sweep-csv-dir",
-            "spring-compare-later-trace-dir"])
+            "spring-compare-later-trace-dir", "takeoff-summary-dir"])
     def test_unusable_out(self, tmp_path, capsys, monkeypatch, argv, out,
                           named, code):
         (tmp_path / "afile").write_text("")
         (tmp_path / "o3" / "sweep.csv").mkdir(parents=True)
         (tmp_path / "o4" / "spring_compare_travel_0p35.csv").mkdir(
             parents=True)
-        # An unusable output is found before any grid point or travel
-        # runs, and no earlier output is written.
+        (tmp_path / "o5" / "takeoff_summary.json").mkdir(parents=True)
+        # An unusable output is found before any grid point, travel or
+        # take-off runs, and no earlier output is written.
         evaluated = []
         for module, name in ((spring_design, "evaluate_spring"),
-                             (cli, "simulate_design")):
+                             (cli, "simulate_design"), (cli, "run_takeoff")):
             run = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, run=run: (
                 evaluated.append(args) or run(*args)))

@@ -9,10 +9,12 @@ import importlib
 import importlib.util
 import json
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import tetherlaunch
 from tetherlaunch import csvio
 from tetherlaunch.cli import main
 
@@ -145,6 +147,35 @@ def test_unused_imports_are_instrumented():
         if extra:
             unused[path.stem] = sorted(extra)
     assert unused == {}
+
+
+def test_every_definition_is_used():
+    """A top-level function or class under src/ is read by name somewhere
+    in src/ outside its own body, looked up by perfbench/worker.py,
+    exported by the package, or is the CLI's `main`. Anything else is
+    kept for the tests alone, which should hold it themselves."""
+    worker = load_worker()
+    kept = {attr for _, attr, _ in worker.INSTRUMENTED}
+    kept |= set(worker.PROPERTY_CHECKS) | {"main"}
+    kept |= {name for name, value in vars(tetherlaunch).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    # Each top-level statement of src/ and the names it reads. An import
+    # reads nothing, and an attribute is not counted: `trace.slide_torque`
+    # does not read controller.slide_torque.
+    statements = [
+        (node, {sub.id for sub in ast.walk(node)
+                if isinstance(sub, ast.Name)
+                and isinstance(sub.ctx, ast.Load)})
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    unused = sorted(
+        node.name for node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in kept
+        and not any(node.name in names for other, names in statements
+                    if other is not node))
+    assert unused == []
 
 
 def test_no_module_imports_numpy():

@@ -651,6 +651,58 @@ class TestKeptReuse:
                                    1e4)
         assert traces == [None] * 3
 
+    @staticmethod
+    def spied_column(designs, sizing, run=simulate_design):
+        """column_runs over `designs`: each run's travel and whether it got
+        a start or holds, what the runner yielded, and its error's type and
+        text, or None."""
+        runs, results = [], []
+
+        def spy(design, sizing, start=None, holds=None):
+            runs.append((design.spring.max_travel, start is not None,
+                         holds is not None))
+            return run(design, sizing, start, holds)
+
+        try:
+            for result in spring_design.column_runs(spy, designs, sizing):
+                results.append(result)
+        except (ValueError, RuntimeError) as exc:
+            return runs, results, (type(exc), str(exc))
+        return runs, results, None
+
+    @pytest.mark.parametrize("travels, runs", [
+        ((0.05, 0.2, 0.35), [(0.35, False, True), (0.05, False, False)]),
+        ((0.35, 0.2, 0.05), [(0.35, False, True), (0.35, False, False)]),
+    ], ids=["ascending", "descending"])
+    def test_failing_run_keeps_nothing(self, config, travels, runs):
+        # test_failing_run's set-up: every travel fails. The largest run
+        # keeps nothing of its failure, so the first travel in the given
+        # order runs from the start and raises its own error: the largest
+        # runs again at its own turn.
+        sizing = replace(config.sizing, dt=0.05)
+        designs = [with_design(config.system, travel, 1e4)
+                   for travel in travels]
+        assert self.spied_column(designs, sizing) == (
+            runs, [], kept_alone(designs[0], sizing))
+
+    def test_failing_largest_runs_twice(self, config):
+        # Where the largest run alone fails, every other design runs once
+        # from the start and yields its fresh trace; the largest runs
+        # again at its turn and raises.
+        designs = [with_design(config.system, travel)
+                   for travel in (0.05, 0.2, 0.35)]
+
+        def run(design, sizing, start, holds):
+            if design.spring.max_travel == 0.35:
+                raise RuntimeError("largest")
+            return kept(simulate_design(design, sizing, start, holds))
+
+        assert self.spied_column(designs, config.sizing, run) == (
+            [(0.35, False, True), (0.05, False, False), (0.2, False, False),
+             (0.35, False, False)],
+            [kept_alone(design, config.sizing) for design in designs[:2]],
+            (RuntimeError, "largest"))
+
     def test_steps_saved(self, config, monkeypatch, rk4_calls):
         """RK4 steps of the seed-0 spring-compare travels: 24,151 as each
         runs from the start, kept or not, and 16,977 through column_runs

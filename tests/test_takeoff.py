@@ -16,6 +16,7 @@ import pytest
 
 from tetherlaunch import takeoff
 from tetherlaunch.cli import main
+from tetherlaunch.config import load_config
 from tetherlaunch.controller import SlideGains
 from tetherlaunch.integrator import IntegrationError
 from tetherlaunch.takeoff import (
@@ -27,9 +28,13 @@ from tetherlaunch.takeoff import (
 
 
 def arrays(trace):
-    """The trace's columns, and its slack, as numpy arrays by name."""
-    return SimpleNamespace(slack=np.asarray(trace.slack), **{
-        f.name: np.asarray(getattr(trace, f.name)) for f in fields(trace)})
+    """The trace's columns, and its slack (the tether length less the
+    path distance, float by float), as numpy arrays by name."""
+    return SimpleNamespace(
+        slack=np.array([length - distance for length, distance
+                        in zip(trace.tether_length, trace.distance)]),
+        **{f.name: np.asarray(getattr(trace, f.name))
+           for f in fields(trace)})
 
 
 def test_late_substep_liftoff_keeps_its_bytes(tmp_path):
@@ -127,6 +132,28 @@ def test_clamp_events(config, monkeypatch, slack, upper, lower, compression,
     assert hits == {"upper": upper, "lower": lower}
     assert result.max_spring_compression == compression
     assert result.stall_risk is stall_risk
+
+
+def test_winch_peak_follows_the_torque_limit(takeoff_default):
+    """README, gap 3: the winch peak power is the drive's torque limit
+    times the drum speed it reaches saturated. The feedback ramp
+    (reelout_accel) and the reference bound (ref_max) leave the peak
+    bit for bit; a 50 % larger torque limit raises it by 81 %."""
+    result, _ = takeoff_default
+    trace = result.trace
+    row = trace.winch_power.tolist().index(result.peak_winch_power)
+    assert result.peak_winch_power == 865.9738543707418
+    assert (trace.t[row], trace.winch_torque[row]) == (0.53, 13.0)
+
+    def peak(controller):
+        config = load_config(None, {"controller": controller})
+        return run_takeoff(config.takeoff, config.system,
+                           config.control).peak_winch_power
+
+    for controller in ({"reelout_accel": 60.0}, {"reelout_accel": 15.0},
+                       {"ref_max": 60.0}):
+        assert peak(controller) == result.peak_winch_power
+    assert round(peak({"winch_torque_limit": 19.5}), 1) == 1566.5
 
 
 def test_run_peak_memory(config):
