@@ -8,7 +8,11 @@ of magnitude to spare. The steppers know nothing of the model: states are
 tuples of floats and derivatives come from the caller, and so does the
 flat stepper's first stage: the evaluation that gives a step's outputs
 opens the next step. rk4_stepper binds the plant and the step once per
-run, so a step call reads no free variable.
+run, so a step call reads no free variable. It serves the take-off, whose
+held torque changes at each control step, so that a substep's closing
+evaluation cannot open the next, and validate's RK4 order check. The
+sizing run steps with one fused call instead (spring_design), which takes
+rk4_stepper's steps bit for bit.
 """
 
 from __future__ import annotations

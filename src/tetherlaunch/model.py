@@ -10,7 +10,9 @@ known speed deficit, let the resulting tension transient play out, and
 check whether the aircraft stays above its minimum cruise speed. The same
 airborne plant flies the take-off after lift-off, on a slack line and a
 climb ray under the controlled winch torque, and gives its slide phase
-the line, carriage and winch: airborne_plant holds the line equations.
+the line, carriage and winch. The line equations are one text, LINE and
+RATES, from which airborne_plant and the sizing run's fused RK4 step are
+compiled (see kernel).
 
 All parameter containers are immutable and validated on construction; all
 functions here are pure, save that a plant reads its held torque from the
@@ -209,6 +211,102 @@ def line_length(winch: WinchParams, slack: float = 0.0) -> Callable:
     return length
 
 
+# The airborne plant's equations, the one text of them in the package:
+# the line and the carriage's stop bands, then the six derivatives in
+# DesignState order. airborne_plant's derivs and the sizing run's fused
+# RK4 step (spring_design) are both compiled from it (see kernel). The
+# deployed length is line_length's, inlined: the extra call per plant
+# evaluation made a sizing sweep about 8% slower.
+LINE = """\
+deployed = slack + radius * winch_angle + 2.0 * spring_pos
+if deployed <= 0.0:
+    raise ValueError(f"tether length must be > 0 (got {deployed})")
+force = breaking_load / (breaking_elongation * deployed) * (pos - deployed)
+force = force if force > 0.0 else 0.0  # max(0.0, force), minus a call
+if ((spring_pos <= lower_band and spring_vel < 0.0)
+        or (spring_pos > upper_band and spring_vel > 0.0)):
+    friction = stop_friction
+else:
+    friction = free_friction
+"""
+RATES = (
+    "vel",
+    "(thrust - drag_factor * vel * vel - force - gravity) / mass",
+    "spring_vel",
+    "(2.0 * force - friction * spring_vel - stiffness * spring_pos)"
+    " / carriage_mass",
+    "winch_speed",
+    "(held[0] + radius * force - rot_friction * winch_speed) / inertia",
+)
+STATE = ", ".join(DesignState._fields)
+
+# File name -> the `build` function of the text compiled under it; filled
+# on first use, so importing the package compiles nothing.
+_KERNELS: dict[str, Callable] = {}
+
+
+def kernel(filename: str, name: str, parameters: str,
+           body: Callable[[], str], constants: dict):
+    """The function name(parameters) that runs the text body() returns,
+    with each of `constants` bound as a defaulted trailing parameter: read
+    as fast locals, they made a sizing sweep about 3% faster than closure
+    cells, and no value of them is written into the text. Callers pass
+    `parameters` alone.
+
+    The text is made and compiled once per process, on the first call for
+    `filename`, as a function `build` that takes the constants and
+    defines the kernel; the names of `constants` must be the same on
+    every call. It is registered with linecache under `filename`, so
+    tracebacks and debuggers show its lines, and profiles name the kernel
+    by that file.
+    """
+    build = _KERNELS.get(filename)
+    if build is None:
+        import linecache  # here: importing the package need not load it
+
+        defaults = ", ".join(f"{each}={each}" for each in constants)
+        source = (f"def build({', '.join(constants)}):\n"
+                  f"    def {name}({parameters}, {defaults}):\n"
+                  + "".join(f"        {line}"
+                            for line in body().splitlines(True))
+                  + f"    return {name}\n")
+        linecache.cache[filename] = (len(source), None,
+                                     source.splitlines(True), filename)
+        namespace = {"__name__": __name__}
+        exec(compile(source, filename, "exec"), namespace)
+        build = _KERNELS[filename] = namespace["build"]
+    return build(**constants)
+
+
+def plant_constants(params: SystemParams, torque: list, slack: float = 0.0,
+                    climb_angle_deg: float = 0.0) -> dict:
+    """The names LINE and RATES read besides the six states, as
+    airborne_plant binds them: `held` is the list `torque`."""
+    spring = params.spring
+    aircraft = params.aircraft
+    return {
+        "slack": slack,
+        "radius": params.winch.radius,
+        "breaking_load": params.tether.breaking_load,
+        "breaking_elongation": params.tether.breaking_elongation,
+        "lower_band": spring.endstop_margin,
+        "upper_band": spring.max_travel - spring.endstop_margin,
+        "stop_friction": spring.endstop_gain * spring.free_friction,
+        "free_friction": spring.free_friction,
+        "thrust": aircraft.max_thrust,
+        "drag_factor": (0.5 * params.ambient.air_density
+                        * aircraft.drag_coeff * aircraft.effective_area),
+        "gravity": (aircraft.mass * GRAVITY
+                    * math.sin(math.radians(climb_angle_deg))),
+        "mass": aircraft.mass,
+        "stiffness": spring.stiffness,
+        "carriage_mass": spring.carriage_mass,
+        "held": torque,
+        "rot_friction": params.winch.rot_friction,
+        "inertia": params.winch.inertia,
+    }
+
+
 def airborne_plant(params: SystemParams, torque: list, slack: float = 0.0,
                    climb_angle_deg: float = 0.0) -> Callable[..., tuple]:
     """The tethered aircraft in flight, under the winch torque `torque[0]`.
@@ -230,71 +328,28 @@ def airborne_plant(params: SystemParams, torque: list, slack: float = 0.0,
     subscript costs about 4 ns an evaluation (Python 3.11.7, Intel Xeon,
     2 vCPUs).
 
-    These are the only line equations, on floats read once here. The line
-    runs around the moving pulley on the spring carriage, so each metre of
-    compression releases two metres (see line_length). It pulls with the
-    stiffness of tether_stiffness, never pushes, and its force depends on
-    the position and the deployed line alone. The pulley doubles the
-    tension on the carriage, which feels the friction of spring_friction;
-    the same tension slows the aircraft and helps the torque spin the drum.
+    derivs runs LINE and returns RATES and the force as one tuple
+    expression (storing them in locals first made a call about 4%
+    slower); those two texts hold the only line equations, and the sizing
+    run's fused step is compiled from them too. The line runs around the
+    moving pulley on the spring carriage, so each metre of compression
+    releases two metres (see line_length). It pulls with the stiffness of
+    tether_stiffness, never pushes, and its force depends on the position
+    and the deployed line alone. The pulley doubles the tension on the
+    carriage, which feels the friction of spring_friction; the same
+    tension slows the aircraft and helps the torque spin the drum.
 
     The sizing study flies level on a line without slack, under the peak
     reel-out torque: airborne_plant(params, [params.winch.max_torque]).
     """
-    breaking_load = params.tether.breaking_load
-    breaking_elongation = params.tether.breaking_elongation
-    spring = params.spring
-    stiffness = spring.stiffness
-    carriage_mass = spring.carriage_mass
-    free_friction = spring.free_friction
-    stop_friction = spring.endstop_gain * spring.free_friction
-    lower_band = spring.endstop_margin
-    upper_band = spring.max_travel - spring.endstop_margin
-    radius = params.winch.radius
-    rot_friction = params.winch.rot_friction
-    inertia = params.winch.inertia
-    aircraft = params.aircraft
-    thrust = aircraft.max_thrust
-    drag_factor = (0.5 * params.ambient.air_density * aircraft.drag_coeff
-                   * aircraft.effective_area)
-    mass = aircraft.mass
-    gravity = mass * GRAVITY * math.sin(math.radians(climb_angle_deg))
+    return kernel("<tetherlaunch generated>/model.py", "derivs", STATE,
+                  _plant_text,
+                  plant_constants(params, torque, slack, climb_angle_deg))
 
-    # The constants and the torque list as defaults, not free variables:
-    # read as fast locals, they made a sizing sweep about 3% faster.
-    # Callers pass the six states alone.
-    def derivs(pos, vel, spring_pos, spring_vel, winch_angle, winch_speed,
-               slack=slack, radius=radius, breaking_load=breaking_load,
-               breaking_elongation=breaking_elongation,
-               lower_band=lower_band, upper_band=upper_band,
-               stop_friction=stop_friction, free_friction=free_friction,
-               thrust=thrust, drag_factor=drag_factor, gravity=gravity,
-               mass=mass, stiffness=stiffness, carriage_mass=carriage_mass,
-               held=torque, rot_friction=rot_friction, inertia=inertia):
-        # line_length, inlined: the extra call per plant evaluation made a
-        # sizing sweep about 8% slower.
-        deployed = slack + radius * winch_angle + 2.0 * spring_pos
-        if deployed <= 0.0:
-            raise ValueError(f"tether length must be > 0 (got {deployed})")
-        force = (breaking_load / (breaking_elongation * deployed)
-                 * (pos - deployed))
-        force = force if force > 0.0 else 0.0  # max(0.0, force), minus a call
-        if ((spring_pos <= lower_band and spring_vel < 0.0)
-                or (spring_pos > upper_band and spring_vel > 0.0)):
-            friction = stop_friction
-        else:
-            friction = free_friction
-        return (vel,
-                (thrust - drag_factor * vel * vel - force - gravity) / mass,
-                spring_vel,
-                (2.0 * force - friction * spring_vel
-                 - stiffness * spring_pos) / carriage_mass,
-                winch_speed,
-                (held[0] + radius * force - rot_friction * winch_speed)
-                / inertia,
-                force)
 
-    return derivs
+def _plant_text() -> str:
+    return (LINE + "return (" + ",\n        ".join((*RATES, "force"))
+            + ")\n")
 
 
 def design_derivatives(state: DesignState, params: SystemParams) -> tuple:

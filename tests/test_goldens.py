@@ -73,38 +73,60 @@ def test_outputs_match_goldens(tmp_path, monkeypatch, workload, block):
     assert calls == dict.fromkeys(inputs["points"], inputs["ops"])
 
 
-@pytest.mark.parametrize("workload, evaluations", [
-    ("sweep-10x10", 651_092), ("takeoff", 120_000),
+@pytest.mark.parametrize("workload, evaluations, steps, crossings", [
+    ("sweep-10x10", 100, 162_816, 90), ("takeoff", 120_000, 0, 0),
 ], ids=["sweep-10x10", "takeoff"])
-def test_plant_evaluations(tmp_path, monkeypatch, workload, evaluations):
-    """Plant evaluations of the seed-0 workload, counted on the closures
-    that airborne_plant returns: one per RK4 stage. A sizing run's step
-    reuses the evaluation that gave the previous step's tether force as
-    its first stage, and each run adds one at its start or resume state
-    (162,816 steps over 100 runs on the sweep); each take-off substep
-    evaluates its own first stage (30,000 substeps)."""
+def test_plant_evaluations(tmp_path, monkeypatch, workload, evaluations,
+                           steps, crossings):
+    """Plant evaluations of the seed-0 workload: calls of the closures
+    that airborne_plant returns, and of the sizing run's fused steps,
+    which evaluate the plant inline. Each take-off substep evaluates its
+    own four stages (30,000 substeps). A sizing run calls the plant once,
+    at its start or resume state (100 runs on the sweep), and each of its
+    steps evaluates stages 2-4 and the new state, which is the next step's
+    first stage. 90 of the sweep's 162,816 steps stop at a stage crossing
+    (see spring_design._run_sizing): 46 before stage 2 and 44 before stage
+    4, which skip 4 and 2 of a step's evaluations. So the sweep makes
+    100 + 4 * 162,816 - 272 = 651,092 plant evaluations, as many as when
+    each stage was a plant call."""
     from tetherlaunch import spring_design, takeoff
 
-    count = [0]
+    count = {"evaluations": 0, "steps": 0, "crossings": 0}
 
     def counting(plant):
         def counted_plant(*args):
             derivs = plant(*args)
 
             def counted(*state):
-                count[0] += 1
+                count["evaluations"] += 1
                 return derivs(*state)
 
             return counted
 
         return counted_plant
 
+    def counting_stepper(params, dt):
+        step = stepper(params, dt)
+
+        def counted(*args):
+            count["steps"] += 1
+            try:
+                return step(*args)
+            except spring_design._Crossing:
+                count["crossings"] += 1
+                raise
+
+        return counted
+
     for module in (spring_design, takeoff):
         monkeypatch.setattr(module, "airborne_plant",
                             counting(module.airborne_plant))
+    stepper = spring_design._sizing_stepper
+    monkeypatch.setattr(spring_design, "_sizing_stepper", counting_stepper)
     golden = GOLDENS[workload]
     assert main(golden["argv"] + ["--out", str(tmp_path), "--quiet"]) == 0
-    assert count[0] == evaluations
+    assert count == {"evaluations": evaluations, "steps": steps,
+                     "crossings": crossings}
 
 
 def test_instrumented_names_resolve():

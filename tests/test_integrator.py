@@ -1,10 +1,12 @@
-"""Integrator tests: accuracy on a known system, the flat stepper against
-the generic one, and the binding of the sizing kernel and of the
-controller laws; and the sizing run built on the kernel: its release
-stop, trace bookkeeping, and determinism."""
+"""Integrator tests: accuracy on a known system, the flat stepper and the
+sizing run's fused step against the generic step, the binding of the
+sizing kernel and of the controller laws, and the generated kernels'
+tracebacks; and the sizing run built on the kernel: its release stop,
+trace bookkeeping, and determinism."""
 
 import gc
 import math
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -32,7 +34,8 @@ from tetherlaunch.model import (
 from tetherlaunch.spring_design import (
     DEFAULT_FORCE_TOL,
     SizingConfig,
-    _watched,
+    _Crossing,
+    _sizing_stepper,
     default_sizing_config,
     initial_state,
     simulate,
@@ -111,6 +114,139 @@ class TestRk4Stepper:
         assert list(map(float.hex, flat)) == list(map(float.hex, generic))
 
 
+def reference_sizing_step(derivs, y, a, dt, level, limit):
+    """The fused sizing step written as its parts: rk4_step over `derivs`
+    with `a` as its first stage, raising _Crossing before a stage 2-4
+    whose compression exceeds `level`, then the clamp at `limit`, then
+    `derivs` at the new state."""
+    stages = []
+
+    def stage(state):
+        if not stages:
+            stages.append(state)
+            return a
+        if state.spring_pos > level:
+            raise _Crossing(state.spring_pos)
+        return derivs(*state)[:6]
+
+    out = rk4_step(stage, DesignState(*y), dt)
+    spring_pos, spring_vel = clamp_spring_travel(out.spring_pos,
+                                                 out.spring_vel, limit)
+    out = out._replace(spring_pos=spring_pos, spring_vel=spring_vel)
+    return (*out, *derivs(*out))
+
+
+def step_outcome(step):
+    """What step() gives: its values as float.hex, or the exception it
+    raises, by type and text (a crossing by its compression)."""
+    try:
+        return [float.hex(value) for value in step()]
+    except _Crossing as crossing:
+        (reached,) = crossing.args
+        return "_Crossing", float.hex(reached)
+    except (IntegrationError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestSizingStep:
+    """The sizing run's fused step against the composition it replaces."""
+
+    @staticmethod
+    def outcomes(y, dt=1e-4, level=math.inf, travel=0.35, stiffness=70.0,
+                 a=None):
+        params = default_system_params()
+        params = replace(params, spring=replace(
+            params.spring, max_travel=travel, stiffness=stiffness))
+        derivs = airborne_plant(params, [params.winch.max_torque])
+        if a is None:
+            a = derivs(*y)[:6]
+        fused = step_outcome(
+            lambda: _sizing_stepper(params, dt)(*y, *a, level))
+        reference = step_outcome(
+            lambda: reference_sizing_step(derivs, y, a, dt, level, travel))
+        return fused, reference
+
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(pos=st.floats(5.0, 40.0), vel=st.floats(0.0, 20.0),
+           spring_pos=st.floats(0.0, 0.35), spring_vel=st.floats(-3.0, 3.0),
+           stretch=st.floats(-0.05, 0.5), winch_speed=st.floats(0.0, 200.0),
+           stiffness=st.floats(10.0, 5e3), dt=st.floats(1e-6, 1e-3),
+           travel=st.floats(0.05, 0.35),
+           gap=st.one_of(st.none(), st.floats(-1e-3, 1e-3)))
+    def test_matches_rk4_step_clamp_and_plant(self, pos, vel, spring_pos,
+                                              spring_vel, stretch,
+                                              winch_speed, stiffness, dt,
+                                              travel, gap):
+        """From a drawn state, bit for bit or by the same exception. `gap`
+        puts the watched level near the compression (None: no level);
+        `stretch` is the position minus the deployed line."""
+        winch_angle = (pos - stretch - 2.0 * spring_pos) / 0.1
+        y = (pos, vel, spring_pos, spring_vel, winch_angle, winch_speed)
+        level = math.inf if gap is None else spring_pos + gap
+        fused, reference = self.outcomes(y, dt, level, travel, stiffness)
+        assert fused == reference
+
+    # At the compression 0.2 with the carriage moving at 1 m/s, the stage
+    # compressions at dt = 1e-4 are about 0.2 + 5e-5 (stages 2 and 3) and
+    # 0.2 + 1e-4 (stage 4).
+    @pytest.mark.parametrize("level, stage", [(0.2, 2), (0.2 + 7.5e-5, 4)],
+                             ids=["stage-2", "stage-4"])
+    def test_a_crossing_stage_takes_no_step(self, level, stage):
+        y = (20.0, 10.0, 0.2, 1.0, 196.0, 60.0)
+        fused, reference = self.outcomes(y, level=level)
+        assert fused == reference
+        name, reached = fused
+        reached = float.fromhex(reached)
+        assert name == "_Crossing" and reached > level
+        assert (stage == 2) == (reached < 0.2 + 7.5e-5)
+
+    def test_a_non_finite_update_is_an_integration_error(self):
+        """The winch angle's update overflows to -inf, where the plant
+        would raise its tether-length ValueError; the finite check comes
+        first, as in the run."""
+        y = (20.0, 10.0, 0.1, 0.0, 1e305, -1e308)
+        fused, reference = self.outcomes(y)
+        assert fused == reference
+        assert fused[0] == "IntegrationError"
+        assert fused[1].startswith("non-finite state component in "
+                                   "DesignState(")
+
+    # 0.1 m of line out, reeled in fast enough that stage 2 (first stage
+    # the drum speed) or stage 4 (first stage at rest) has none left.
+    @pytest.mark.parametrize("winch_speed, a", [
+        (-1e5, None), (-1.5e4, (0.0,) * 6),
+    ], ids=["stage-2", "stage-4"])
+    def test_a_deployed_length_at_or_below_zero(self, winch_speed, a):
+        y = (1.0, 0.0, 0.0, 0.0, 1.0, winch_speed)
+        fused, reference = self.outcomes(y, a=a)
+        assert fused == reference
+        assert fused[0] == "ValueError"
+        assert fused[1].startswith("tether length must be > 0 (got ")
+
+
+@pytest.mark.parametrize("kernel, filename", [
+    (lambda params: airborne_plant(params, [0.0]),
+     "<tetherlaunch generated>/model.py"),
+    (lambda params: lambda *y: _sizing_stepper(params, 1e-4)(
+        *y, *(0.0,) * 6, math.inf),
+     "<tetherlaunch generated>/spring_design.py"),
+], ids=["plant", "sizing-step"])
+def test_tracebacks_show_the_generated_lines(kernel, filename):
+    """Each kernel is compiled under a file name of its own whose text
+    linecache holds, so a traceback shows the line that raised. The
+    plant keeps the name derivs."""
+    state = (1.0, 0.0, 0.0, 0.0, -10.0, 0.0)  # no line deployed
+    with pytest.raises(ValueError) as raised:
+        kernel(default_system_params())(*state)
+    frame = traceback.extract_tb(raised.value.__traceback__)[-1]
+    assert frame.filename == filename
+    assert frame.name == ("derivs" if filename.endswith("model.py")
+                          else "sizing_step")
+    assert frame.line == ('raise ValueError(f"tether length must be > 0 '
+                          '(got {deployed})")')
+
+
 def _sizing_plant():
     params = default_system_params()
     return airborne_plant(params, [params.winch.max_torque])
@@ -119,10 +255,10 @@ def _sizing_plant():
 @pytest.mark.parametrize("build", [
     _sizing_plant,
     lambda: rk4_stepper(_sizing_plant(), 1e-4),
-    lambda: _watched(_sizing_plant(), 0.2),
-], ids=["plant", "stepper", "watched"])
+    lambda: _sizing_stepper(default_system_params(), 1e-4),
+], ids=["plant", "stepper", "sizing-step"])
 def test_sizing_kernel_reads_no_free_variable(build):
-    """The sizing kernel's closures take what they read as defaults, so
+    """The sizing kernel's functions take what they read as defaults, so
     each call reads fast locals and no closure cell."""
     assert build().__code__.co_freevars == ()
 

@@ -398,12 +398,13 @@ def perfbench_travels(monkeypatch, seed):
 @pytest.fixture
 def rk4_calls(monkeypatch):
     """A one-item list counting the RK4 steps the sizing runs take: the
-    calls of the steppers that spring_design.rk4_stepper returns."""
+    calls of the fused steps that spring_design._sizing_stepper returns,
+    a step that a stage crossing stops included."""
     calls = [0]
-    stepper = spring_design.rk4_stepper
+    stepper = spring_design._sizing_stepper
 
-    def counting_stepper(f, dt):
-        step = stepper(f, dt)
+    def counting_stepper(params, dt):
+        step = stepper(params, dt)
 
         def counting(*args):
             calls[0] += 1
@@ -411,7 +412,7 @@ def rk4_calls(monkeypatch):
 
         return counting
 
-    monkeypatch.setattr(spring_design, "rk4_stepper", counting_stepper)
+    monkeypatch.setattr(spring_design, "_sizing_stepper", counting_stepper)
     return calls
 
 
@@ -824,9 +825,10 @@ class RecordingSpring(SpringParams):
 
 def test_travel_enters_through_band_and_clamp_alone(config, monkeypatch):
     """Step reuse rests on one rule: travel enters a sizing run only
-    through the upper stop band, which airborne_plant sets, and the clamp
-    limit, which _run_sizing reads. Every read of max_travel in a kept or
-    unkept run, fresh or resumed, must come from those two."""
+    through the upper stop band, which plant_constants sets for the plant
+    and the fused step alike, and the clamp limit, which _sizing_stepper
+    binds. Every read of max_travel in a kept or unkept run, fresh or
+    resumed, must come from those two."""
     spring = asdict(config.system.spring)
     large, small = (replace(config.system, spring=RecordingSpring(
         **{**spring, "max_travel": travel})) for travel in (0.35, 0.2))
@@ -839,5 +841,5 @@ def test_travel_enters_through_band_and_clamp_alone(config, monkeypatch):
     evaluate_spring(large, config.sizing, holds=unkept)
     evaluate_spring(small, config.sizing, start=unkept[0.2])
     assert holds[0.2] is not None and unkept[0.2] is not None
-    assert reads == {("tetherlaunch.model", "airborne_plant"),
-                     ("tetherlaunch.spring_design", "_run_sizing")}
+    assert reads == {("tetherlaunch.model", "plant_constants"),
+                     ("tetherlaunch.spring_design", "_sizing_stepper")}
