@@ -25,15 +25,16 @@ from .model import design_derivatives  # noqa: F401
 DEFAULT_STEP = 1e-4  # [s]
 # The most steps one run may take: max_time / dt for a sizing run,
 # duration / dt for a take-off. A sizing run that keeps its steps
-# (spring-compare, validate's trace-bounds check) appends seven plain
-# floats a step to two lists and peaks at 315 B a step while it packs them
-# into the trace. spring-compare also keeps the largest travel's trace,
-# 72 B a step, until its turn has passed and then the rows a smaller
-# travel still needs, and the previous travel's float text, 187 B a step,
-# while the next travel runs. Two travels peak at 347 B a step, ascending
-# or descending, where they share every step (no deficit), and at 446 B
-# ascending and 503 B descending where the smaller one parts early
-# (tracemalloc, 100,001 steps each): near 1.0 GB at the budget.
+# (spring-compare, validate's trace-bounds check) appends eight plain
+# floats a step to three lists and peaks at 315 B a step while it packs
+# them into the trace. spring-compare also keeps the largest travel's
+# trace, 72 B a step, until its turn has passed and then the rows a
+# smaller travel still needs, and the previous travel's float text, 187 B
+# a step, while the next travel runs. Two travels peak at 347 B a step,
+# ascending or descending, where they share every step (no deficit), and
+# at 448 B ascending and 504 B descending where the smaller one parts
+# early (no release; tracemalloc, 100,001 steps each): near 1.0 GB at the
+# budget.
 # evaluate_spring and sweep keep no step.
 # The defaults take 1e5 and 3e4 steps.
 MAX_STEPS = 2_000_000
@@ -75,23 +76,23 @@ def rk4_step(derivs, state, dt: float):
 def rk4_stepper(f, dt: float):
     """rk4_step unrolled for six plain floats, bound to the plant `f` and
     the step `dt`: returns step(y0, ..., y5, k1), with f(y0, ..., y5)
-    giving the six derivatives and one value the stepper passes over, and
-    `k1` the caller's f(y0, ..., y5). The same operations in the same
-    order, so the result is bit-identical. The caller checks for
-    non-finite values."""
+    giving the six derivatives and two values the stepper passes over
+    (the plant's force and deployed line), and `k1` the caller's
+    f(y0, ..., y5). The same operations in the same order, so the result
+    is bit-identical. The caller checks for non-finite values."""
     # f, the half step and the weight as defaults, not free variables: the
     # step reads them as fast locals, and computes neither weight again
     # (about 1% of a sizing sweep).
     def step(y0, y1, y2, y3, y4, y5, k1, f=f, h=0.5 * dt, dt=dt,
              w=dt / 6.0):
-        a0, a1, a2, a3, a4, a5, _ = k1
-        b0, b1, b2, b3, b4, b5, _ = f(y0 + h * a0, y1 + h * a1, y2 + h * a2,
-                                      y3 + h * a3, y4 + h * a4, y5 + h * a5)
-        c0, c1, c2, c3, c4, c5, _ = f(y0 + h * b0, y1 + h * b1, y2 + h * b2,
-                                      y3 + h * b3, y4 + h * b4, y5 + h * b5)
-        d0, d1, d2, d3, d4, d5, _ = f(y0 + dt * c0, y1 + dt * c1,
-                                      y2 + dt * c2, y3 + dt * c3,
-                                      y4 + dt * c4, y5 + dt * c5)
+        a0, a1, a2, a3, a4, a5, _, _ = k1
+        b0, b1, b2, b3, b4, b5, _, _ = f(y0 + h * a0, y1 + h * a1, y2 + h * a2,
+                                         y3 + h * a3, y4 + h * a4, y5 + h * a5)
+        c0, c1, c2, c3, c4, c5, _, _ = f(y0 + h * b0, y1 + h * b1, y2 + h * b2,
+                                         y3 + h * b3, y4 + h * b4, y5 + h * b5)
+        d0, d1, d2, d3, d4, d5, _, _ = f(y0 + dt * c0, y1 + dt * c1,
+                                         y2 + dt * c2, y3 + dt * c3,
+                                         y4 + dt * c4, y5 + dt * c5)
         return (y0 + w * (a0 + 2.0 * (b0 + c0) + d0),
                 y1 + w * (a1 + 2.0 * (b1 + c1) + d1),
                 y2 + w * (a2 + 2.0 * (b2 + c2) + d2),

@@ -30,19 +30,15 @@ from typing import Callable, NamedTuple
 GRAVITY = 9.81  # [m/s^2]
 
 
-def _check_positive(name: str, value: float) -> None:
-    """Reject `value` unless it is finite and > 0 (NaN fails too)."""
-    if not value > 0.0:
-        raise ValueError(f"{name} must be > 0 (got {value})")
-    if value == math.inf:
-        raise ValueError(f"{name} must be finite (got {value})")
-
-
 def _require_positive(record, *names: str) -> None:
-    """Reject the first named field of `record` that _check_positive
-    rejects."""
+    """Reject the first named field of `record` that is not finite and
+    > 0 (NaN fails too)."""
     for name in names:
-        _check_positive(name, getattr(record, name))
+        value = getattr(record, name)
+        if not value > 0.0:
+            raise ValueError(f"{name} must be > 0 (got {value})")
+        if value == math.inf:
+            raise ValueError(f"{name} must be finite (got {value})")
 
 
 @dataclass(frozen=True)
@@ -199,24 +195,13 @@ def spring_friction(spring: SpringParams, spring_pos: float,
     return spring.free_friction
 
 
-def line_length(winch: WinchParams, slack: float = 0.0) -> Callable:
-    """length(winch_angle, spring_pos) [m], the deployed line on floats or
-    numpy columns alike: the `slack` left before the start, plus the drum
-    payout, plus twice the carriage travel (see airborne_plant)."""
-    radius = winch.radius
-
-    def length(winch_angle, spring_pos):
-        return slack + radius * winch_angle + 2.0 * spring_pos
-
-    return length
-
-
 # The airborne plant's equations, the one text of them in the package:
-# the line and the carriage's stop bands, then the six derivatives in
-# DesignState order. airborne_plant's derivs and the sizing run's fused
-# RK4 step (spring_design) are both compiled from it (see kernel). The
-# deployed length is line_length's, inlined: the extra call per plant
-# evaluation made a sizing sweep about 8% slower.
+# the line (the deployed length, the `slack` left before the start plus
+# the drum payout plus twice the carriage travel, and its force) and the
+# carriage's stop bands, then the six derivatives in DesignState order.
+# airborne_plant's derivs and the sizing run's fused RK4 step
+# (spring_design) are both compiled from it (see kernel), and both return
+# the force and the deployed length, which the runs log.
 LINE = """\
 deployed = slack + radius * winch_angle + 2.0 * spring_pos
 if deployed <= 0.0:
@@ -313,12 +298,14 @@ def airborne_plant(params: SystemParams, torque: list, slack: float = 0.0,
 
     Returns derivs(pos, vel, spring_pos, spring_vel, winch_angle,
     winch_speed): the derivatives of the six DesignState floats with the
-    drum motor holding `torque[0]`, then the tether force [N]. `torque` is
-    a one-element list that the caller owns: a controlled run writes its
-    held torque there once a control step, and the plant reads it at each
-    evaluation. The take-off's slide plant evaluates it too. The propeller
-    holds peak thrust, and the tether and gravity pull exactly against the
-    flight path, which climbs at `climb_angle_deg`.
+    drum motor holding `torque[0]`, then the tether force [N] and the
+    deployed line [m], `slack` plus the drum payout plus twice the
+    carriage travel. `torque` is a one-element list that the caller owns:
+    a controlled run writes its held torque there once a control step,
+    and the plant reads it at each evaluation. The take-off's slide plant
+    evaluates it too. The propeller holds peak thrust, and the tether and
+    gravity pull exactly against the flight path, which climbs at
+    `climb_angle_deg`.
 
     One plant per run, not one per held torque: CPython 3.11 specialises
     each call site for the function object it last saw, so a closure
@@ -328,12 +315,13 @@ def airborne_plant(params: SystemParams, torque: list, slack: float = 0.0,
     subscript costs about 4 ns an evaluation (Python 3.11.7, Intel Xeon,
     2 vCPUs).
 
-    derivs runs LINE and returns RATES and the force as one tuple
-    expression (storing them in locals first made a call about 4%
-    slower); those two texts hold the only line equations, and the sizing
-    run's fused step is compiled from them too. The line runs around the
-    moving pulley on the spring carriage, so each metre of compression
-    releases two metres (see line_length). It pulls with the stiffness of
+    derivs runs LINE and returns RATES, the force and the deployed line
+    as one tuple expression (storing them in locals first made a call
+    about 4% slower); those two texts hold the only line equations, and
+    the sizing run's fused step is compiled from them too, so each run
+    logs the length its plant computed. The line runs around the moving
+    pulley on the spring carriage, so each metre of compression releases
+    two metres. It pulls with the stiffness of
     tether_stiffness, never pushes, and its force depends on the position
     and the deployed line alone. The pulley doubles the tension on the
     carriage, which feels the friction of spring_friction; the same
@@ -348,8 +336,8 @@ def airborne_plant(params: SystemParams, torque: list, slack: float = 0.0,
 
 
 def _plant_text() -> str:
-    return (LINE + "return (" + ",\n        ".join((*RATES, "force"))
-            + ")\n")
+    return (LINE + "return ("
+            + ",\n        ".join((*RATES, "force", "deployed")) + ")\n")
 
 
 def design_derivatives(state: DesignState, params: SystemParams) -> tuple:

@@ -54,7 +54,7 @@ def _harmonic_period_error(steps: int) -> tuple[float, bool]:
         return (s.vel, -s.pos, 0.0, 0.0, 0.0, 0.0)
 
     def flat(pos, vel, *_):
-        return (vel, -pos, 0.0, 0.0, 0.0, 0.0, None)
+        return (vel, -pos, 0.0, 0.0, 0.0, 0.0, None, None)
 
     flat_step = rk4_stepper(flat, dt)
     state = DesignState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)

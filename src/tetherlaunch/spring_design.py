@@ -8,11 +8,12 @@ steps the plant of `model.airborne_plant` by RK4, one fused call a step
 (_sizing_stepper): the stages, the non-finite check, the clamp and the
 plant at the new state, compiled from the plant's own text (model.LINE
 and model.RATES), so the equations are written once. The evaluation that
-gives a step's tether force is the next step's first stage. The run
-judges the design while it steps. `simulate` keeps every step in a Trace
-of read-only memoryviews of C doubles, for spring-compare and validate's
-trace-bounds check, and attaches the verdict as its `result`;
-`evaluate_spring`, and so `sweep`, returns the verdict and keeps no step.
+gives a step's tether force and deployed line is the next step's first
+stage. The run judges the design while it steps. `simulate` keeps every
+step in a Trace of read-only memoryviews of C doubles, for spring-compare
+and validate's trace-bounds check, and attaches the verdict as its
+`result`; `evaluate_spring`, and so `sweep`, returns the verdict and
+keeps no step.
 
 Designs that differ in travel alone form a column, which `column_runs`
 runs. Travel enters a sizing run only through the upper stop band of
@@ -41,7 +42,6 @@ from .model import (
     airborne_plant,
     clamp_spring_travel,
     kernel,
-    line_length,
     plant_constants,
 )
 
@@ -160,10 +160,6 @@ class Trace:
     def spring_pos(self) -> memoryview:
         return self.column(2)
 
-    @property
-    def winch_speed(self) -> memoryview:
-        return self.column(5)
-
 
 class _Crossing(Exception):
     """A stage compression above the level a sizing step watches; its one
@@ -182,10 +178,11 @@ def _sizing_stepper(params: SystemParams, dt: float):
     plant at the new state. Before each of stages 2-4 it raises
     _Crossing with the stage compression if that exceeds `level`, and
     takes no step. Returns the six new states, their six derivatives (the
-    next step's first stage) and the tether force there.
+    next step's first stage), and the tether force and the deployed line
+    there.
 
     One call a step with the plant written inline: dropping the stepper's
-    call and four plant calls with their 7-tuples made a sizing sweep
+    call and four plant calls with their tuples made a sizing sweep
     about 12% faster.
     The plant's text is model.LINE and model.RATES, the text derivs is
     compiled from, so the equations are written once.
@@ -222,21 +219,23 @@ def _sizing_step_text() -> str:
         "    spring_pos, spring_vel = clamp(spring_pos, spring_vel, limit)\n",
         LINE,
         f"return ({STATE},\n        " + ",\n        ".join(RATES)
-        + ",\n        force)\n"]
+        + ",\n        force,\n        deployed)\n"]
     return "".join(lines)
 
 
 def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
                 states: list | None = None, forces: list | None = None,
-                start: tuple | None = None, holds: dict | None = None):
+                lengths: list | None = None, start: tuple | None = None,
+                holds: dict | None = None):
     """Step from `init` until the release or the time limit (see simulate)
     and judge the design over the start and every step taken.
 
     Returns (verdict, whether the force was loaded), and appends each
-    step's six state values to `states` and its tether force to `forces`
-    if given. Keeping floats alone, a kept run leaves no object that the
-    cyclic garbage collector tracks: each tuple that carries a step's
-    values is freed at once, so the run triggers no collection.
+    step's six state values to `states`, its tether force to `forces` and
+    its deployed line to `lengths` if given. Keeping floats alone, a kept
+    run leaves no object that the cyclic garbage collector tracks: each
+    tuple that carries a step's values is freed at once, so the run
+    triggers no collection.
 
     The loop state is the steps taken, the six states, whether the force
     was seen and the release fired, the minimum speed and its step, and
@@ -265,14 +264,15 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
     # is the holding run's, bit for bit: the hold lies below this travel's
     # band, or no step is left.
     derivs = airborne_plant(params, [params.winch.max_torque])
-    a0, a1, a2, a3, a4, a5, force = derivs(*(init if start is None
-                                             else start[1]))
+    a0, a1, a2, a3, a4, a5, force, length = derivs(
+        *(init if start is None else start[1]))
     if start is None:  # the loop state at t = 0, whose row opens the run
         start = (0, init, force > force_tol, False, init.vel, 0, 0,
                  init.spring_pos, 0)
         if states is not None:
             states += init
             forces.append(force)
+            lengths.append(length)
     (n, (pos, vel, spring_pos, spring_vel, winch_angle, winch_speed),
      force_seen, fired, min_speed, i_min, trend, extreme, cycles) = start
     if fired:
@@ -288,13 +288,14 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
                 if spring_pos > level:  # the first stage is the state's
                     raise _Crossing(spring_pos)
                 (pos, vel, spring_pos, spring_vel, winch_angle, winch_speed,
-                 a0, a1, a2, a3, a4, a5, force) = step(
+                 a0, a1, a2, a3, a4, a5, force, length) = step(
                     pos, vel, spring_pos, spring_vel, winch_angle,
                     winch_speed, a0, a1, a2, a3, a4, a5, level)
                 if states is not None:
                     states += (pos, vel, spring_pos, spring_vel, winch_angle,
                                winch_speed)
                     forces.append(force)
+                    lengths.append(length)
                 if vel < min_speed:  # the first minimum, as argmin picks
                     min_speed, i_min = vel, n
                 # count_compression_cycles' update, inlined: a call per
@@ -344,11 +345,11 @@ def simulate(params: SystemParams, init: DesignState,
     paying out line at least as fast as the aircraft moves; that instant
     bounds the time window of the spring-sizing test. If the release
     never happens within the time limit the verdict is a timeout.
-    Records the state and tether force at every step, including the step
-    on which the release fires, the deployed length from the states, and
-    the verdict judged while stepping. A pure function of its arguments:
-    identical inputs give bit-identical traces, and neither `start` nor
-    `holds` changes them.
+    Records the state, tether force and deployed length at every step,
+    including the step on which the release fires, and the verdict judged
+    while stepping. A pure function of its arguments: identical inputs
+    give bit-identical traces, and neither `start` nor `holds` changes
+    them.
 
     `start` is (trace, hold): the kept run of the same design from `init`
     at a larger travel, and the loop state it held for this travel (see
@@ -366,18 +367,22 @@ def simulate(params: SystemParams, init: DesignState,
                                 larger.length)]
     states: list[float] = []
     forces: list[float] = []
+    lengths: list[float] = []
     result, loaded = _run_sizing(params, init, sizing, states, forces,
-                                 hold, holds)
+                                 lengths, hold, holds)
     m = len(forces)
     n = shared + m
     dt = sizing.dt
-    length = line_length(params.winch)
+    # The short columns first, each list dropped once packed, so that
+    # packing the states, the peak, holds no other list.
+    force = _doubles(m, forces, heads[2])
+    length = _doubles(m, lengths, heads[3])
+    del forces, lengths
     return Trace(
         times=_doubles(m, [i * dt for i in range(shared, n)], heads[0]),
         states=_doubles(6 * m, states, heads[1]).cast("B").cast("d", (n, 6)),
-        force=_doubles(m, forces, heads[2]),
-        length=_doubles(m, map(length, states[4::6], states[2::6]),
-                        heads[3]),
+        force=force,
+        length=length,
         loaded=loaded,
         result=result,
     )

@@ -34,7 +34,7 @@ from .model import (
     _require_positive,
     airborne_plant,
     clamp_spring_travel,
-    line_length,
+    plant_constants,
 )
 # No longer called here; perfbench/worker.py still looks them up in this
 # module.
@@ -221,7 +221,6 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     check_takeoff(cfg, system, control)
     aircraft = system.aircraft
     spring = system.spring
-    winch = system.winch
     slide = system.slide
     outer = control.outer
 
@@ -229,9 +228,6 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     substeps = round(sample_period / cfg.dt)
     dt = cfg.dt
     drum_radius = slide.drum_radius
-    drag_coeff = (0.5 * system.ambient.air_density * aircraft.drag_coeff
-                  * aircraft.effective_area)
-    thrust = aircraft.max_thrust
     slide_friction = slide.rot_friction
     max_travel = spring.max_travel
     slide_inertia_full = slide.equivalent_mass * drum_radius ** 2
@@ -241,7 +237,6 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     winch_drive = winch_law(control.winch)
     fbck_step = outer_law(outer)
     fbck_zone = outer_zone(outer)
-    deployed = line_length(winch, cfg.initial_slack)
     # After lift-off: the aircraft on its climb ray. One plant and one
     # stepper serve the whole run (see airborne_plant): the loop writes the
     # control step's held winch torque into `held`, which the plant reads.
@@ -250,6 +245,9 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
                                cfg.climb_angle_deg)
     flight_step = rk4_stepper(in_flight, dt)
     u_slide = 0.0  # the control step's held torque, read by both slide models
+    # The slide train's thrust and drag are the flight plant's.
+    constants = plant_constants(system, held)
+    thrust, drag_factor = constants["thrust"], constants["drag_factor"]
 
     def on_slide(slide_angle, slide_speed, spring_pos, spring_vel,
                  winch_angle, winch_speed, in_flight=in_flight):
@@ -257,16 +255,17 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
         # The line, carriage and winch of the airborne plant, under the
         # control step's winch torque, whose aircraft acceleration the
         # slide replaces.
-        _, _, _, spring_accel, _, winch_accel, force = in_flight(
+        _, _, _, spring_accel, _, winch_accel, force, length = in_flight(
             drum_radius * slide_angle, speed, spring_pos, spring_vel,
             winch_angle, winch_speed)
         # Thrust, drag and tether pull all act on the combined
         # slide+aircraft train through the equivalent mass.
         train_force = (u_slide / drum_radius + thrust
-                       - drag_coeff * speed * speed - force
+                       - drag_factor * speed * speed - force
                        - slide_friction * slide_speed / drum_radius)
         return (slide_speed, train_force * drum_radius / slide_inertia_full,
-                spring_vel, spring_accel, winch_speed, winch_accel, force)
+                spring_vel, spring_accel, winch_speed, winch_accel, force,
+                length)
 
     slide_step = rk4_stepper(on_slide, dt)
 
@@ -299,7 +298,6 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
         speed_ref = combine_refs(ffwd, fbck, slide_speed)
         u_winch = winch_drive(speed_ref, winch_speed)
         held[0] = u_winch  # read by both plants, also after a lift-off
-        length = deployed(winch_angle, spring_pos)
         if liftoff_time is None:
             phase, plant, step = "on_slide", on_slide, slide_step
             distance, speed = drum_radius * x, drum_radius * v
@@ -311,10 +309,10 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
         # first stage.
         for j in range(substeps):
             k1 = plant(x, v, spring_pos, spring_vel, winch_angle, winch_speed)
-            if not j:  # the step's row: the first stage gives its force
+            if not j:  # the step's row, with the first stage's line and force
                 values += (
                     k * sample_period, slide_angle, slide_speed, winch_angle,
-                    winch_speed, spring_pos, distance, speed, length, k1[6],
+                    winch_speed, spring_pos, distance, speed, k1[7], k1[6],
                     u_slide, u_winch, u_slide * slide_speed,
                     u_winch * winch_speed, ffwd, fbck, speed_ref)
                 zones.append(zone)

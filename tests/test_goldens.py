@@ -17,6 +17,7 @@ import pytest
 import tetherlaunch
 from tetherlaunch import csvio
 from tetherlaunch.cli import main
+from tetherlaunch.model import LINE
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = PERFBENCH.parent / "src" / "tetherlaunch"
@@ -198,6 +199,18 @@ def test_every_definition_is_used():
         and not any(node.name in names for other, names in statements
                     if other is not node))
     assert unused == []
+
+
+def test_deployed_length_is_written_once():
+    """The deployed line's expression occurs once in src/, whitespace
+    aside: in model.LINE, the text that both kernels are compiled from and
+    that returns the length the runs log."""
+    expression = "radius*winch_angle+2.0*spring_pos"
+    found = {path.name: "".join(path.read_text(encoding="utf-8").split())
+             .count(expression) for path in sorted(SRC.glob("*.py"))}
+    assert {name: count for name, count in found.items() if count} == {
+        "model.py": 1}
+    assert expression in "".join(LINE.split())
 
 
 def test_no_module_imports_numpy():

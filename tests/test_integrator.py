@@ -329,7 +329,7 @@ class TestSimulate:
     def test_release_instant_condition(self, release_trace):
         trace, params = release_trace
         assert trace.force[-1] < 1e-6
-        assert params.winch.radius * trace.winch_speed[-1] >= trace.vel[-1]
+        assert params.winch.radius * trace.column(5)[-1] >= trace.vel[-1]
         assert (np.asarray(trace.force) > 1e-6).any()
 
     def test_release_instant_step_insensitive(self, release_trace):
@@ -364,7 +364,7 @@ class TestSimulate:
             assert column.nbytes == 8 * values
         states = np.asarray(trace.states)
         for j, column in ((1, trace.vel), (2, trace.spring_pos),
-                          (5, trace.winch_speed)):
+                          (5, trace.column(5))):
             assert np.shares_memory(np.asarray(column), states)
             assert np.array_equal(np.asarray(column), states[:, j])
 

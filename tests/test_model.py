@@ -19,7 +19,6 @@ from tetherlaunch.model import (
     clamp_spring_travel,
     default_system_params,
     design_derivatives,
-    line_length,
     spring_friction,
     tether_stiffness,
 )
@@ -39,13 +38,22 @@ def params():
 @pytest.fixture
 def plant(params):
     """The airborne plant of the sizing study, under the torque in a
-    one-element list to be given: its seventh value is the tether force."""
+    one-element list to be given: its seventh value is the tether force,
+    its eighth the deployed line."""
     return lambda torque: airborne_plant(params, [torque])
+
+
+def deployed(params, slack=0.0):
+    """length(winch_angle, spring_pos): the deployed line as the plant
+    with `slack` returns it, its eighth value."""
+    plant = airborne_plant(params, [0.0], slack)
+    return lambda winch_angle, spring_pos: plant(
+        30.0, 0.0, spring_pos, 0.0, winch_angle, 0.0)[7]
 
 
 @pytest.fixture
 def length(params):
-    return line_length(params.winch)
+    return deployed(params)
 
 
 def tension_on(plant, distance, length):
@@ -198,25 +206,29 @@ class TestEffectiveLength:
         assert length(200.0, 0.35) == pytest.approx(20.7)
 
     def test_zero(self, length):
-        assert length(0.0, 0.0) == 0.0
+        with pytest.raises(ValueError,
+                           match=r"tether length must be > 0 \(got 0\.0\)"):
+            length(0.0, 0.0)
 
     def test_slack_adds(self, params):
-        assert line_length(params.winch, 1.0)(200.0, 0.35) == pytest.approx(
-            21.7)
+        assert deployed(params, 1.0)(200.0, 0.35) == pytest.approx(21.7)
         slack = airborne_plant(params, [0.0], 1.0)
         assert slack(21.7, 0.0, 0.35, 0.0, 200.0, 0.0)[6] == pytest.approx(
             0.0, abs=1e-9)
 
     def test_numpy_columns_match_floats(self, params):
+        """At 1,000 drawn states the plant's floats equal, bit for bit, the
+        column slack + r * angle + 2 * compression that numpy computes with
+        the same operations."""
         slack = 0.7
-        length = line_length(params.winch, slack)
+        length = deployed(params, slack)
         rng = np.random.default_rng(7)
-        winch_angle = rng.uniform(-10.0, 400.0, 1000)
+        winch_angle = rng.uniform(-5.0, 400.0, 1000)
         spring_pos = rng.uniform(0.0, 0.35, 1000)
-        column = length(winch_angle, spring_pos)
-        floats = [slack + params.winch.radius * a + 2.0 * x
-                  for a, x in zip(winch_angle.tolist(), spring_pos.tolist())]
-        assert column.tobytes() == np.array(floats).tobytes()
+        column = slack + params.winch.radius * winch_angle + 2.0 * spring_pos
+        floats = [length(a, x) for a, x in zip(winch_angle.tolist(),
+                                                spring_pos.tolist())]
+        assert np.array(floats).tobytes() == column.tobytes()
 
 
 class TestSpringFriction:
