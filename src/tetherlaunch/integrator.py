@@ -7,12 +7,12 @@ resolves both the tether-mass and the spring-mass periods with two orders
 of magnitude to spare. The steppers know nothing of the model: states are
 tuples of floats and derivatives come from the caller, and so does the
 flat stepper's first stage: the evaluation that gives a step's outputs
-opens the next step. rk4_stepper binds the plant and the step once per
-run, so a step call reads no free variable. It serves the take-off, whose
-held torque changes at each control step, so that a substep's closing
-evaluation cannot open the next, and validate's RK4 order check. The
-sizing run steps with one fused call instead (spring_design), which takes
-rk4_stepper's steps bit for bit.
+opens the next step. rk4_stepper binds the plant and the step once, so a
+step call reads no free variable; it now serves only validate's RK4 order
+check. The runs step with fused kernels compiled from the plant's text
+instead, which take rk4_step's steps bit for bit: the sizing run one call
+a step (spring_design), the take-off one call a control step of ten
+substeps (takeoff).
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ check whether the aircraft stays above its minimum cruise speed. The same
 airborne plant flies the take-off after lift-off, on a slack line and a
 climb ray under the controlled winch torque, and gives its slide phase
 the line, carriage and winch. The line equations are one text, LINE and
-RATES, from which airborne_plant and the sizing run's fused RK4 step are
-compiled (see kernel).
+RATES, from which airborne_plant, the sizing run's fused RK4 step and
+the take-off's fused control step are compiled (see kernel); stage_text
+writes an RK4 stage of them for both fused kernels.
 
 All parameter containers are immutable and validated on construction; all
 functions here are pure, save that a plant reads its held torque from the
@@ -199,9 +200,10 @@ def spring_friction(spring: SpringParams, spring_pos: float,
 # the line (the deployed length, the `slack` left before the start plus
 # the drum payout plus twice the carriage travel, and its force) and the
 # carriage's stop bands, then the six derivatives in DesignState order.
-# airborne_plant's derivs and the sizing run's fused RK4 step
-# (spring_design) are both compiled from it (see kernel), and both return
-# the force and the deployed length, which the runs log.
+# airborne_plant's derivs, the sizing run's fused RK4 step
+# (spring_design) and the take-off's fused control step (takeoff) are
+# compiled from it (see kernel), and return the force and the deployed
+# length, which the runs log.
 LINE = """\
 deployed = slack + radius * winch_angle + 2.0 * spring_pos
 if deployed <= 0.0:
@@ -224,6 +226,24 @@ RATES = (
     "(held[0] + radius * force - rot_friction * winch_speed) / inertia",
 )
 STATE = ", ".join(DesignState._fields)
+
+
+def stage_text(names, weight: str | None, last: str | None, into: str,
+               rates=RATES, between: str = "") -> str:
+    """One RK4 stage as kernel text: each of the six `names` set to
+    y_i + weight * (the last stage's rate `last`_i), or to y_i where
+    `weight` is None (the first stage); then `between`; then LINE; then
+    each rate `into`_i = rates[i]. The fused kernels (spring_design,
+    takeoff) are written from it."""
+    if weight is None:
+        lines = [f"{name} = y{i}\n" for i, name in enumerate(names)]
+    else:
+        lines = [f"{name} = y{i} + {weight} * {last}{i}\n"
+                 for i, name in enumerate(names)]
+    lines += [between, LINE]
+    lines += [f"{into}{i} = {rate}\n" for i, rate in enumerate(rates)]
+    return "".join(lines)
+
 
 # File name -> the `build` function of the text compiled under it; filled
 # on first use, so importing the package compiles nothing.
@@ -302,28 +322,29 @@ def airborne_plant(params: SystemParams, torque: list, slack: float = 0.0,
     deployed line [m], `slack` plus the drum payout plus twice the
     carriage travel. `torque` is a one-element list that the caller owns:
     a controlled run writes its held torque there once a control step,
-    and the plant reads it at each evaluation. The take-off's slide plant
-    evaluates it too. The propeller holds peak thrust, and the tether and
-    gravity pull exactly against the flight path, which climbs at
-    `climb_angle_deg`.
+    and the plant reads it at each evaluation, as the take-off's fused
+    control step reads its own. The propeller holds peak thrust, and the
+    tether and gravity pull exactly against the flight path, which climbs
+    at `climb_angle_deg`.
 
     One plant per run, not one per held torque: CPython 3.11 specialises
     each call site for the function object it last saw, so a closure
-    rebuilt every control step (ten substeps, forty evaluations) misses
-    that at every rebuild. Rebuilt every 10 calls, this plant cost 16-49 ns
-    more a call than a stable one, plus 0.16-0.18 us a build; the list
-    subscript costs about 4 ns an evaluation (Python 3.11.7, Intel Xeon,
-    2 vCPUs).
+    rebuilt every control step (ten substeps, forty evaluations, as the
+    take-off once did) misses that at every rebuild. Rebuilt every 10
+    calls, this plant cost 16-49 ns more a call than a stable one, plus
+    0.16-0.18 us a build; the list subscript costs about 4 ns an
+    evaluation (Python 3.11.7, Intel Xeon, 2 vCPUs). The take-off's fused
+    control step is likewise built once per run.
 
     derivs runs LINE and returns RATES, the force and the deployed line
     as one tuple expression (storing them in locals first made a call
     about 4% slower); those two texts hold the only line equations, and
-    the sizing run's fused step is compiled from them too, so each run
-    logs the length its plant computed. The line runs around the moving
-    pulley on the spring carriage, so each metre of compression releases
-    two metres. It pulls with the stiffness of
-    tether_stiffness, never pushes, and its force depends on the position
-    and the deployed line alone. The pulley doubles the tension on the
+    the sizing run's fused step and the take-off's fused control step are
+    compiled from them too, so each run logs the length its plant
+    computed. The line runs around the moving pulley on the spring
+    carriage, so each metre of compression releases two metres. It pulls
+    with the stiffness of tether_stiffness, never pushes, and its force
+    depends on the position and the deployed line alone. The pulley doubles the tension on the
     carriage, which feels the friction of spring_friction; the same
     tension slows the aircraft and helps the torque spin the drum.
 

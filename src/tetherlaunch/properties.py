@@ -45,8 +45,8 @@ class PropertyCheck:
 
 def _harmonic_period_error(steps: int) -> tuple[float, bool]:
     """Position error after one period of the unit harmonic oscillator,
-    and whether a stepper of rk4_stepper, as the take-off runs it, ends on
-    the state of the generic rk4_step bit for bit."""
+    and whether a stepper of rk4_stepper ends on the state of the generic
+    rk4_step bit for bit."""
     period = 2.0 * math.pi
     dt = period / steps
 

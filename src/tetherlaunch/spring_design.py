@@ -43,6 +43,7 @@ from .model import (
     clamp_spring_travel,
     kernel,
     plant_constants,
+    stage_text,
 )
 
 DEFAULT_FORCE_TOL = 1e-6  # tension below this counts as released [N]
@@ -202,14 +203,10 @@ def _sizing_step_text() -> str:
     2-4 sets the six states to y_i + weight * (the last stage's rate_i),
     watches the level and evaluates the plant into its own rates."""
     state = DesignState._fields
-    lines = []
-    for weight, last, rates in (("h", "a", "b"), ("h", "b", "c"),
-                                ("dt", "c", "d")):
-        lines += [f"{name} = y{i} + {weight} * {last}{i}\n"
-                  for i, name in enumerate(state)]
-        lines += ["if spring_pos > level:\n    raise Crossing(spring_pos)\n",
-                  LINE]
-        lines += [f"{rates}{i} = {rate}\n" for i, rate in enumerate(RATES)]
+    lines = [stage_text(state, weight, last, rates, between=(
+        "if spring_pos > level:\n    raise Crossing(spring_pos)\n"))
+        for weight, last, rates in (("h", "a", "b"), ("h", "b", "c"),
+                                    ("dt", "c", "d"))]
     lines += [f"{name} = y{i} + w * (a{i} + 2.0 * (b{i} + c{i}) + d{i})\n"
               for i, name in enumerate(state)]
     lines += [

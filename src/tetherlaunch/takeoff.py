@@ -9,7 +9,9 @@ tether force taken fully along the path (the worst case for the aircraft):
 the airborne plant of the sizing study, with slack, climb and the held
 winch torque.
 Controllers update at the sample period with zero-order-hold torques; the
-plant integrates with a smaller fixed substep. Motor powers are logged as
+plant integrates with a smaller fixed substep, a control step's substeps
+in one call of a kernel compiled from the plant's text (see
+_control_stepper). Motor powers are logged as
 torque times speed, braking counted negative.
 """
 
@@ -28,13 +30,16 @@ from .controller import (
     winch_ffwd,
     winch_law,
 )
-from .integrator import DEFAULT_STEP, MAX_STEPS, IntegrationError, rk4_stepper
+from .integrator import DEFAULT_STEP, MAX_STEPS, IntegrationError
 from .model import (
+    RATES,
+    DesignState,
     SystemParams,
     _require_positive,
-    airborne_plant,
     clamp_spring_travel,
+    kernel,
     plant_constants,
+    stage_text,
 )
 # No longer called here; perfbench/worker.py still looks them up in this
 # module.
@@ -103,6 +108,31 @@ _STATE_NAMES = ("slide_angle", "slide_speed", "winch_angle", "winch_speed",
                 "spring_pos", "spring_vel", "path_pos", "path_vel")
 
 
+def _non_finite(phase: str, *state: float) -> None:
+    """Raise IntegrationError naming the `phase` state, the first
+    len(state) of _STATE_NAMES, if a component of it is not finite."""
+    state = dict(zip(_STATE_NAMES, state))
+    if not all(map(math.isfinite, state.values())):
+        raise IntegrationError(
+            f"non-finite state component in {phase} state {state}")
+
+
+# On the slide the train's stages run on the slide drum's angle and speed
+# in place of the aircraft's (pos, vel), which ride at the drum's rim.
+_SLIDE_STATE = ("drum_angle", "drum_speed", *DesignState._fields[2:])
+_ON_RAIL = "pos = drum_radius * drum_angle\nvel = drum_radius * drum_speed\n"
+# The slide train's rates: the line, carriage and winch of the airborne
+# plant, under the control step's winch torque, whose aircraft
+# acceleration the train's replaces. Thrust, drag, tether pull and the
+# slide torque (`push` holds it and the thrust) all act on the combined
+# slide+aircraft train through the equivalent mass.
+_SLIDE_RATES = ("drum_speed",
+                "(push - drag_factor * vel * vel - force"
+                " - slide_friction * drum_speed / drum_radius)"
+                " * drum_radius / slide_inertia",
+                *RATES[2:])
+
+
 @dataclass
 class TakeoffTrace:
     """Per-control-step log of a take-off run.
@@ -158,10 +188,11 @@ def _doubles(values) -> memoryview:
     return memoryview(array("d", values)).toreadonly()
 
 
-def _build_trace(values: list[float], zone: list[str],
+def _build_trace(values: array, zone: list[str],
                  phase: list[str]) -> TakeoffTrace:
     """The trace from its log: each control step's numeric columns, in
-    TakeoffTrace field order, appended to the flat list `values`, and its
+    TakeoffTrace field order, appended to the flat array of doubles
+    `values` (half the peak of a list of floats), and its
     zone and phase to their own lists. Each column's array is built from
     its own slice, one at a time, so no two slices are alive together."""
     columns = {"zone": tuple(zone), "phase": tuple(phase)}
@@ -210,6 +241,126 @@ def check_takeoff(cfg: TakeoffConfig, system: SystemParams,
         )
 
 
+def _control_stepper(cfg: TakeoffConfig, system: SystemParams, held: list,
+                     substeps: int):
+    """The take-off's fused control step: control_step(y0, ..., y5,
+    slide_angle, slide_speed, u_slide, flying) integrates the plant over
+    `substeps` RK4 substeps of `cfg.dt` under the zero-order-hold slide
+    torque `u_slide` and winch torque `held[0]`, from the state y0, ...,
+    y5 in the airborne plant's order. Its (y0, y1) is the slide drum's
+    angle and speed on the slide (`flying` false), which the slide states
+    mirror, and the aircraft's path position and speed in flight.
+
+    Each substep runs the four stages (on the slide, the slide train's
+    plant; in flight, the airborne plant of airborne_plant(system, held,
+    cfg.initial_slack, cfg.climb_angle_deg)), the RK4 update, after
+    lift-off the empty slide's RK4 step, the non-finite check, the spring
+    clamp and, on the slide, the lift-off test: at take-off speed the
+    state becomes the path's and the next substep flies. The operations
+    are rk4_step's in its order, so the results are bit-identical.
+
+    Returns the eight new states (the six, then the slide's angle and
+    speed), the deployed line and the tether force of the first stage
+    (the control step's row), and the substep that lifted off and the
+    path position there (None and 0.0 without a lift-off).
+
+    One call a control step with everything inline: with the stepper
+    and the plants called once per substep and stage, run_takeoff took
+    about 28% longer on a default run (100 against 78 ms, Python 3.11.7,
+    2 vCPUs), and with one kernel call a substep about 7% longer. The
+    plant's text is model.LINE and model.RATES; `clamp` is this module's
+    clamp_spring_travel when the run builds.
+    """
+    dt = cfg.dt
+    slide = system.slide
+    drum_radius = slide.drum_radius
+    constants = plant_constants(system, held, cfg.initial_slack,
+                                cfg.climb_angle_deg)
+    constants.update(
+        h=0.5 * dt, dt=dt, w=dt / 6.0, substeps=substeps,
+        drum_radius=drum_radius, slide_friction=slide.rot_friction,
+        slide_inertia=slide.equivalent_mass * drum_radius ** 2,
+        empty_inertia=((slide.equivalent_mass - system.aircraft.mass)
+                       * drum_radius ** 2),
+        takeoff_speed=cfg.takeoff_speed, limit=system.spring.max_travel,
+        clamp=clamp_spring_travel, non_finite=_non_finite,
+        isfinite=math.isfinite)
+    return kernel("<tetherlaunch generated>/takeoff.py", "control_step",
+                  "y0, y1, y2, y3, y4, y5, slide_angle, slide_speed, "
+                  "u_slide, flying", _control_step_text, constants)
+
+
+def _substep_text(names, rates, between="") -> str:
+    """A substep's four stages over `names` and `rates`, the first of
+    which gives the row's line and force, and the RK4 update of y0, ...,
+    y5 (see _control_stepper)."""
+    return "".join([
+        stage_text(names, None, None, "a", rates, between),
+        "if not j:\n    row_deployed, row_force = deployed, force\n",
+        *(stage_text(names, weight, last, into, rates, between)
+          for weight, last, into in (("h", "a", "b"), ("h", "b", "c"),
+                                     ("dt", "c", "d"))),
+        *(f"y{i} = y{i} + w * (a{i} + 2.0 * (b{i} + c{i}) + d{i})\n"
+          for i in range(6))])
+
+
+def _control_step_text() -> str:
+    """The body of the fused control step (see _control_stepper): the
+    substeps on the slide until lift-off, then those in flight. The
+    flight loop comes first in the text: 2,620 of the default run's 3,000
+    control steps fly, and tracemalloc finds a traced allocation's line
+    by scanning the line table from its start, so the traced default run
+    took 16 s, against 33 s with the flight loop last."""
+    import textwrap  # here: only the first build of a process needs it
+
+    clamp = ("if y2 < 0.0 or y2 > limit:\n"
+             "    y2, y3 = clamp(y2, y3, limit)\n")
+    on_slide = (
+        _substep_text(_SLIDE_STATE, _SLIDE_RATES, _ON_RAIL)
+        + "if not isfinite(y0 + y1 + y4 + y5 + y2 + y3):\n"
+        "    non_finite('on_slide', y0, y1, y4, y5, y2, y3)\n"
+        + clamp
+        + "if drum_radius * y1 >= takeoff_speed:\n"
+        "    flying, lifted, start = True, j, j + 1\n"
+        "    slide_angle, slide_speed = y0, y1\n"
+        "    y0 = distance = drum_radius * y0\n"
+        "    y1 = drum_radius * y1\n"
+        "    break\n")
+    in_flight = (
+        _substep_text(DesignState._fields, RATES)
+        # The empty slide, uncoupled from the line, by rk4_step's
+        # operations on its angle and speed alone.
+        + "e1 = (u_slide - slide_friction * slide_speed) / empty_inertia\n"
+        "s2 = slide_speed + h * e1\n"
+        "e2 = (u_slide - slide_friction * s2) / empty_inertia\n"
+        "s3 = slide_speed + h * e2\n"
+        "e3 = (u_slide - slide_friction * s3) / empty_inertia\n"
+        "s4 = slide_speed + dt * e3\n"
+        "e4 = (u_slide - slide_friction * s4) / empty_inertia\n"
+        "slide_angle, slide_speed = (\n"
+        "    slide_angle + w * (slide_speed + 2.0 * (s2 + s3) + s4),\n"
+        "    slide_speed + w * (e1 + 2.0 * (e2 + e3) + e4))\n"
+        "if not isfinite(slide_angle + slide_speed + y4 + y5 + y2 + y3\n"
+        "                + y0 + y1):\n"
+        "    non_finite('airborne', slide_angle, slide_speed, y4, y5, y2,"
+        " y3, y0, y1)\n"
+        + clamp)
+    return ("lifted, distance, start = None, 0.0, 0\n"
+            "while True:\n"
+            "    if flying:\n"
+            "        for j in range(start, substeps):\n"
+            + textwrap.indent(in_flight, " " * 12)
+            + "        return (y0, y1, y2, y3, y4, y5, slide_angle,\n"
+            "                slide_speed, row_deployed, row_force, lifted,\n"
+            "                distance)\n"
+            "    push = u_slide / drum_radius + thrust\n"
+            "    for j in range(substeps):\n"
+            + textwrap.indent(on_slide, " " * 8)
+            + "    else:\n"
+            "        return (y0, y1, y2, y3, y4, y5, y0, y1, row_deployed,\n"
+            "                row_force, lifted, distance)\n")
+
+
 def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
                 control: ControlParams) -> TakeoffResult:
     """Simulate one take-off maneuver and return its trace and key figures.
@@ -219,63 +370,24 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     speed within the configured duration.
     """
     check_takeoff(cfg, system, control)
-    aircraft = system.aircraft
-    spring = system.spring
-    slide = system.slide
     outer = control.outer
-
     sample_period = outer.sample_period
     substeps = round(sample_period / cfg.dt)
-    dt = cfg.dt
-    drum_radius = slide.drum_radius
-    slide_friction = slide.rot_friction
-    max_travel = spring.max_travel
-    slide_inertia_full = slide.equivalent_mass * drum_radius ** 2
-    empty_inertia = (slide.equivalent_mass - aircraft.mass) * drum_radius ** 2
+    drum_radius = system.slide.drum_radius
     angle_ref = cfg.slide_travel / drum_radius  # position step issued at k=0
     slide_drive = slide_law(control.slide)
     winch_drive = winch_law(control.winch)
     fbck_step = outer_law(outer)
     fbck_zone = outer_zone(outer)
-    # After lift-off: the aircraft on its climb ray. One plant and one
-    # stepper serve the whole run (see airborne_plant): the loop writes the
-    # control step's held winch torque into `held`, which the plant reads.
+    # One kernel serves the whole run: the loop writes the control step's
+    # held winch torque into `held`, which the kernel's stages read.
     held = [0.0]
-    in_flight = airborne_plant(system, held, cfg.initial_slack,
-                               cfg.climb_angle_deg)
-    flight_step = rk4_stepper(in_flight, dt)
-    u_slide = 0.0  # the control step's held torque, read by both slide models
-    # The slide train's thrust and drag are the flight plant's.
-    constants = plant_constants(system, held)
-    thrust, drag_factor = constants["thrust"], constants["drag_factor"]
-
-    def on_slide(slide_angle, slide_speed, spring_pos, spring_vel,
-                 winch_angle, winch_speed, in_flight=in_flight):
-        speed = drum_radius * slide_speed
-        # The line, carriage and winch of the airborne plant, under the
-        # control step's winch torque, whose aircraft acceleration the
-        # slide replaces.
-        _, _, _, spring_accel, _, winch_accel, force, length = in_flight(
-            drum_radius * slide_angle, speed, spring_pos, spring_vel,
-            winch_angle, winch_speed)
-        # Thrust, drag and tether pull all act on the combined
-        # slide+aircraft train through the equivalent mass.
-        train_force = (u_slide / drum_radius + thrust
-                       - drag_factor * speed * speed - force
-                       - slide_friction * slide_speed / drum_radius)
-        return (slide_speed, train_force * drum_radius / slide_inertia_full,
-                spring_vel, spring_accel, winch_speed, winch_accel, force,
-                length)
-
-    slide_step = rk4_stepper(on_slide, dt)
+    control_step = _control_stepper(cfg, system, held, substeps)
 
     # One state vector, in the airborne plant's order, crosses lift-off:
     # its (x, v) is the slide drum's angle and speed on the slide, and the
     # aircraft's path position and speed once it flies. The slide states
-    # mirror (x, v) until lift-off. After it, uncoupled from the line, the
-    # loop steps them by rk4_step's operations on the two alone.
-    h, w = 0.5 * dt, dt / 6.0
-    isfinite, takeoff_speed = math.isfinite, cfg.takeoff_speed
+    # mirror (x, v) until lift-off.
     x = v = spring_pos = spring_vel = winch_angle = winch_speed = 0.0
     slide_angle = slide_speed = 0.0
     fbck = 0.0  # feedback winch speed reference, winch at rest [rad/s]
@@ -285,7 +397,7 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     n_ctrl = round(cfg.duration / sample_period)
     # The log: each control step's 17 numeric columns, flat (see
     # _build_trace), and its zone and phase.
-    values: list[float] = []
+    values = array("d")
     zones: list[str] = []
     phases: list[str] = []
 
@@ -297,61 +409,31 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
         ffwd = winch_ffwd(slide_speed, outer.ffwd_gain)
         speed_ref = combine_refs(ffwd, fbck, slide_speed)
         u_winch = winch_drive(speed_ref, winch_speed)
-        held[0] = u_winch  # read by both plants, also after a lift-off
-        if liftoff_time is None:
-            phase, plant, step = "on_slide", on_slide, slide_step
-            distance, speed = drum_radius * x, drum_radius * v
+        held[0] = u_winch
+        flying = liftoff_time is not None
+        if flying:
+            phase, distance, speed = "airborne", x, v
         else:
-            phase, plant, step = "airborne", in_flight, flight_step
-            distance, speed = x, v
+            phase = "on_slide"
+            distance, speed = drum_radius * x, drum_radius * v
 
-        # Plant substeps under zero-order-hold torques, each from its
-        # first stage.
-        for j in range(substeps):
-            k1 = plant(x, v, spring_pos, spring_vel, winch_angle, winch_speed)
-            if not j:  # the step's row, with the first stage's line and force
-                values += (
-                    k * sample_period, slide_angle, slide_speed, winch_angle,
-                    winch_speed, spring_pos, distance, speed, k1[7], k1[6],
-                    u_slide, u_winch, u_slide * slide_speed,
-                    u_winch * winch_speed, ffwd, fbck, speed_ref)
-                zones.append(zone)
-                phases.append(phase)
-            x, v, spring_pos, spring_vel, winch_angle, winch_speed = step(
-                x, v, spring_pos, spring_vel, winch_angle, winch_speed, k1)
-            if liftoff_time is None:
-                slide_angle, slide_speed = x, v
-            else:
-                a1 = (u_slide - slide_friction * slide_speed) / empty_inertia
-                v2 = slide_speed + h * a1
-                a2 = (u_slide - slide_friction * v2) / empty_inertia
-                v3 = slide_speed + h * a2
-                a3 = (u_slide - slide_friction * v3) / empty_inertia
-                v4 = slide_speed + dt * a3
-                a4 = (u_slide - slide_friction * v4) / empty_inertia
-                slide_angle, slide_speed = (
-                    slide_angle + w * (slide_speed + 2.0 * (v2 + v3) + v4),
-                    slide_speed + w * (a1 + 2.0 * (a2 + a3) + a4))
-            if not isfinite(slide_angle + slide_speed + winch_angle
-                            + winch_speed + spring_pos + spring_vel + x + v):
-                names, state_phase = ((_STATE_NAMES[:6], "on_slide")
-                                      if liftoff_time is None
-                                      else (_STATE_NAMES, "airborne"))
-                state = dict(zip(names, (
-                    slide_angle, slide_speed, winch_angle, winch_speed,
-                    spring_pos, spring_vel, x, v)))
-                if not all(map(isfinite, state.values())):
-                    raise IntegrationError("non-finite state component in "
-                                           f"{state_phase} state {state}")
-            if spring_pos < 0.0 or spring_pos > max_travel:
-                spring_pos, spring_vel = clamp_spring_travel(
-                    spring_pos, spring_vel, max_travel)
-            if (liftoff_time is None
-                    and drum_radius * slide_speed >= takeoff_speed):
-                liftoff_time = (k * substeps + j + 1) * dt
-                liftoff_distance = x = drum_radius * slide_angle
-                v = drum_radius * slide_speed
-                plant, step = in_flight, flight_step
+        # The plant's substeps under zero-order-hold torques; the row
+        # takes the first stage's line and force.
+        stepped = control_step(x, v, spring_pos, spring_vel, winch_angle,
+                               winch_speed, slide_angle, slide_speed,
+                               u_slide, flying)
+        values.extend((
+            k * sample_period, slide_angle, slide_speed, winch_angle,
+            winch_speed, spring_pos, distance, speed, stepped[8],
+            stepped[9], u_slide, u_winch, u_slide * slide_speed,
+            u_winch * winch_speed, ffwd, fbck, speed_ref))
+        zones.append(zone)
+        phases.append(phase)
+        (x, v, spring_pos, spring_vel, winch_angle, winch_speed, slide_angle,
+         slide_speed, _, _, lifted, lifted_at) = stepped
+        if lifted is not None:
+            liftoff_time = (k * substeps + lifted + 1) * cfg.dt
+            liftoff_distance = lifted_at
 
         if drum_radius * slide_angle > cfg.rail_length:
             raise TakeoffError(
@@ -372,7 +454,7 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
 
     # Stall risk: the spring at full travel while the force still rises
     # into the next control step.
-    full_travel = spring.max_travel - 1e-12
+    full_travel = system.spring.max_travel - 1e-12
     force = trace.tether_force
     stall_risk = any(x >= full_travel and after > before for x, before, after
                      in zip(trace.spring_pos, force, force[1:]))

@@ -318,32 +318,40 @@ def test_import_leaves_process_pool_unloaded():
 
 
 def test_set_up_compiles_no_kernel_and_a_sweep_each_once(tmp_path):
-    """The plant and the fused sizing step are compiled on first use, not
-    at import or config load, and a sweep of several runs and columns
-    compiles each text once."""
-    subprocess.run(
-        [sys.executable, "-c",
-         "import builtins, sys\n"
-         "compiled = []\n"
-         "compile_ = builtins.compile\n"
-         "def counted(source, filename, *args, **kwargs):\n"
-         "    compiled.append(str(filename))\n"
-         "    return compile_(source, filename, *args, **kwargs)\n"
-         "builtins.compile = counted\n"
-         "import tetherlaunch.cli\n"
-         "from tetherlaunch.config import load_config\n"
-         "load_config(None)\n"
-         "kernels = lambda: sorted(f for f in compiled\n"
-         "                         if f.startswith('<tetherlaunch'))\n"
-         "assert kernels() == [], kernels()\n"
-         "code = tetherlaunch.cli.main(sys.argv[1:])\n"
-         "assert kernels() == ['<tetherlaunch generated>/model.py',\n"
-         "                     '<tetherlaunch generated>/spring_design.py'],"
-         " kernels()\n"
-         "sys.exit(code)\n",
-         "sweep", "--travels", "0.2,0.35", "--stiffness", "40,70",
-         "--quiet"],
-        env=package_env(), cwd=tmp_path, capture_output=True, check=True)
+    """The plant, the fused sizing step and the take-off's fused control
+    step are compiled on first use, not at import or config load; a
+    sweep of several runs and columns compiles each of its texts once,
+    and two take-offs in one process compile theirs once."""
+    for kernels, runs in (
+        (["model.py", "spring_design.py"],
+         [["sweep", "--travels", "0.2,0.35", "--stiffness", "40,70",
+           "--quiet"]]),
+        (["takeoff.py"], [["takeoff", "--quiet", "--out", "first"],
+                          ["takeoff", "--quiet", "--out", "second"]]),
+    ):
+        subprocess.run(
+            [sys.executable, "-c",
+             "import builtins, json, sys\n"
+             "compiled = []\n"
+             "compile_ = builtins.compile\n"
+             "def counted(source, filename, *args, **kwargs):\n"
+             "    compiled.append(str(filename))\n"
+             "    return compile_(source, filename, *args, **kwargs)\n"
+             "builtins.compile = counted\n"
+             "import tetherlaunch.cli\n"
+             "from tetherlaunch.config import load_config\n"
+             "load_config(None)\n"
+             "kernels = lambda: sorted(f for f in compiled\n"
+             "                         if f.startswith('<tetherlaunch'))\n"
+             "assert kernels() == [], kernels()\n"
+             "expected, runs = json.loads(sys.argv[1])\n"
+             "for argv in runs:\n"
+             "    assert tetherlaunch.cli.main(argv) == 0\n"
+             "assert kernels() == ['<tetherlaunch generated>/' + name\n"
+             "                     for name in expected], kernels()\n",
+             json.dumps([kernels, runs])],
+            env=package_env(), cwd=tmp_path, capture_output=True,
+            check=True)
 
 
 @pytest.mark.parametrize("argv", [

@@ -74,25 +74,33 @@ def test_outputs_match_goldens(tmp_path, monkeypatch, workload, block):
     assert calls == dict.fromkeys(inputs["points"], inputs["ops"])
 
 
-@pytest.mark.parametrize("workload, evaluations, steps, crossings", [
-    ("sweep-10x10", 100, 162_816, 90), ("takeoff", 120_000, 0, 0),
-], ids=["sweep-10x10", "takeoff"])
+@pytest.mark.parametrize(
+    "workload, evaluations, steps, crossings, substeps", [
+        ("sweep-10x10", 100, 162_816, 90, 0),
+        ("takeoff", 120_000, 0, 0, 30_000),
+    ], ids=["sweep-10x10", "takeoff"])
 def test_plant_evaluations(tmp_path, monkeypatch, workload, evaluations,
-                           steps, crossings):
+                           steps, crossings, substeps):
     """Plant evaluations of the seed-0 workload: calls of the closures
-    that airborne_plant returns, and of the sizing run's fused steps,
-    which evaluate the plant inline. Each take-off substep evaluates its
-    own four stages (30,000 substeps). A sizing run calls the plant once,
-    at its start or resume state (100 runs on the sweep), and each of its
-    steps evaluates stages 2-4 and the new state, which is the next step's
-    first stage. 90 of the sweep's 162,816 steps stop at a stage crossing
-    (see spring_design._run_sizing): 46 before stage 2 and 44 before stage
-    4, which skip 4 and 2 of a step's evaluations. So the sweep makes
+    that airborne_plant returns, and of the fused kernels, which evaluate
+    the plant inline. A sizing run calls the plant once, at its start or
+    resume state (100 runs on the sweep), and each of its steps evaluates
+    stages 2-4 and the new state, which is the next step's first stage.
+    90 of the sweep's 162,816 steps stop at a stage crossing (see
+    spring_design._run_sizing): 46 before stage 2 and 44 before stage 4,
+    which skip 4 and 2 of a step's evaluations. So the sweep makes
     100 + 4 * 162,816 - 272 = 651,092 plant evaluations, as many as when
-    each stage was a plant call."""
+    each stage was a plant call.
+
+    The take-off calls no plant closure: its 3,000 control steps (3 s at
+    the 1 ms sample period) each run 10 substeps of 0.1 ms in one call of
+    the fused control step, and each substep evaluates its own four
+    stages, on the slide or in flight, before it checks its state once.
+    So its finiteness check counts 30,000 substeps and 120,000 stage
+    evaluations, as many as when each stage was a plant call."""
     from tetherlaunch import spring_design, takeoff
 
-    count = {"evaluations": 0, "steps": 0, "crossings": 0}
+    count = {"evaluations": 0, "steps": 0, "crossings": 0, "substeps": 0}
 
     def counting(plant):
         def counted_plant(*args):
@@ -119,15 +127,27 @@ def test_plant_evaluations(tmp_path, monkeypatch, workload, evaluations,
 
         return counted
 
-    for module in (spring_design, takeoff):
-        monkeypatch.setattr(module, "airborne_plant",
-                            counting(module.airborne_plant))
+    def counting_kernel(filename, name, parameters, body, constants):
+        isfinite = constants["isfinite"]
+
+        def counted(value):
+            count["substeps"] += 1
+            count["evaluations"] += 4  # the stages run before the check
+            return isfinite(value)
+
+        return kernel(filename, name, parameters, body,
+                      {**constants, "isfinite": counted})
+
+    monkeypatch.setattr(spring_design, "airborne_plant",
+                        counting(spring_design.airborne_plant))
     stepper = spring_design._sizing_stepper
     monkeypatch.setattr(spring_design, "_sizing_stepper", counting_stepper)
+    kernel = takeoff.kernel
+    monkeypatch.setattr(takeoff, "kernel", counting_kernel)
     golden = GOLDENS[workload]
     assert main(golden["argv"] + ["--out", str(tmp_path), "--quiet"]) == 0
     assert count == {"evaluations": evaluations, "steps": steps,
-                     "crossings": crossings}
+                     "crossings": crossings, "substeps": substeps}
 
 
 def test_instrumented_names_resolve():

@@ -9,12 +9,15 @@ import math
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tetherlaunch import takeoff
+from tetherlaunch.config import load_config
 from tetherlaunch.controller import (
     default_control_params,
     outer_law,
@@ -29,6 +32,7 @@ from tetherlaunch.model import (
     clamp_spring_travel,
     default_system_params,
     design_derivatives,
+    plant_constants,
     tether_stiffness,
 )
 from tetherlaunch.spring_design import (
@@ -39,6 +43,11 @@ from tetherlaunch.spring_design import (
     default_sizing_config,
     initial_state,
     simulate,
+)
+from tetherlaunch.takeoff import (
+    _control_stepper,
+    default_takeoff_config,
+    run_takeoff,
 )
 
 
@@ -225,24 +234,235 @@ class TestSizingStep:
         assert fused[1].startswith("tether length must be > 0 (got ")
 
 
+def reference_slide_plant(system, held, u_slide, slack, climb_angle_deg):
+    """The take-off's slide plant as a closure, as run_takeoff had it
+    before the fused control step: the slide train under the slide
+    torque `u_slide`, on the line, carriage and winch of the airborne
+    plant, whose aircraft acceleration the train's replaces."""
+    slide = system.slide
+    drum_radius = slide.drum_radius
+    slide_inertia_full = slide.equivalent_mass * drum_radius ** 2
+    in_flight = airborne_plant(system, held, slack, climb_angle_deg)
+    constants = plant_constants(system, held)
+    thrust, drag_factor = constants["thrust"], constants["drag_factor"]
+
+    def on_slide(slide_angle, slide_speed, spring_pos, spring_vel,
+                 winch_angle, winch_speed):
+        speed = drum_radius * slide_speed
+        _, _, _, spring_accel, _, winch_accel, force, length = in_flight(
+            drum_radius * slide_angle, speed, spring_pos, spring_vel,
+            winch_angle, winch_speed)
+        train_force = (u_slide / drum_radius + thrust
+                       - drag_factor * speed * speed - force
+                       - slide.rot_friction * slide_speed / drum_radius)
+        return (slide_speed, train_force * drum_radius / slide_inertia_full,
+                spring_vel, spring_accel, winch_speed, winch_accel, force,
+                length)
+
+    return on_slide
+
+
+class SlideState(NamedTuple):
+    angle: float  # slide drum angle [rad]
+    speed: float  # slide drum speed [rad/s]
+
+
+def reference_control_step(cfg, system, held, substeps, y, slide_angle,
+                           slide_speed, u_slide, flying):
+    """The fused control step written as its parts: each substep is
+    rk4_step over the airborne plant in flight, or over the slide plant
+    on the slide, then, in flight, rk4_step over the empty slide, the
+    clamp and, on the slide, the lift-off test. A non-finite state is an
+    IntegrationError naming the phase alone."""
+    slide = system.slide
+    drum_radius = slide.drum_radius
+    empty_inertia = ((slide.equivalent_mass - system.aircraft.mass)
+                     * drum_radius ** 2)
+    in_flight = airborne_plant(system, held, cfg.initial_slack,
+                               cfg.climb_angle_deg)
+    on_slide = reference_slide_plant(system, held, u_slide,
+                                     cfg.initial_slack, cfg.climb_angle_deg)
+
+    def empty_slide(state):
+        return (state.speed,
+                (u_slide - slide.rot_friction * state.speed) / empty_inertia)
+
+    state = DesignState(*y)
+    lifted, distance = None, 0.0
+    for j in range(substeps):
+        plant, phase = ((in_flight, "airborne") if flying
+                        else (on_slide, "on_slide"))
+        if not j:
+            force, deployed = plant(*state)[6:]
+        try:
+            state = rk4_step(lambda s: plant(*s)[:6], state, cfg.dt)
+            if flying:
+                slide_angle, slide_speed = rk4_step(
+                    empty_slide, SlideState(slide_angle, slide_speed),
+                    cfg.dt)
+        except IntegrationError:
+            raise IntegrationError(
+                f"non-finite state component in {phase} state") from None
+        if not flying:
+            slide_angle, slide_speed = state.pos, state.vel
+        spring_pos, spring_vel = clamp_spring_travel(
+            state.spring_pos, state.spring_vel, system.spring.max_travel)
+        state = state._replace(spring_pos=spring_pos, spring_vel=spring_vel)
+        if not flying and drum_radius * slide_speed >= cfg.takeoff_speed:
+            flying, lifted = True, j
+            distance = drum_radius * slide_angle
+            state = state._replace(pos=distance,
+                                   vel=drum_radius * slide_speed)
+    return (*state, slide_angle, slide_speed, deployed, force, lifted,
+            distance)
+
+
+def control_step_outcome(step):
+    """What step() gives: its floats as float.hex and the lift-off
+    substep as is, or the exception it raises by type and text, a
+    non-finite state's text up to the state itself."""
+    try:
+        return [float.hex(value) if isinstance(value, float) else value
+                for value in step()]
+    except IntegrationError as exc:
+        return "IntegrationError", str(exc).partition(" {")[0]
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+class TestTakeoffStep:
+    """The take-off's fused control step against the composition it
+    replaces."""
+
+    @staticmethod
+    def outcomes(y, slide=(0.0, 0.0), torques=(0.0, 0.0), flying=True,
+                 substeps=10, **changes):
+        system = default_system_params()
+        cfg = replace(default_takeoff_config(), **changes)
+        held = [torques[1]]
+        args = (*y, *slide, torques[0], flying)
+        fused = control_step_outcome(
+            lambda: _control_stepper(cfg, system, held, substeps)(*args))
+        reference = control_step_outcome(
+            lambda: reference_control_step(cfg, system, held, substeps, y,
+                                           *slide, torques[0], flying))
+        return fused, reference
+
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(flying=st.booleans(), x=st.floats(0.0, 40.0),
+           v=st.floats(0.0, 20.0), gap=st.floats(-0.05, 0.002),
+           spring_pos=st.floats(0.0, 0.35), spring_vel=st.floats(-5.0, 5.0),
+           stretch=st.floats(-0.5, 0.01), winch_speed=st.floats(-50.0, 200.0),
+           slide_angle=st.floats(0.0, 48.0), slide_speed=st.floats(-5.0, 100.0),
+           u_slide=st.floats(-26.0, 26.0), u_winch=st.floats(-13.0, 13.0),
+           slack=st.floats(0.2, 2.0), climb=st.floats(0.0, 60.0),
+           takeoff_speed=st.floats(7.5, 10.0), dt=st.floats(1e-5, 1e-3),
+           substeps=st.integers(1, 10))
+    def test_matches_rk4_step_clamp_and_liftoff(
+            self, flying, x, v, gap, spring_pos, spring_vel, stretch,
+            winch_speed, slide_angle, slide_speed, u_slide, u_winch, slack,
+            climb, takeoff_speed, dt, substeps):
+        """From a drawn state, bit for bit or by the same exception. In
+        flight (x, v) is the path position and speed; on the slide it is
+        the drum angle, and the drum speed is `gap` from take-off speed,
+        so that some draws lift off within the control step. `stretch` is
+        the position minus the deployed line."""
+        radius = default_system_params().slide.drum_radius
+        if not flying:
+            x, v = x / 10.0 / radius, (takeoff_speed + gap) / radius
+            slide_angle, slide_speed = x, v
+        pos = x if flying else radius * x
+        winch_angle = (pos - stretch - 2.0 * spring_pos - slack) / 0.1
+        y = (x, v, spring_pos, spring_vel, winch_angle, winch_speed)
+        fused, reference = self.outcomes(
+            y, (slide_angle, slide_speed), (u_slide, u_winch), flying,
+            substeps, initial_slack=slack, climb_angle_deg=climb,
+            takeoff_speed=takeoff_speed, dt=dt)
+        assert fused == reference
+
+    @pytest.mark.parametrize("takeoff_speed, substep", [
+        (9.0, 0), (8.0, 1), (8.6, 8), (8.02, 9),
+    ])
+    def test_the_runs_liftoff_steps(self, monkeypatch, takeoff_speed,
+                                    substep):
+        """The control step on which a run lifts off, from that run's
+        own inputs: at 8.02 m/s on its last substep, so that no substep
+        of it flies."""
+        config = load_config(None)
+        cfg = replace(config.takeoff, takeoff_speed=takeoff_speed)
+        steps = []
+        build = takeoff._control_stepper
+
+        def recording(*built):
+            control_step = build(*built)
+
+            def recorded(*args):
+                out = control_step(*args)
+                if out[10] is not None:
+                    steps.append((built, args))
+                return out
+
+            return recorded
+
+        monkeypatch.setattr(takeoff, "_control_stepper", recording)
+        run_takeoff(cfg, config.system, config.control)
+        ((cfg, system, held, substeps), args), = steps
+        fused = control_step_outcome(
+            lambda: _control_stepper(cfg, system, held, substeps)(*args))
+        reference = control_step_outcome(
+            lambda: reference_control_step(cfg, system, held, substeps,
+                                           args[:6], *args[6:]))
+        assert fused == reference
+        assert fused[10] == substep
+
+    @pytest.mark.parametrize("flying, phase", [
+        (False, "on_slide"), (True, "airborne"),
+    ], ids=["on_slide", "airborne"])
+    def test_a_non_finite_update_is_an_integration_error(self, flying,
+                                                          phase):
+        """The winch angle's update overflows to -inf."""
+        y = (20.0, 10.0, 0.1, 0.0, 1e305, -1e308)
+        fused, reference = self.outcomes(y, flying=flying)
+        assert fused == reference == (
+            "IntegrationError", f"non-finite state component in {phase} "
+            "state")
+
+    @pytest.mark.parametrize("flying", [False, True],
+                             ids=["on_slide", "airborne"])
+    def test_a_deployed_length_at_or_below_zero(self, flying):
+        y = (1.0, 0.0, 0.0, 0.0, -10.0, 0.0)  # 1 m of slack, reeled in
+        fused, reference = self.outcomes(y, flying=flying)
+        assert fused == reference
+        assert fused[0] == "ValueError"
+        assert fused[1].startswith("tether length must be > 0 (got ")
+
+
 @pytest.mark.parametrize("kernel, filename", [
     (lambda params: airborne_plant(params, [0.0]),
      "<tetherlaunch generated>/model.py"),
     (lambda params: lambda *y: _sizing_stepper(params, 1e-4)(
         *y, *(0.0,) * 6, math.inf),
      "<tetherlaunch generated>/spring_design.py"),
-], ids=["plant", "sizing-step"])
+    (lambda params: lambda *y: _control_stepper(
+        default_takeoff_config(), params, [0.0], 10)(
+        *y, 0.0, 0.0, 0.0, True),
+     "<tetherlaunch generated>/takeoff.py"),
+], ids=["plant", "sizing-step", "control-step"])
 def test_tracebacks_show_the_generated_lines(kernel, filename):
     """Each kernel is compiled under a file name of its own whose text
     linecache holds, so a traceback shows the line that raised. The
-    plant keeps the name derivs."""
+    plant keeps the name derivs. The take-off's line starts with its 1 m
+    of slack."""
     state = (1.0, 0.0, 0.0, 0.0, -10.0, 0.0)  # no line deployed
     with pytest.raises(ValueError) as raised:
         kernel(default_system_params())(*state)
     frame = traceback.extract_tb(raised.value.__traceback__)[-1]
     assert frame.filename == filename
-    assert frame.name == ("derivs" if filename.endswith("model.py")
-                          else "sizing_step")
+    assert frame.name == {"model.py": "derivs",
+                          "spring_design.py": "sizing_step",
+                          "takeoff.py": "control_step"}[
+        filename.rpartition("/")[2]]
     assert frame.line == ('raise ValueError(f"tether length must be > 0 '
                           '(got {deployed})")')
 
@@ -256,10 +476,13 @@ def _sizing_plant():
     _sizing_plant,
     lambda: rk4_stepper(_sizing_plant(), 1e-4),
     lambda: _sizing_stepper(default_system_params(), 1e-4),
-], ids=["plant", "stepper", "sizing-step"])
+    lambda: _control_stepper(default_takeoff_config(),
+                             default_system_params(), [0.0], 10),
+], ids=["plant", "stepper", "sizing-step", "control-step"])
 def test_sizing_kernel_reads_no_free_variable(build):
-    """The sizing kernel's functions take what they read as defaults, so
-    each call reads fast locals and no closure cell."""
+    """The kernels' functions (the sizing run's and the take-off's) take
+    what they read as defaults, so each call reads fast locals and no
+    closure cell."""
     assert build().__code__.co_freevars == ()
 
 

@@ -37,39 +37,58 @@ def arrays(trace):
            for f in fields(trace)})
 
 
-def test_late_substep_liftoff_keeps_its_bytes(tmp_path):
-    """The default run lifts off on substep 0 of its control step; at
-    8.6 m/s it lifts off at 0.3629 s, on substep 8 of 10. The trace CSV
-    and the summary JSON keep the bytes they had before the slide and
-    flight plants shared one state vector, so the switch between them is
-    checked at a second substep position."""
+def liftoff_outputs(tmp_path, takeoff_speed):
+    """The (control step, substep) of a take-off at `takeoff_speed`, and
+    the SHA-256 of its trace CSV and summary JSON."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"simulation": {"takeoff_speed": 8.6}}),
-                    encoding="utf-8")
+    path.write_text(json.dumps({"simulation": {
+        "takeoff_speed": takeoff_speed}}), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["takeoff", "--quiet", "--config", str(path),
                  "--out", str(out)]) == 0
     summary = json.loads((out / "takeoff_summary.json").read_text(
         encoding="utf-8"))
     substeps = round(summary["sample_period"] / summary["dt"])
-    assert divmod(round(summary["liftoff_time"] / summary["dt"]) - 1,
-                  substeps) == (362, 8)
-    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("takeoff_trace.csv", "takeoff_summary.json")} == {
+    return (divmod(round(summary["liftoff_time"] / summary["dt"]) - 1,
+                   substeps),
+            {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+             for name in ("takeoff_trace.csv", "takeoff_summary.json")})
+
+
+def test_late_substep_liftoff_keeps_its_bytes(tmp_path):
+    """The default run lifts off on substep 0 of its control step; at
+    8.6 m/s it lifts off at 0.3629 s, on substep 8 of 10. The trace CSV
+    and the summary JSON keep the bytes they had before the slide and
+    flight plants shared one state vector, so the switch between them is
+    checked at a second substep position."""
+    assert liftoff_outputs(tmp_path, 8.6) == ((362, 8), {
         "takeoff_trace.csv":
             "89d4687e701054edc41ff375eb488fb86bae571665215b1c45f1fe9e9d680e50",
         "takeoff_summary.json":
             "8a6222b096c1578d979ad50d8f53780f7e1bcff5b28be1695553c4b87dfb36ca",
-    }
+    })
 
 
-def test_only_the_plant_and_stepper_run_per_substep(config):
-    """In the default run (3,000 control steps of 10 substeps, 3,801 of
-    them on the slide) only the RK4 stepper's step (once a substep), the
-    airborne plant's derivs (once a stage) and the slide plant (once a
-    stage on the slide) are called more than once a control step;
-    rk4_stepper is called once for the slide and once for the flight
-    (see test_plant_and_steppers_are_built_once_per_run)."""
+def test_last_substep_liftoff_keeps_its_bytes(tmp_path):
+    """At 8.02 m/s the slide lifts off on substep 9 of 10, the last, so
+    the control step that lifts off leaves no substep to fly and the next
+    one starts in flight. The trace CSV and the summary JSON keep the
+    bytes they had while each substep was a stepper call."""
+    assert liftoff_outputs(tmp_path, 8.02) == ((337, 9), {
+        "takeoff_trace.csv":
+            "f04f3f718546b36691c47a6c6b58841e5b8d7c52065f44745f8e98d04abdab48",
+        "takeoff_summary.json":
+            "ba44bc3c6e1be5251b409a3b4a64f01a776efd7973329cefcdca5df9d60ca753",
+    })
+
+
+def test_no_function_runs_per_substep(config):
+    """The default run takes 3,000 control steps of 10 substeps, each
+    control step one call of the fused control step (see
+    takeoff._control_stepper), which runs its substeps' stages, RK4
+    updates, checks and clamps inline. So no function is called more
+    than 3,001 times, where the stepper's step, the airborne plant's
+    derivs and the slide plant ran 30,000, 120,000 and 15,204 times."""
     calls = Counter()
 
     def count(frame, event, arg):
@@ -82,32 +101,27 @@ def test_only_the_plant_and_stepper_run_per_substep(config):
         run_takeoff(config.takeoff, config.system, config.control)
     finally:
         sys.setprofile(None)
-    frequent = sorted((Path(filename).name, name, n)
-                      for (filename, _, name), n in calls.items()
-                      if n > 3_001)
-    assert frequent == [("integrator.py", "step", 30_000),
-                        ("model.py", "derivs", 120_000),
-                        ("takeoff.py", "on_slide", 15_204)]
+    frequent = [(Path(filename).name, name, n)
+                for (filename, _, name), n in calls.items() if n > 3_001]
+    assert frequent == []
+    assert [(filename, n) for (filename, _, name), n in calls.items()
+            if name == "control_step"] == [
+        ("<tetherlaunch generated>/takeoff.py", 3_000)]
 
 
-def test_plant_and_steppers_are_built_once_per_run(config, monkeypatch):
-    """One flight plant and two steppers (slide and flight) serve the
+def test_kernel_is_built_once_per_run(config, monkeypatch):
+    """One fused control step, compiled from the plant's text, serves the
     whole run; the control steps only write the held winch torque."""
     calls = Counter()
+    built = takeoff.kernel
 
-    def spy(name):
-        built = getattr(takeoff, name)
+    def counted(filename, *args):
+        calls[filename] += 1
+        return built(filename, *args)
 
-        def counted(*args):
-            calls[name] += 1
-            return built(*args)
-
-        monkeypatch.setattr(takeoff, name, counted)
-
-    spy("airborne_plant")
-    spy("rk4_stepper")
+    monkeypatch.setattr(takeoff, "kernel", counted)
     run_takeoff(config.takeoff, config.system, config.control)
-    assert calls == {"airborne_plant": 1, "rk4_stepper": 2}
+    assert calls == {"<tetherlaunch generated>/takeoff.py": 1}
 
 
 @pytest.mark.parametrize("slack, upper, lower, compression, stall_risk", [
@@ -158,9 +172,12 @@ def test_winch_peak_follows_the_torque_limit(takeoff_default):
 
 def test_run_peak_memory(config):
     """The default run's tracemalloc peak stays at or below the 2,049 kB
-    it had while each control step's row was a 19-tuple. The flat float
-    log peaks at 1,938 kB, so the bound leaves 111 kB (5.4 %) of
-    headroom."""
+    it had while each control step's row was a 19-tuple. With the log in
+    one array of doubles it peaks at 937 kB, 1,016 kB where the run
+    compiles the fused control step (a flat float list peaked at
+    1,938 kB). Where the fused kernel is compiled while tracemalloc
+    traces, as when this test runs alone, the traced run takes about
+    15 s; where an earlier run compiled it, about 0.5 s."""
     tracemalloc.start()
     try:
         run_takeoff(config.takeoff, config.system, config.control)
