@@ -13,11 +13,11 @@ climb ray under the controlled winch torque, and gives its slide phase
 the line, carriage and winch. The line equations are one text, LINE and
 RATES, from which airborne_plant, the sizing run's fused RK4 step and
 the take-off's fused control step are compiled (see kernel); stage_text
-writes an RK4 stage of them for both fused kernels.
+and rk4_text write the RK4 stages and update of them for both fused
+kernels.
 
 All parameter containers are immutable and validated on construction; all
-functions here are pure, save that a plant reads its held torque from the
-list its caller owns, so they can be evaluated from any number of
+functions here are pure, so they can be evaluated from any number of
 concurrent workers without coordination.
 """
 
@@ -223,7 +223,7 @@ RATES = (
     "(2.0 * force - friction * spring_vel - stiffness * spring_pos)"
     " / carriage_mass",
     "winch_speed",
-    "(held[0] + radius * force - rot_friction * winch_speed) / inertia",
+    "(torque + radius * force - rot_friction * winch_speed) / inertia",
 )
 STATE = ", ".join(DesignState._fields)
 
@@ -243,6 +243,20 @@ def stage_text(names, weight: str | None, last: str | None, into: str,
     lines += [between, LINE]
     lines += [f"{into}{i} = {rate}\n" for i, rate in enumerate(rates)]
     return "".join(lines)
+
+
+def rk4_text(names, targets, rates=RATES, between: str = "") -> str:
+    """Stages 2-4 of an RK4 step as kernel text (see stage_text), from the
+    first stage's rates a0, ..., a5, then the update that sets each of
+    the six `targets` to y_i plus the weighted sum of its four rates, by
+    rk4_step's operations in its order. The fused kernels (spring_design,
+    takeoff) are written from it."""
+    return "".join([
+        *(stage_text(names, weight, last, into, rates, between)
+          for weight, last, into in (("h", "a", "b"), ("h", "b", "c"),
+                                     ("dt", "c", "d"))),
+        *(f"{target} = y{i} + w * (a{i} + 2.0 * (b{i} + c{i}) + d{i})\n"
+          for i, target in enumerate(targets))])
 
 
 # File name -> the `build` function of the text compiled under it; filled
@@ -283,10 +297,10 @@ def kernel(filename: str, name: str, parameters: str,
     return build(**constants)
 
 
-def plant_constants(params: SystemParams, torque: list, slack: float = 0.0,
+def plant_constants(params: SystemParams, slack: float = 0.0,
                     climb_angle_deg: float = 0.0) -> dict:
-    """The names LINE and RATES read besides the six states, as
-    airborne_plant binds them: `held` is the list `torque`."""
+    """The names LINE and RATES read besides the six states and the winch
+    torque `torque`, as airborne_plant binds them."""
     spring = params.spring
     aircraft = params.aircraft
     return {
@@ -306,35 +320,22 @@ def plant_constants(params: SystemParams, torque: list, slack: float = 0.0,
         "mass": aircraft.mass,
         "stiffness": spring.stiffness,
         "carriage_mass": spring.carriage_mass,
-        "held": torque,
         "rot_friction": params.winch.rot_friction,
         "inertia": params.winch.inertia,
     }
 
 
-def airborne_plant(params: SystemParams, torque: list, slack: float = 0.0,
+def airborne_plant(params: SystemParams, torque: float, slack: float = 0.0,
                    climb_angle_deg: float = 0.0) -> Callable[..., tuple]:
-    """The tethered aircraft in flight, under the winch torque `torque[0]`.
+    """The tethered aircraft in flight, under the winch torque `torque`.
 
     Returns derivs(pos, vel, spring_pos, spring_vel, winch_angle,
     winch_speed): the derivatives of the six DesignState floats with the
-    drum motor holding `torque[0]`, then the tether force [N] and the
+    drum motor holding `torque`, then the tether force [N] and the
     deployed line [m], `slack` plus the drum payout plus twice the
-    carriage travel. `torque` is a one-element list that the caller owns:
-    a controlled run writes its held torque there once a control step,
-    and the plant reads it at each evaluation, as the take-off's fused
-    control step reads its own. The propeller holds peak thrust, and the
-    tether and gravity pull exactly against the flight path, which climbs
-    at `climb_angle_deg`.
-
-    One plant per run, not one per held torque: CPython 3.11 specialises
-    each call site for the function object it last saw, so a closure
-    rebuilt every control step (ten substeps, forty evaluations, as the
-    take-off once did) misses that at every rebuild. Rebuilt every 10
-    calls, this plant cost 16-49 ns more a call than a stable one, plus
-    0.16-0.18 us a build; the list subscript costs about 4 ns an
-    evaluation (Python 3.11.7, Intel Xeon, 2 vCPUs). The take-off's fused
-    control step is likewise built once per run.
+    carriage travel. The propeller holds peak thrust, and the tether and
+    gravity pull exactly against the flight path, which climbs at
+    `climb_angle_deg`.
 
     derivs runs LINE and returns RATES, the force and the deployed line
     as one tuple expression (storing them in locals first made a call
@@ -344,16 +345,18 @@ def airborne_plant(params: SystemParams, torque: list, slack: float = 0.0,
     computed. The line runs around the moving pulley on the spring
     carriage, so each metre of compression releases two metres. It pulls
     with the stiffness of tether_stiffness, never pushes, and its force
-    depends on the position and the deployed line alone. The pulley doubles the tension on the
-    carriage, which feels the friction of spring_friction; the same
-    tension slows the aircraft and helps the torque spin the drum.
+    depends on the position and the deployed line alone. The pulley
+    doubles the tension on the carriage, which feels the friction of
+    spring_friction; the same tension slows the aircraft and helps the
+    torque spin the drum.
 
     The sizing study flies level on a line without slack, under the peak
-    reel-out torque: airborne_plant(params, [params.winch.max_torque]).
+    reel-out torque: airborne_plant(params, params.winch.max_torque).
     """
     return kernel("<tetherlaunch generated>/model.py", "derivs", STATE,
-                  _plant_text,
-                  plant_constants(params, torque, slack, climb_angle_deg))
+                  _plant_text, dict(plant_constants(params, slack,
+                                                    climb_angle_deg),
+                                    torque=torque))
 
 
 def _plant_text() -> str:
@@ -364,7 +367,7 @@ def _plant_text() -> str:
 def design_derivatives(state: DesignState, params: SystemParams) -> tuple:
     """Time derivatives of the six model states in the sizing study (see
     airborne_plant)."""
-    return airborne_plant(params, [params.winch.max_torque])(*state)[:6]
+    return airborne_plant(params, params.winch.max_torque)(*state)[:6]
 
 
 def clamp_spring_travel(spring_pos: float, spring_vel: float,

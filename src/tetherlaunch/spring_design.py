@@ -43,7 +43,7 @@ from .model import (
     clamp_spring_travel,
     kernel,
     plant_constants,
-    stage_text,
+    rk4_text,
 )
 
 DEFAULT_FORCE_TOL = 1e-6  # tension below this counts as released [N]
@@ -169,12 +169,12 @@ class _Crossing(Exception):
 
 def _sizing_stepper(params: SystemParams, dt: float):
     """The sizing run's fused RK4 step for the plant that
-    airborne_plant(params, [params.winch.max_torque]) gives, and the step
+    airborne_plant(params, params.winch.max_torque) gives, and the step
     `dt`: sizing_step(y0, ..., y5, a0, ..., a5, level), with a0, ..., a5
     the plant's derivatives at the state y0, ..., y5.
 
-    It takes the step that integrator.rk4_stepper's step over that plant
-    takes, with the same operands in the same order, so every result is
+    It takes the step that integrator.rk4_step takes over that plant,
+    with the same operands in the same order, so every result is
     bit-identical; then the run's non-finite check and clamp; then the
     plant at the new state. Before each of stages 2-4 it raises
     _Crossing with the stage compression if that exceeds `level`, and
@@ -188,36 +188,32 @@ def _sizing_stepper(params: SystemParams, dt: float):
     The plant's text is model.LINE and model.RATES, the text derivs is
     compiled from, so the equations are written once.
     """
-    constants = plant_constants(params, [params.winch.max_torque])
-    constants.update(h=0.5 * dt, dt=dt, w=dt / 6.0,
-                     limit=params.spring.max_travel, Crossing=_Crossing,
-                     isfinite=math.isfinite, check_finite=check_finite,
-                     DesignState=DesignState, clamp=clamp_spring_travel)
+    constants = plant_constants(params)
+    constants.update(torque=params.winch.max_torque, h=0.5 * dt, dt=dt,
+                     w=dt / 6.0, limit=params.spring.max_travel,
+                     Crossing=_Crossing, isfinite=math.isfinite,
+                     check_finite=check_finite, DesignState=DesignState,
+                     clamp=clamp_spring_travel)
     return kernel("<tetherlaunch generated>/spring_design.py", "sizing_step",
                   "y0, y1, y2, y3, y4, y5, a0, a1, a2, a3, a4, a5, level",
                   _sizing_step_text, constants)
 
 
 def _sizing_step_text() -> str:
-    """The body of the fused step (see _sizing_stepper): each of stages
-    2-4 sets the six states to y_i + weight * (the last stage's rate_i),
-    watches the level and evaluates the plant into its own rates."""
+    """The body of the fused step (see _sizing_stepper): stages 2-4, each
+    watching the level, and the update into the state names (see
+    model.rk4_text)."""
     state = DesignState._fields
-    lines = [stage_text(state, weight, last, rates, between=(
-        "if spring_pos > level:\n    raise Crossing(spring_pos)\n"))
-        for weight, last, rates in (("h", "a", "b"), ("h", "b", "c"),
-                                    ("dt", "c", "d"))]
-    lines += [f"{name} = y{i} + w * (a{i} + 2.0 * (b{i} + c{i}) + d{i})\n"
-              for i, name in enumerate(state)]
-    lines += [
+    return "".join([
+        rk4_text(state, state, between=(
+            "if spring_pos > level:\n    raise Crossing(spring_pos)\n")),
         f"if not isfinite({' + '.join(state)}):\n"
         f"    check_finite(DesignState({STATE}))\n",
         "if spring_pos < 0.0 or spring_pos > limit:\n"
         "    spring_pos, spring_vel = clamp(spring_pos, spring_vel, limit)\n",
         LINE,
         f"return ({STATE},\n        " + ",\n        ".join(RATES)
-        + ",\n        force,\n        deployed)\n"]
-    return "".join(lines)
+        + ",\n        force,\n        deployed)\n"])
 
 
 def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
@@ -260,7 +256,7 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
     # The first step's first stage, and the start's force. From a hold it
     # is the holding run's, bit for bit: the hold lies below this travel's
     # band, or no step is left.
-    derivs = airborne_plant(params, [params.winch.max_torque])
+    derivs = airborne_plant(params, params.winch.max_torque)
     a0, a1, a2, a3, a4, a5, force, length = derivs(
         *(init if start is None else start[1]))
     if start is None:  # the loop state at t = 0, whose row opens the run

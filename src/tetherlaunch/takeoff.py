@@ -10,9 +10,9 @@ the airborne plant of the sizing study, with slack, climb and the held
 winch torque.
 Controllers update at the sample period with zero-order-hold torques; the
 plant integrates with a smaller fixed substep, a control step's substeps
-in one call of a kernel compiled from the plant's text (see
-_control_stepper). Motor powers are logged as
-torque times speed, braking counted negative.
+in one call of a kernel compiled from the plant's text, which takes both
+held torques as arguments (see _control_stepper). Motor powers are
+logged as torque times speed, braking counted negative.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .model import (
     clamp_spring_travel,
     kernel,
     plant_constants,
+    rk4_text,
     stage_text,
 )
 # No longer called here; perfbench/worker.py still looks them up in this
@@ -241,18 +242,18 @@ def check_takeoff(cfg: TakeoffConfig, system: SystemParams,
         )
 
 
-def _control_stepper(cfg: TakeoffConfig, system: SystemParams, held: list,
+def _control_stepper(cfg: TakeoffConfig, system: SystemParams,
                      substeps: int):
     """The take-off's fused control step: control_step(y0, ..., y5,
-    slide_angle, slide_speed, u_slide, flying) integrates the plant over
-    `substeps` RK4 substeps of `cfg.dt` under the zero-order-hold slide
-    torque `u_slide` and winch torque `held[0]`, from the state y0, ...,
-    y5 in the airborne plant's order. Its (y0, y1) is the slide drum's
+    slide_angle, slide_speed, u_slide, torque, flying) integrates the
+    plant over `substeps` RK4 substeps of `cfg.dt` under the zero-order-
+    hold slide torque `u_slide` and winch torque `torque`, from the state
+    y0, ..., y5 in the airborne plant's order. Its (y0, y1) is the slide drum's
     angle and speed on the slide (`flying` false), which the slide states
     mirror, and the aircraft's path position and speed in flight.
 
     Each substep runs the four stages (on the slide, the slide train's
-    plant; in flight, the airborne plant of airborne_plant(system, held,
+    plant; in flight, the airborne plant of airborne_plant(system, torque,
     cfg.initial_slack, cfg.climb_angle_deg)), the RK4 update, after
     lift-off the empty slide's RK4 step, the non-finite check, the spring
     clamp and, on the slide, the lift-off test: at take-off speed the
@@ -274,7 +275,7 @@ def _control_stepper(cfg: TakeoffConfig, system: SystemParams, held: list,
     dt = cfg.dt
     slide = system.slide
     drum_radius = slide.drum_radius
-    constants = plant_constants(system, held, cfg.initial_slack,
+    constants = plant_constants(system, cfg.initial_slack,
                                 cfg.climb_angle_deg)
     constants.update(
         h=0.5 * dt, dt=dt, w=dt / 6.0, substeps=substeps,
@@ -287,21 +288,16 @@ def _control_stepper(cfg: TakeoffConfig, system: SystemParams, held: list,
         isfinite=math.isfinite)
     return kernel("<tetherlaunch generated>/takeoff.py", "control_step",
                   "y0, y1, y2, y3, y4, y5, slide_angle, slide_speed, "
-                  "u_slide, flying", _control_step_text, constants)
+                  "u_slide, torque, flying", _control_step_text, constants)
 
 
 def _substep_text(names, rates, between="") -> str:
     """A substep's four stages over `names` and `rates`, the first of
     which gives the row's line and force, and the RK4 update of y0, ...,
     y5 (see _control_stepper)."""
-    return "".join([
-        stage_text(names, None, None, "a", rates, between),
-        "if not j:\n    row_deployed, row_force = deployed, force\n",
-        *(stage_text(names, weight, last, into, rates, between)
-          for weight, last, into in (("h", "a", "b"), ("h", "b", "c"),
-                                     ("dt", "c", "d"))),
-        *(f"y{i} = y{i} + w * (a{i} + 2.0 * (b{i} + c{i}) + d{i})\n"
-          for i in range(6))])
+    return (stage_text(names, None, None, "a", rates, between)
+            + "if not j:\n    row_deployed, row_force = deployed, force\n"
+            + rk4_text(names, [f"y{i}" for i in range(6)], rates, between))
 
 
 def _control_step_text() -> str:
@@ -379,10 +375,7 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     winch_drive = winch_law(control.winch)
     fbck_step = outer_law(outer)
     fbck_zone = outer_zone(outer)
-    # One kernel serves the whole run: the loop writes the control step's
-    # held winch torque into `held`, which the kernel's stages read.
-    held = [0.0]
-    control_step = _control_stepper(cfg, system, held, substeps)
+    control_step = _control_stepper(cfg, system, substeps)
 
     # One state vector, in the airborne plant's order, crosses lift-off:
     # its (x, v) is the slide drum's angle and speed on the slide, and the
@@ -409,7 +402,6 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
         ffwd = winch_ffwd(slide_speed, outer.ffwd_gain)
         speed_ref = combine_refs(ffwd, fbck, slide_speed)
         u_winch = winch_drive(speed_ref, winch_speed)
-        held[0] = u_winch
         flying = liftoff_time is not None
         if flying:
             phase, distance, speed = "airborne", x, v
@@ -421,7 +413,7 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
         # takes the first stage's line and force.
         stepped = control_step(x, v, spring_pos, spring_vel, winch_angle,
                                winch_speed, slide_angle, slide_speed,
-                               u_slide, flying)
+                               u_slide, u_winch, flying)
         values.extend((
             k * sample_period, slide_angle, slide_speed, winch_angle,
             winch_speed, spring_pos, distance, speed, stepped[8],

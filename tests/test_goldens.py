@@ -7,7 +7,9 @@ import ast
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import json
+import re
 import sys
 import types
 from pathlib import Path
@@ -17,7 +19,8 @@ import pytest
 import tetherlaunch
 from tetherlaunch import csvio
 from tetherlaunch.cli import main
-from tetherlaunch.model import LINE
+from tetherlaunch.integrator import rk4_step
+from tetherlaunch.model import LINE, rk4_text
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = PERFBENCH.parent / "src" / "tetherlaunch"
@@ -231,6 +234,25 @@ def test_deployed_length_is_written_once():
     assert {name: count for name, count in found.items() if count} == {
         "model.py": 1}
     assert expression in "".join(LINE.split())
+
+
+def test_rk4_update_is_written_once():
+    """The RK4 update, a_i + 2.0 * (b_i + c_i) + d_i, occurs in src/ twice,
+    whitespace aside: in integrator.rk4_step, the generic reference, and
+    in model.rk4_text, which writes it for both fused kernels."""
+    update = re.compile(
+        r"\(a[^()+]*\+2\.0\*\(b[^()+]*\+c[^()+]*\)\+d[^()+]*\)")
+
+    def stripped(text):
+        return "".join(text.split())
+
+    found = {path.name: len(update.findall(
+        stripped(path.read_text(encoding="utf-8"))))
+        for path in sorted(SRC.glob("*.py"))}
+    assert {name: count for name, count in found.items() if count} == {
+        "integrator.py": 1, "model.py": 1}
+    assert update.search(stripped(inspect.getsource(rk4_step)))
+    assert update.search(stripped(inspect.getsource(rk4_text)))
 
 
 def test_no_module_imports_numpy():

@@ -1,8 +1,8 @@
-"""Integrator tests: accuracy on a known system, the flat stepper and the
-sizing run's fused step against the generic step, the binding of the
-sizing kernel and of the controller laws, and the generated kernels'
-tracebacks; and the sizing run built on the kernel: its release stop,
-trace bookkeeping, and determinism."""
+"""Integrator tests: accuracy on a known system, the sizing run's fused
+step and the take-off's fused control step against the generic step, the
+binding of the kernels and of the controller laws, and the generated
+kernels' tracebacks; and the sizing run built on the kernel: its release
+stop, trace bookkeeping, and determinism."""
 
 import gc
 import math
@@ -25,7 +25,7 @@ from tetherlaunch.controller import (
     slide_law,
     winch_law,
 )
-from tetherlaunch.integrator import IntegrationError, rk4_step, rk4_stepper
+from tetherlaunch.integrator import IntegrationError, rk4_step
 from tetherlaunch.model import (
     DesignState,
     airborne_plant,
@@ -97,32 +97,6 @@ class TestRk4Step:
                 state = rk4_step(grow, state, 1.0)
 
 
-class TestRk4Stepper:
-    """The stepper the plants run: rk4_step's operations, bound once."""
-
-    @settings(max_examples=200, derandomize=True, database=None,
-              deadline=None)
-    @given(pos=st.floats(5.0, 40.0), vel=st.floats(0.0, 20.0),
-           spring_pos=st.floats(0.0, 0.35), spring_vel=st.floats(-3.0, 3.0),
-           stretch=st.floats(-0.05, 0.5), winch_speed=st.floats(0.0, 200.0),
-           stiffness=st.floats(10.0, 5e3), dt=st.floats(1e-6, 1e-3))
-    def test_sizing_plant_matches_rk4_step(self, pos, vel, spring_pos,
-                                           spring_vel, stretch, winch_speed,
-                                           stiffness, dt):
-        """One step of the sizing plant from a drawn state, as the sizing
-        run takes it, equals the generic step bit for bit. `stretch` is
-        the position minus the deployed line, which stays positive."""
-        params = default_system_params()
-        params = replace(params, spring=replace(params.spring,
-                                                stiffness=stiffness))
-        derivs = airborne_plant(params, [params.winch.max_torque])
-        winch_angle = (pos - stretch - 2.0 * spring_pos) / params.winch.radius
-        y = (pos, vel, spring_pos, spring_vel, winch_angle, winch_speed)
-        flat = rk4_stepper(derivs, dt)(*y, derivs(*y))
-        generic = rk4_step(lambda s: derivs(*s)[:6], DesignState(*y), dt)
-        assert list(map(float.hex, flat)) == list(map(float.hex, generic))
-
-
 def reference_sizing_step(derivs, y, a, dt, level, limit):
     """The fused sizing step written as its parts: rk4_step over `derivs`
     with `a` as its first stage, raising _Crossing before a stage 2-4
@@ -166,7 +140,7 @@ class TestSizingStep:
         params = default_system_params()
         params = replace(params, spring=replace(
             params.spring, max_travel=travel, stiffness=stiffness))
-        derivs = airborne_plant(params, [params.winch.max_torque])
+        derivs = airborne_plant(params, params.winch.max_torque)
         if a is None:
             a = derivs(*y)[:6]
         fused = step_outcome(
@@ -234,16 +208,17 @@ class TestSizingStep:
         assert fused[1].startswith("tether length must be > 0 (got ")
 
 
-def reference_slide_plant(system, held, u_slide, slack, climb_angle_deg):
+def reference_slide_plant(system, torque, u_slide, slack, climb_angle_deg):
     """The take-off's slide plant as a closure, as run_takeoff had it
     before the fused control step: the slide train under the slide
     torque `u_slide`, on the line, carriage and winch of the airborne
-    plant, whose aircraft acceleration the train's replaces."""
+    plant under the winch torque `torque`, whose aircraft acceleration
+    the train's replaces."""
     slide = system.slide
     drum_radius = slide.drum_radius
     slide_inertia_full = slide.equivalent_mass * drum_radius ** 2
-    in_flight = airborne_plant(system, held, slack, climb_angle_deg)
-    constants = plant_constants(system, held)
+    in_flight = airborne_plant(system, torque, slack, climb_angle_deg)
+    constants = plant_constants(system)
     thrust, drag_factor = constants["thrust"], constants["drag_factor"]
 
     def on_slide(slide_angle, slide_speed, spring_pos, spring_vel,
@@ -267,8 +242,8 @@ class SlideState(NamedTuple):
     speed: float  # slide drum speed [rad/s]
 
 
-def reference_control_step(cfg, system, held, substeps, y, slide_angle,
-                           slide_speed, u_slide, flying):
+def reference_control_step(cfg, system, substeps, y, slide_angle,
+                           slide_speed, u_slide, torque, flying):
     """The fused control step written as its parts: each substep is
     rk4_step over the airborne plant in flight, or over the slide plant
     on the slide, then, in flight, rk4_step over the empty slide, the
@@ -278,9 +253,9 @@ def reference_control_step(cfg, system, held, substeps, y, slide_angle,
     drum_radius = slide.drum_radius
     empty_inertia = ((slide.equivalent_mass - system.aircraft.mass)
                      * drum_radius ** 2)
-    in_flight = airborne_plant(system, held, cfg.initial_slack,
+    in_flight = airborne_plant(system, torque, cfg.initial_slack,
                                cfg.climb_angle_deg)
-    on_slide = reference_slide_plant(system, held, u_slide,
+    on_slide = reference_slide_plant(system, torque, u_slide,
                                      cfg.initial_slack, cfg.climb_angle_deg)
 
     def empty_slide(state):
@@ -339,13 +314,12 @@ class TestTakeoffStep:
                  substeps=10, **changes):
         system = default_system_params()
         cfg = replace(default_takeoff_config(), **changes)
-        held = [torques[1]]
-        args = (*y, *slide, torques[0], flying)
+        args = (*y, *slide, *torques, flying)
         fused = control_step_outcome(
-            lambda: _control_stepper(cfg, system, held, substeps)(*args))
+            lambda: _control_stepper(cfg, system, substeps)(*args))
         reference = control_step_outcome(
-            lambda: reference_control_step(cfg, system, held, substeps, y,
-                                           *slide, torques[0], flying))
+            lambda: reference_control_step(cfg, system, substeps, y, *slide,
+                                           *torques, flying))
         return fused, reference
 
     @settings(max_examples=300, derandomize=True, database=None,
@@ -407,12 +381,12 @@ class TestTakeoffStep:
 
         monkeypatch.setattr(takeoff, "_control_stepper", recording)
         run_takeoff(cfg, config.system, config.control)
-        ((cfg, system, held, substeps), args), = steps
+        ((cfg, system, substeps), args), = steps
         fused = control_step_outcome(
-            lambda: _control_stepper(cfg, system, held, substeps)(*args))
+            lambda: _control_stepper(cfg, system, substeps)(*args))
         reference = control_step_outcome(
-            lambda: reference_control_step(cfg, system, held, substeps,
-                                           args[:6], *args[6:]))
+            lambda: reference_control_step(cfg, system, substeps, args[:6],
+                                           *args[6:]))
         assert fused == reference
         assert fused[10] == substep
 
@@ -439,14 +413,13 @@ class TestTakeoffStep:
 
 
 @pytest.mark.parametrize("kernel, filename", [
-    (lambda params: airborne_plant(params, [0.0]),
+    (lambda params: airborne_plant(params, 0.0),
      "<tetherlaunch generated>/model.py"),
     (lambda params: lambda *y: _sizing_stepper(params, 1e-4)(
         *y, *(0.0,) * 6, math.inf),
      "<tetherlaunch generated>/spring_design.py"),
     (lambda params: lambda *y: _control_stepper(
-        default_takeoff_config(), params, [0.0], 10)(
-        *y, 0.0, 0.0, 0.0, True),
+        default_takeoff_config(), params, 10)(*y, 0.0, 0.0, 0.0, 0.0, True),
      "<tetherlaunch generated>/takeoff.py"),
 ], ids=["plant", "sizing-step", "control-step"])
 def test_tracebacks_show_the_generated_lines(kernel, filename):
@@ -469,21 +442,25 @@ def test_tracebacks_show_the_generated_lines(kernel, filename):
 
 def _sizing_plant():
     params = default_system_params()
-    return airborne_plant(params, [params.winch.max_torque])
+    return airborne_plant(params, params.winch.max_torque)
 
 
 @pytest.mark.parametrize("build", [
     _sizing_plant,
-    lambda: rk4_stepper(_sizing_plant(), 1e-4),
     lambda: _sizing_stepper(default_system_params(), 1e-4),
     lambda: _control_stepper(default_takeoff_config(),
-                             default_system_params(), [0.0], 10),
-], ids=["plant", "stepper", "sizing-step", "control-step"])
+                             default_system_params(), 10),
+], ids=["plant", "sizing-step", "control-step"])
 def test_sizing_kernel_reads_no_free_variable(build):
     """The kernels' functions (the sizing run's and the take-off's) take
     what they read as defaults, so each call reads fast locals and no
-    closure cell."""
-    assert build().__code__.co_freevars == ()
+    closure cell; and no default is a list or a dict, so a kernel shares
+    no mutable state with its caller: the take-off passes its winch
+    torque as an argument."""
+    function = build()
+    assert function.__code__.co_freevars == ()
+    assert not [value for value in function.__defaults__
+                if isinstance(value, (list, dict))]
 
 
 @pytest.mark.parametrize("build", [
@@ -687,7 +664,7 @@ def reference_simulate(params, init, dt, max_time,
 
 
 class TestSimulateMatchesReference:
-    """The flat stepper gives the generic RK4 loop's results bit for bit."""
+    """The sizing run gives the generic RK4 loop's results bit for bit."""
 
     @staticmethod
     def assert_same(params, init, dt, max_time):

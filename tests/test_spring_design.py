@@ -122,7 +122,7 @@ class TestEvaluate:
         params = config.system
         sizing = replace(config.sizing, speed_deficit=deficit, max_time=1.0)
         init = initial_state(sizing, params.winch)
-        force = airborne_plant(params, [params.winch.max_torque])(*init)[6]
+        force = airborne_plant(params, params.winch.max_torque)(*init)[6]
         start = (0, tuple(init), force > sizing.force_tolerance, False,
                  init.vel, 0, 0, init.spring_pos, 0)
         assert (exact(evaluate_spring(params, sizing, start=start))

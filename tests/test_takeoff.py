@@ -111,7 +111,7 @@ def test_no_function_runs_per_substep(config):
 
 def test_kernel_is_built_once_per_run(config, monkeypatch):
     """One fused control step, compiled from the plant's text, serves the
-    whole run; the control steps only write the held winch torque."""
+    whole run; each control step passes it the held torques."""
     calls = Counter()
     built = takeoff.kernel
 
@@ -173,11 +173,12 @@ def test_winch_peak_follows_the_torque_limit(takeoff_default):
 def test_run_peak_memory(config):
     """The default run's tracemalloc peak stays at or below the 2,049 kB
     it had while each control step's row was a 19-tuple. With the log in
-    one array of doubles it peaks at 937 kB, 1,016 kB where the run
-    compiles the fused control step (a flat float list peaked at
-    1,938 kB). Where the fused kernel is compiled while tracemalloc
-    traces, as when this test runs alone, the traced run takes about
-    15 s; where an earlier run compiled it, about 0.5 s."""
+    one array of doubles it peaks at 937 kB (a flat float list peaked at
+    1,938 kB). The fused control step is compiled before tracing starts,
+    so the peak and the time do not depend on whether an earlier test
+    compiled it: a traced compile added 79 kB to the peak and made the
+    traced run take about 15 s, against about 0.5 s."""
+    takeoff._control_stepper(config.takeoff, config.system, 10)
     tracemalloc.start()
     try:
         run_takeoff(config.takeoff, config.system, config.control)
