@@ -23,16 +23,16 @@ from .model import design_derivatives  # noqa: F401
 DEFAULT_STEP = 1e-4  # [s]
 # The most steps one run may take: max_time / dt for a sizing run,
 # duration / dt for a take-off. A sizing run that keeps its steps
-# (spring-compare, validate's trace-bounds check) appends eight plain
-# floats a step to three lists and peaks at 315 B a step while it packs
-# them into the trace. spring-compare also keeps the largest travel's
-# trace, 72 B a step, until its turn has passed and then the rows a
+# (spring-compare, validate's trace-bounds check) writes them onto arrays
+# of C doubles as it steps and peaks at about 75 B a step, its trace's
+# 72 B and the arrays' over-allocation. spring-compare also keeps the
+# largest travel's trace until its turn has passed and then the rows a
 # smaller travel still needs, and the previous travel's float text, 187 B
-# a step, while the next travel runs. Two travels peak at 347 B a step,
-# ascending or descending, where they share every step (no deficit), and
-# at 448 B ascending and 504 B descending where the smaller one parts
-# early (no release; tracemalloc, 100,001 steps each): near 1.0 GB at the
-# budget.
+# a step, while the next travel runs, so the CSV writer's texts set its
+# peak. Two travels peak at 350 and 352 B a step, ascending and
+# descending, where they share every step (no deficit), and at 450 B
+# ascending and 451 B descending where the smaller one parts early (no
+# release; tracemalloc, 100,001 steps each): near 0.9 GB at the budget.
 # evaluate_spring and sweep keep no step.
 # The defaults take 1e5 and 3e4 steps.
 MAX_STEPS = 2_000_000

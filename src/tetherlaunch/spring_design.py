@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
 from dataclasses import dataclass, replace
 
 from .integrator import DEFAULT_STEP, MAX_STEPS, check_finite
@@ -114,21 +115,14 @@ def _rows(column: memoryview, rows: int) -> memoryview:
     return column.cast("B")[:column.strides[0] * rows]
 
 
-def _doubles(count: int, values, head=b"") -> memoryview:
-    """A read-only one-dimensional view of the bytes `head` followed by
-    `count` floats packed as C doubles."""
-    return memoryview(b"".join((head, struct.pack(f"{count}d", *values)))
-                      ).cast("d")
-
-
 @dataclass
 class Trace:
     """Uniform-grid log of a sizing run, and the run's verdict.
 
-    The columns are read-only memoryviews of C doubles, 8 bytes a value;
-    numpy.asarray(column) gives the array without a copy. A run of the
-    same design at a smaller travel copies the leading rows it shares
-    (see simulate).
+    The columns are read-only memoryviews of the arrays of C doubles the
+    run wrote as it stepped, 8 bytes a value; numpy.asarray(column) gives
+    the array without a copy. A run of the same design at a smaller
+    travel copies the leading rows it shares (see simulate).
     """
 
     times: memoryview    # [s], strictly increasing, uniform step
@@ -217,18 +211,19 @@ def _sizing_step_text() -> str:
 
 
 def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
-                states: list | None = None, forces: list | None = None,
-                lengths: list | None = None, start: tuple | None = None,
+                states: array | None = None, forces: array | None = None,
+                lengths: array | None = None, start: tuple | None = None,
                 holds: dict | None = None):
     """Step from `init` until the release or the time limit (see simulate)
     and judge the design over the start and every step taken.
 
-    Returns (verdict, whether the force was loaded), and appends each
-    step's six state values to `states`, its tether force to `forces` and
-    its deployed line to `lengths` if given. Keeping floats alone, a kept
-    run leaves no object that the cyclic garbage collector tracks: each
-    tuple that carries a step's values is freed at once, so the run
-    triggers no collection.
+    Returns (verdict, whether the force was loaded), and, if given, writes
+    each step onto arrays of C doubles as it is taken: its six state
+    values, packed in one call, onto `states`, its tether force onto
+    `forces` and its deployed line onto `lengths`. A kept step so costs
+    its 72 B of trace and keeps no float, and the run leaves no object
+    that the cyclic garbage collector tracks, so it triggers no
+    collection.
 
     The loop state is the steps taken, the six states, whether the force
     was seen and the release fired, the minimum speed and its step, and
@@ -252,6 +247,7 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
     radius = params.winch.radius
     margin = params.spring.endstop_margin
     step = _sizing_stepper(params, dt)
+    pack = struct.Struct("6d").pack  # a kept step's six states
 
     # The first step's first stage, and the start's force. From a hold it
     # is the holding run's, bit for bit: the hold lies below this travel's
@@ -263,7 +259,7 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
         start = (0, init, force > force_tol, False, init.vel, 0, 0,
                  init.spring_pos, 0)
         if states is not None:
-            states += init
+            states.frombytes(pack(*init))
             forces.append(force)
             lengths.append(length)
     (n, (pos, vel, spring_pos, spring_vel, winch_angle, winch_speed),
@@ -285,8 +281,8 @@ def _run_sizing(params: SystemParams, init: DesignState, sizing: SizingConfig,
                     pos, vel, spring_pos, spring_vel, winch_angle,
                     winch_speed, a0, a1, a2, a3, a4, a5, level)
                 if states is not None:
-                    states += (pos, vel, spring_pos, spring_vel, winch_angle,
-                               winch_speed)
+                    states.frombytes(pack(pos, vel, spring_pos, spring_vel,
+                                          winch_angle, winch_speed))
                     forces.append(force)
                     lengths.append(length)
                 if vel < min_speed:  # the first minimum, as argmin picks
@@ -346,36 +342,30 @@ def simulate(params: SystemParams, init: DesignState,
 
     `start` is (trace, hold): the kept run of the same design from `init`
     at a larger travel, and the loop state it held for this travel (see
-    _run_sizing). The run then takes that trace's rows up to the hold as
-    bytes and steps on from there. `holds` collects loop states for
-    smaller travels.
+    _run_sizing). The run then copies that trace's rows up to the hold
+    into its own buffers, drops its reference to that trace, and steps on
+    from there. `holds` collects loop states for smaller travels. The
+    columns are read-only views of the buffers the run wrote, with no
+    copy.
     """
-    if start is None:
-        shared, heads, hold = 0, [b""] * 4, None
-    else:  # the larger trace's rows up to the hold, as bytes
+    states, forces, lengths = array("d"), array("d"), array("d")
+    hold = None
+    if start is not None:  # the larger trace's rows up to the hold
         larger, hold = start
         shared = hold[0] + 1
-        heads = [_rows(column, shared)
-                 for column in (larger.times, larger.states, larger.force,
-                                larger.length)]
-    states: list[float] = []
-    forces: list[float] = []
-    lengths: list[float] = []
+        states.frombytes(_rows(larger.states, shared))
+        forces.frombytes(_rows(larger.force, shared))
+        lengths.frombytes(_rows(larger.length, shared))
+        del start, larger
     result, loaded = _run_sizing(params, init, sizing, states, forces,
                                  lengths, hold, holds)
-    m = len(forces)
-    n = shared + m
+    n = len(forces)
     dt = sizing.dt
-    # The short columns first, each list dropped once packed, so that
-    # packing the states, the peak, holds no other list.
-    force = _doubles(m, forces, heads[2])
-    length = _doubles(m, lengths, heads[3])
-    del forces, lengths
     return Trace(
-        times=_doubles(m, [i * dt for i in range(shared, n)], heads[0]),
-        states=_doubles(6 * m, states, heads[1]).cast("B").cast("d", (n, 6)),
-        force=force,
-        length=length,
+        times=memoryview(array("d", (i * dt for i in range(n)))).toreadonly(),
+        states=memoryview(states).toreadonly().cast("B").cast("d", (n, 6)),
+        force=memoryview(forces).toreadonly(),
+        length=memoryview(lengths).toreadonly(),
         loaded=loaded,
         result=result,
     )

@@ -183,23 +183,17 @@ class TakeoffResult:
     trace: TakeoffTrace
 
 
-def _doubles(values) -> memoryview:
-    """A read-only view of `values` as C doubles: an int is stored as the
-    float it equals."""
-    return memoryview(array("d", values)).toreadonly()
-
-
 def _build_trace(values: array, zone: list[str],
                  phase: list[str]) -> TakeoffTrace:
     """The trace from its log: each control step's numeric columns, in
     TakeoffTrace field order, appended to the flat array of doubles
-    `values` (half the peak of a list of floats), and its
-    zone and phase to their own lists. Each column's array is built from
-    its own slice, one at a time, so no two slices are alive together."""
+    `values` (half the peak of a list of floats), and its zone and phase
+    to their own lists. Each numeric column is a read-only view of its
+    strided slice of `values`, an array of its own: one copy a column."""
     columns = {"zone": tuple(zone), "phase": tuple(phase)}
     names = [f.name for f in fields(TakeoffTrace) if f.name not in columns]
     for j, name in enumerate(names):
-        columns[name] = _doubles(values[j::len(names)])
+        columns[name] = memoryview(values[j::len(names)]).toreadonly()
     return TakeoffTrace(**columns)
 
 

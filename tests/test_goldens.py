@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import tetherlaunch
-from tetherlaunch import csvio
+from tetherlaunch import csvio, takeoff
 from tetherlaunch.cli import main
 from tetherlaunch.integrator import rk4_step
 from tetherlaunch.model import LINE, rk4_text
@@ -101,7 +101,7 @@ def test_plant_evaluations(tmp_path, monkeypatch, workload, evaluations,
     stages, on the slide or in flight, before it checks its state once.
     So its finiteness check counts 30,000 substeps and 120,000 stage
     evaluations, as many as when each stage was a plant call."""
-    from tetherlaunch import spring_design, takeoff
+    from tetherlaunch import spring_design
 
     count = {"evaluations": 0, "steps": 0, "crossings": 0, "substeps": 0}
 
@@ -237,11 +237,16 @@ def test_deployed_length_is_written_once():
 
 
 def test_rk4_update_is_written_once():
-    """The RK4 update, a_i + 2.0 * (b_i + c_i) + d_i, occurs in src/ twice,
-    whitespace aside: in integrator.rk4_step, the generic reference, and
-    in model.rk4_text, which writes it for both fused kernels."""
+    """The RK4 update, (k1 + 2.0 * (k2 + k3) + k4) over any operands,
+    occurs in src/ four times, whitespace aside: once in
+    integrator.rk4_step, the generic reference; once in model.rk4_text,
+    which writes it for the states of both fused kernels; and twice in
+    takeoff._control_step_text, for the empty slide's angle and speed
+    after lift-off. The empty slide is the one hand-written copy: written
+    through rk4_text as two more flight states, its unused stage values
+    made run_takeoff about 4 % slower, bit-identical otherwise."""
     update = re.compile(
-        r"\(a[^()+]*\+2\.0\*\(b[^()+]*\+c[^()+]*\)\+d[^()+]*\)")
+        r"\([^()+]+\+2\.0\*\([^()+]+\+[^()+]+\)\+[^()+]+\)")
 
     def stripped(text):
         return "".join(text.split())
@@ -250,9 +255,11 @@ def test_rk4_update_is_written_once():
         stripped(path.read_text(encoding="utf-8"))))
         for path in sorted(SRC.glob("*.py"))}
     assert {name: count for name, count in found.items() if count} == {
-        "integrator.py": 1, "model.py": 1}
+        "integrator.py": 1, "model.py": 1, "takeoff.py": 2}
     assert update.search(stripped(inspect.getsource(rk4_step)))
     assert update.search(stripped(inspect.getsource(rk4_text)))
+    assert len(update.findall(stripped(
+        inspect.getsource(takeoff._control_step_text)))) == 2
 
 
 def test_no_module_imports_numpy():

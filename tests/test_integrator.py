@@ -569,7 +569,7 @@ class TestSimulate:
             assert np.array_equal(np.asarray(column), states[:, j])
 
     def test_kept_run_triggers_no_collection(self):
-        # A kept step holds floats alone, which the cyclic garbage
+        # A kept step is written as C doubles, which the cyclic garbage
         # collector does not track, so thousands of steps start none.
         params = default_system_params()
         init = initial_state(default_sizing_config(), params.winch)

@@ -243,17 +243,12 @@ class TestOnlineVerdict:
         assert str(online.value) == str(kept.value)
         assert str(online.value).startswith("tether length must be > 0")
 
-    def test_keeps_no_step(self, config):
+    def test_keeps_no_step(self, config, traced):
         # 10,000 steps to the timeout; kept, they peak near 3.2 MB.
         sizing = SizingConfig(20.0, 10.0, 0.0, max_time=1.0)
-        # A short run first: traced cold, the loop ran up to 5x slower.
-        evaluate_spring(config.system, replace(sizing, max_time=0.01))
-        tracemalloc.start()
-        try:
+        with traced():
             result = evaluate_spring(config.system, sizing)
             _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert result.timed_out
         assert peak < 1_000_000
 
@@ -731,27 +726,31 @@ class TestKeptReuse:
         assert properties.check_trace_bounds(config).passed
         assert rk4_calls[0] == 5_655
 
-    def test_resumed_run_peaks_lower(self, config):
-        # The 0.3 m run shares 1,296 of its 3,366 rows with the 0.35 m
-        # run; resumed from that run's hold, it appends floats for the
-        # other rows alone.
+    def test_kept_runs_peak_near_their_trace(self, config, traced):
+        """A kept run writes each step onto arrays of C doubles as it
+        takes it, so fresh or resumed it peaks within those arrays'
+        over-allocation of its trace's 72 B a step, at the figure the
+        README states. The 0.3 m run shares 1,296 of its 3,366 rows with
+        the 0.35 m run; resumed, it copies them from that run's trace."""
+        readme = " ".join((Path(__file__).resolve().parents[1]
+                           / "README.md").read_text(encoding="utf-8").split())
+        (stated,) = map(int, re.findall(r"peaks at about (\d+) B a step",
+                                        readme))
         design = with_design(config.system, 0.3)
         holds = {0.3: None}
         larger = simulate_design(with_design(config.system, 0.35),
                                  config.sizing, holds=holds)
-        peaks = []
         for start in (None, (larger, holds[0.3])):
-            tracemalloc.start()
-            try:
-                simulate_design(design, config.sizing, start=start)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        fresh, resumed = peaks
-        assert resumed < fresh
+            with traced():
+                trace = simulate_design(design, config.sizing, start=start)
+                peak = tracemalloc.get_traced_memory()[1]
+            per_step = peak / len(trace.times)
+            assert len(trace.times) == 3_366
+            assert per_step <= 80.0
+            assert abs(stated - per_step) <= 0.1 * per_step
 
     @staticmethod
-    def assert_peak_as_fresh_runs(tmp_path, simulation, travels):
+    def assert_peak_as_fresh_runs(tmp_path, traced, simulation, travels):
         """spring-compare over `travels`, in that order, with the
         `simulation` config section peaks no higher than the same travels
         run fresh in the same order, keeping only the float text between
@@ -762,10 +761,7 @@ class TestKeptReuse:
         config = load_config(str(path))
         argv = ["spring-compare", "--config", str(path), "--quiet",
                 "--out", str(tmp_path), "--travels"]
-        # A short run first: traced cold, the loop ran up to 5x slower.
-        assert main(argv + ["0.01"]) == 0
-        tracemalloc.start()
-        try:
+        with traced():
             assert main(argv + [",".join(map(str, travels))]) == 0
             compare = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
@@ -778,24 +774,23 @@ class TestKeptReuse:
                                            texts)
                 del trace
             fresh = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
         # The command's own objects (parser, config) take about 40 kB; a
         # trace kept past its last use took 323 kB (parting early) or
         # 576 kB more.
         assert compare <= fresh + 100_000
 
-    def test_descending_travels_peak_as_fresh_runs(self, tmp_path):
+    def test_descending_travels_peak_as_fresh_runs(self, tmp_path, traced):
         """A travel after a longer one resumes from the longer travel's
         run, whose trace, 72 B a step, spring-compare keeps only while a
         travel still needs it: the comparison peaks no higher than two
         fresh runs that keep only the float text between them (8,001
         steps each, no deficit)."""
         self.assert_peak_as_fresh_runs(
-            tmp_path, {"speed_deficit": 0.0, "max_time": 0.8}, (0.35, 0.3))
+            tmp_path, traced, {"speed_deficit": 0.0, "max_time": 0.8},
+            (0.35, 0.3))
 
     def test_descending_travels_parting_early_peak_as_fresh_runs(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, traced):
         """Once the longer travel's turn has passed, spring-compare keeps
         only the rows of its trace that a pending travel copies. With no
         release the 0.05 m run parts from the 0.35 m one after 269 of its
@@ -805,7 +800,7 @@ class TestKeptReuse:
         them."""
         monkeypatch.setattr(csvio, "BLOCK", 64)
         self.assert_peak_as_fresh_runs(
-            tmp_path, {"force_tolerance": 1e9, "max_time": 0.5},
+            tmp_path, traced, {"force_tolerance": 1e9, "max_time": 0.5},
             (0.35, 0.05))
 
 

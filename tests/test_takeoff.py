@@ -170,21 +170,18 @@ def test_winch_peak_follows_the_torque_limit(takeoff_default):
     assert round(peak({"winch_torque_limit": 19.5}), 1) == 1566.5
 
 
-def test_run_peak_memory(config):
+def test_run_peak_memory(config, traced):
     """The default run's tracemalloc peak stays at or below the 2,049 kB
     it had while each control step's row was a 19-tuple. With the log in
-    one array of doubles it peaks at 937 kB (a flat float list peaked at
-    1,938 kB). The fused control step is compiled before tracing starts,
-    so the peak and the time do not depend on whether an earlier test
-    compiled it: a traced compile added 79 kB to the peak and made the
-    traced run take about 15 s, against about 0.5 s."""
-    takeoff._control_stepper(config.takeoff, config.system, 10)
-    tracemalloc.start()
-    try:
+    one array of doubles, each column a view of its own strided slice, it
+    peaks at 914 kB (a flat float list peaked at 1,938 kB). The fused control step is compiled before tracing starts
+    (the `traced` fixture), so the peak and the time do not depend on
+    whether an earlier test compiled it: a traced compile added 79 kB to
+    the peak and made the traced run take about 15 s, against about
+    0.5 s."""
+    with traced():
         run_takeoff(config.takeoff, config.system, config.control)
         _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     assert peak <= 2_049 * 1024
 
 
