@@ -9,10 +9,10 @@ tether force taken fully along the path (the worst case for the aircraft):
 the airborne plant of the sizing study, with slack, climb and the held
 winch torque.
 Controllers update at the sample period with zero-order-hold torques; the
-plant integrates with a smaller fixed substep, a control step's substeps
-in one call of a kernel compiled from the plant's text, which takes both
-held torques as arguments (see _control_stepper). Motor powers are
-logged as torque times speed, braking counted negative.
+plant integrates with a smaller fixed substep, a control step's substeps,
+on the slide and then in flight, in one call of a kernel compiled from
+the plant's text, which takes both held torques (see _control_stepper).
+Motor powers are logged as torque times speed, braking counted negative.
 """
 
 from __future__ import annotations
@@ -198,12 +198,12 @@ def _build_trace(values: array, zone: list[str],
 
 
 def check_takeoff(cfg: TakeoffConfig, system: SystemParams,
-                  control: ControlParams) -> None:
+                  control: ControlParams) -> int:
     """Raise TakeoffError, naming the config keys, unless the slide
     releases the aircraft above its minimum cruise speed, outweighs it,
     the spring travel reaches the winch's reel-out zone, the run takes at
     most MAX_STEPS substeps, and the plant substep divides the controller
-    sample period."""
+    sample period; return the plant substeps in a control step."""
     aircraft = system.aircraft
     if not control.outer.zone_high < system.spring.max_travel:
         raise TakeoffError(
@@ -234,6 +234,7 @@ def check_takeoff(cfg: TakeoffConfig, system: SystemParams,
             "simulation.dt: must divide controller.sample_period evenly "
             f"(got {cfg.dt} and {sample_period})"
         )
+    return substeps
 
 
 def _control_stepper(cfg: TakeoffConfig, system: SystemParams,
@@ -246,13 +247,14 @@ def _control_stepper(cfg: TakeoffConfig, system: SystemParams,
     angle and speed on the slide (`flying` false), which the slide states
     mirror, and the aircraft's path position and speed in flight.
 
-    Each substep runs the four stages (on the slide, the slide train's
+    It runs the substeps on the slide (unless `flying`), then those in
+    flight. Each runs the four stages (on the slide, the slide train's
     plant; in flight, the airborne plant of airborne_plant(system, torque,
-    cfg.initial_slack, cfg.climb_angle_deg)), the RK4 update, after
-    lift-off the empty slide's RK4 step, the non-finite check, the spring
-    clamp and, on the slide, the lift-off test: at take-off speed the
-    state becomes the path's and the next substep flies. The operations
-    are rk4_step's in its order, so the results are bit-identical.
+    cfg.initial_slack, cfg.climb_angle_deg)), the RK4 update, in flight
+    the empty slide's RK4 step, the non-finite check, the spring clamp
+    and, on the slide, the lift-off test: at take-off speed the state
+    becomes the path's and the next substep flies. The operations are
+    rk4_step's in its order, so the results are bit-identical.
 
     Returns the eight new states (the six, then the slide's angle and
     speed), the deployed line and the tether force of the first stage
@@ -296,11 +298,7 @@ def _substep_text(names, rates, between="") -> str:
 
 def _control_step_text() -> str:
     """The body of the fused control step (see _control_stepper): the
-    substeps on the slide until lift-off, then those in flight. The
-    flight loop comes first in the text: 2,620 of the default run's 3,000
-    control steps fly, and tracemalloc finds a traced allocation's line
-    by scanning the line table from its start, so the traced default run
-    took 16 s, against 33 s with the flight loop last."""
+    substeps on the slide until lift-off, then those in flight."""
     import textwrap  # here: only the first build of a process needs it
 
     clamp = ("if y2 < 0.0 or y2 > limit:\n"
@@ -311,23 +309,22 @@ def _control_step_text() -> str:
         "    non_finite('on_slide', y0, y1, y4, y5, y2, y3)\n"
         + clamp
         + "if drum_radius * y1 >= takeoff_speed:\n"
-        "    flying, lifted, start = True, j, j + 1\n"
+        "    lifted, start = j, j + 1\n"
         "    slide_angle, slide_speed = y0, y1\n"
         "    y0 = distance = drum_radius * y0\n"
         "    y1 = drum_radius * y1\n"
         "    break\n")
+    # The empty slide, uncoupled from the line, by rk4_step's operations
+    # on its angle and speed alone: stage i's speed, then its acceleration.
+    empty_slide = "".join(
+        (f"{speed} = slide_speed + {weight} * e{i - 1}\n" if weight else "")
+        + f"e{i} = (u_slide - slide_friction * {speed}) / empty_inertia\n"
+        for i, weight, speed in ((1, None, "slide_speed"), (2, "h", "s2"),
+                                 (3, "h", "s3"), (4, "dt", "s4")))
     in_flight = (
         _substep_text(DesignState._fields, RATES)
-        # The empty slide, uncoupled from the line, by rk4_step's
-        # operations on its angle and speed alone.
-        + "e1 = (u_slide - slide_friction * slide_speed) / empty_inertia\n"
-        "s2 = slide_speed + h * e1\n"
-        "e2 = (u_slide - slide_friction * s2) / empty_inertia\n"
-        "s3 = slide_speed + h * e2\n"
-        "e3 = (u_slide - slide_friction * s3) / empty_inertia\n"
-        "s4 = slide_speed + dt * e3\n"
-        "e4 = (u_slide - slide_friction * s4) / empty_inertia\n"
-        "slide_angle, slide_speed = (\n"
+        + empty_slide
+        + "slide_angle, slide_speed = (\n"
         "    slide_angle + w * (slide_speed + 2.0 * (s2 + s3) + s4),\n"
         "    slide_speed + w * (e1 + 2.0 * (e2 + e3) + e4))\n"
         "if not isfinite(slide_angle + slide_speed + y4 + y5 + y2 + y3\n"
@@ -336,19 +333,17 @@ def _control_step_text() -> str:
         " y3, y0, y1)\n"
         + clamp)
     return ("lifted, distance, start = None, 0.0, 0\n"
-            "while True:\n"
-            "    if flying:\n"
-            "        for j in range(start, substeps):\n"
-            + textwrap.indent(in_flight, " " * 12)
-            + "        return (y0, y1, y2, y3, y4, y5, slide_angle,\n"
-            "                slide_speed, row_deployed, row_force, lifted,\n"
-            "                distance)\n"
+            "if not flying:\n"
             "    push = u_slide / drum_radius + thrust\n"
             "    for j in range(substeps):\n"
             + textwrap.indent(on_slide, " " * 8)
             + "    else:\n"
             "        return (y0, y1, y2, y3, y4, y5, y0, y1, row_deployed,\n"
-            "                row_force, lifted, distance)\n")
+            "                row_force, lifted, distance)\n"
+            "for j in range(start, substeps):\n"
+            + textwrap.indent(in_flight, " " * 4)
+            + "return (y0, y1, y2, y3, y4, y5, slide_angle, slide_speed,\n"
+            "        row_deployed, row_force, lifted, distance)\n")
 
 
 def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
@@ -359,10 +354,9 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     slide overruns the rails, or if the aircraft never reaches take-off
     speed within the configured duration.
     """
-    check_takeoff(cfg, system, control)
+    substeps = check_takeoff(cfg, system, control)
     outer = control.outer
     sample_period = outer.sample_period
-    substeps = round(sample_period / cfg.dt)
     drum_radius = system.slide.drum_radius
     angle_ref = cfg.slide_travel / drum_radius  # position step issued at k=0
     slide_drive = slide_law(control.slide)
@@ -381,7 +375,9 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
     liftoff_time: float | None = None  # None while on the slide
     liftoff_distance = 0.0
 
-    n_ctrl = round(cfg.duration / sample_period)
+    # Whole control steps covering the duration, as spring_design.step_count
+    # counts the sizing run's steps.
+    n_ctrl = math.ceil(cfg.duration / sample_period - 1e-9)
     # The log: each control step's 17 numeric columns, flat (see
     # _build_trace), and its zone and phase.
     values = array("d")
@@ -438,9 +434,9 @@ def run_takeoff(cfg: TakeoffConfig, system: SystemParams,
 
     trace = _build_trace(values, zones, phases)
 
-    # Stall risk: the spring at full travel while the force still rises
-    # into the next control step.
-    full_travel = system.spring.max_travel - 1e-12
+    # Stall risk: the spring at full travel, which the clamp writes
+    # exactly, while the force still rises into the next control step.
+    full_travel = system.spring.max_travel
     force = trace.tether_force
     stall_risk = any(x >= full_travel and after > before for x, before, after
                      in zip(trace.spring_pos, force, force[1:]))

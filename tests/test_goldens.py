@@ -236,6 +236,21 @@ def test_deployed_length_is_written_once():
     assert expression in "".join(LINE.split())
 
 
+def test_empty_slide_is_written_once():
+    """The empty slide's acceleration after lift-off occurs once in src/,
+    whitespace aside: in takeoff._control_step_text, which generates its
+    four RK4 stages e1, ..., e4 from it."""
+    expression = "(u_slide-slide_friction*"
+    found = {path.name: "".join(path.read_text(encoding="utf-8").split())
+             .count(expression) for path in sorted(SRC.glob("*.py"))}
+    assert {name: count for name, count in found.items() if count} == {
+        "takeoff.py": 1}
+    text = takeoff._control_step_text()
+    for i, speed in enumerate(("slide_speed", "s2", "s3", "s4"), 1):
+        assert (f"e{i} = (u_slide - slide_friction * {speed})"
+                " / empty_inertia\n") in text
+
+
 def test_rk4_update_is_written_once():
     """The RK4 update, (k1 + 2.0 * (k2 + k3) + k4) over any operands,
     occurs in src/ four times, whitespace aside: once in

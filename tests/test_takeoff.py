@@ -401,6 +401,19 @@ class TestVariants:
         with pytest.raises(TakeoffError, match="not reached"):
             run_takeoff(cfg, config.system, config.control)
 
+    @pytest.mark.parametrize("duration", [0.3801, 0.3805, 0.381])
+    def test_runs_its_whole_duration(self, config, takeoff_default,
+                                     duration):
+        # The run covers the duration rounded up to whole sample periods:
+        # the default run lifts off at 0.3801 s, in control step 380,
+        # which ends at 0.381 s. Rounded to the nearest period, 0.3801 s
+        # and 0.3805 s would give 380 steps, short of the lift-off.
+        result = run_takeoff(replace(config.takeoff, duration=duration),
+                             config.system, config.control)
+        assert len(result.trace.t) == 381
+        assert result.liftoff_time == takeoff_default[0].liftoff_time
+        assert result.liftoff_time == 0.3801
+
     def test_substep_must_divide_sample_period(self, config):
         cfg = replace(config.takeoff, dt=3e-4)
         with pytest.raises(TakeoffError,
